@@ -53,9 +53,12 @@ class UserInputError(ValueError):
 
 def _default_jobs() -> int:
     env = os.environ.get("SMICLUST_JOBS", "").strip()
-    if env:
+    if not env:
+        return os.cpu_count() or 1
+    try:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    except ValueError:
+        raise UserInputError(f"SMICLUST_JOBS must be an integer, got {env!r}") from None
 
 
 def _sha256(path) -> str:
@@ -115,10 +118,26 @@ def _write_kernel_csv(path, entries) -> None:
 
 
 def _parse_grid(text, kind=float):
+    if not text:
+        return None
     try:
         return tuple(kind(part) for part in text.split(",") if part.strip() != "")
     except ValueError:
         raise UserInputError(f"bad grid value in {text!r}") from None
+
+
+def _grid_search(args, ds: Dataset, cs):
+    return grid_search(
+        ds,
+        cs,
+        args.classes,
+        t_grid=_parse_grid(args.t_grid, int),
+        gamma_grid=_parse_grid(args.gamma_grid),
+        eta_grid=_parse_grid(args.eta_grid),
+        lsmi_cfg=LsmiConfig(center_cap=args.center_cap, folds=args.folds),
+        seed=args.seed,
+        jobs=args.jobs,
+    )
 
 
 def _load_input(args) -> Dataset:
@@ -144,6 +163,14 @@ def _add_io_flags(sub, with_constraints=True):
     sub.add_argument("--seed", type=int, default=0)
 
 
+def _add_search_flags(sub, grid_help=""):
+    for name in ("t", "gamma", "eta"):
+        sub.add_argument(f"--{name}-grid", help=f"comma-separated {name} values{grid_help}")
+    sub.add_argument("--center-cap", type=int, default=500)
+    sub.add_argument("--folds", type=int, default=5)
+    sub.add_argument("--jobs", type=int, default=_default_jobs())
+
+
 def cmd_cluster(args) -> int:
     started = time.perf_counter()
     if args.auto and args.t is not None:
@@ -154,17 +181,7 @@ def cmd_cluster(args) -> int:
     cs = _load_links(args, ds.n)
     outputs = [args.labels_out]
     if args.auto:
-        result = grid_search(
-            ds,
-            cs,
-            args.classes,
-            t_grid=_parse_grid(args.t_grid, int) if args.t_grid else None,
-            gamma_grid=_parse_grid(args.gamma_grid) if args.gamma_grid else None,
-            eta_grid=_parse_grid(args.eta_grid) if args.eta_grid else None,
-            lsmi_cfg=LsmiConfig(center_cap=args.center_cap, folds=args.folds),
-            seed=args.seed,
-            jobs=args.jobs,
-        )
+        result = _grid_search(args, ds, cs)
         labels, model = result.best.labels, result.model
         print(
             f"selected t={result.best.t} gamma={result.best.gamma} "
@@ -189,17 +206,7 @@ def cmd_select(args) -> int:
     started = time.perf_counter()
     ds = _load_input(args)
     cs = _load_links(args, ds.n)
-    result = grid_search(
-        ds,
-        cs,
-        args.classes,
-        t_grid=_parse_grid(args.t_grid, int) if args.t_grid else None,
-        gamma_grid=_parse_grid(args.gamma_grid) if args.gamma_grid else None,
-        eta_grid=_parse_grid(args.eta_grid) if args.eta_grid else None,
-        lsmi_cfg=LsmiConfig(center_cap=args.center_cap, folds=args.folds),
-        seed=args.seed,
-        jobs=args.jobs,
-    )
+    result = _grid_search(args, ds, cs)
     # Per-candidate wall times go into the manifest, keeping this file
     # byte-reproducible across reruns.
     lines = ["t,gamma,eta,lsmi,n_v,score,error"]
@@ -309,12 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=0.0, help="must-link strength")
     p.add_argument("--eta", type=float, default=0.0, help="cannot-link strength")
     p.add_argument("--auto", action="store_true", help="pick t, gamma, eta by grid search")
-    p.add_argument("--t-grid", help="comma-separated t values for --auto")
-    p.add_argument("--gamma-grid", help="comma-separated gamma values for --auto")
-    p.add_argument("--eta-grid", help="comma-separated eta values for --auto")
-    p.add_argument("--center-cap", type=int, default=500)
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    _add_search_flags(p, " for --auto")
     p.add_argument("--labels-out", type=Path, default=Path("labels.csv"))
     p.add_argument("--model-out", type=Path)
     p.add_argument("--dump-kernel", type=Path, help="write the edited kernel matrix as CSV")
@@ -323,12 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="grid-search t, gamma, eta and report all candidates")
     _add_io_flags(p)
-    p.add_argument("--t-grid", help="comma-separated t values")
-    p.add_argument("--gamma-grid", help="comma-separated gamma values")
-    p.add_argument("--eta-grid", help="comma-separated eta values")
-    p.add_argument("--center-cap", type=int, default=500)
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    _add_search_flags(p)
     p.add_argument("--table-out", type=Path, default=Path("candidates.csv"))
     p.add_argument("--labels-out", type=Path, default=Path("labels.csv"))
     p.add_argument("--model-out", type=Path)
@@ -373,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (
         UserInputError,

@@ -4,6 +4,10 @@ The similarity between samples i and j is ``exp(-||x_i - x_j||^2 / (2 s_i s_j))`
 where ``s_i`` is the distance from x_i to its t-th nearest neighbor, and the
 entry is kept only when i is among the t nearest neighbors of j or vice versa.
 Must-links overwrite entries with 1, cannot-links with 0.
+
+One neighbour/scale rule (:func:`_nearest`) and one entry rule
+(:func:`_scaled_entries`) serve both the training kernel built here and the
+query kernel that labels new points in :mod:`smiclust.solver`.
 """
 
 from __future__ import annotations
@@ -18,15 +22,50 @@ from .data import ConstraintSet
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Symmetric similarity matrix with entries in [0, 1] and unit diagonal."""
+    """Symmetric similarity matrix with entries in [0, 1] and unit diagonal.
+
+    ``sigma`` holds the local scales the entries were built with, when known.
+    """
 
     entries: np.ndarray
     t: int
     modified: bool = False
+    sigma: np.ndarray | None = None
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
+
+
+def _nearest(dist: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The t nearest columns of every row (ties to the lower index) and the t-th distance."""
+    n = dist.shape[1]
+    if not 1 <= t <= n - 1:
+        raise ValueError(f"t must be in 1..{n - 1}, got {t}")
+    # Stable sort keeps ascending index order among equal distances; the copy
+    # lets the full sort order be freed before the caller builds its entries.
+    neighbors = np.argsort(dist, axis=1, kind="stable")[:, :t].copy()
+    return neighbors, dist[np.arange(dist.shape[0]), neighbors[:, t - 1]]
+
+
+def _scaled_entries(dist, mask, row_sigma, col_sigma) -> np.ndarray:
+    """``exp(-d^2 / (2 s_row s_col))`` where ``mask`` holds (1 if ``d == 0``), else 0."""
+    scale = row_sigma[:, None] * col_sigma[None, :]
+    entries = np.zeros_like(dist)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.exp(-(dist**2) / (2.0 * scale))
+    regular = mask & (dist > 0) & (scale > 0)
+    entries[regular] = values[regular]
+    entries[mask & (dist == 0)] = 1.0
+    return entries
+
+
+def _self_distances(features) -> np.ndarray:
+    """Pairwise distances with an infinite diagonal, so no point is its own neighbor."""
+    features = np.asarray(features, dtype=float)
+    dist = cdist(features, features)
+    np.fill_diagonal(dist, np.inf)
+    return dist
 
 
 def nearest_neighbors(features, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -42,17 +81,7 @@ def nearest_neighbors(features, t: int) -> tuple[np.ndarray, np.ndarray]:
     neighbors : int ndarray of shape (n, t)
     sigma : float ndarray of shape (n,)
     """
-    features = np.asarray(features, dtype=float)
-    n = features.shape[0]
-    if not 1 <= t <= n - 1:
-        raise ValueError(f"t must be in 1..{n - 1}, got {t}")
-    dist = cdist(features, features)
-    np.fill_diagonal(dist, np.inf)
-    # Stable sort keeps ascending index order among equal distances.
-    order = np.argsort(dist, axis=1, kind="stable")
-    neighbors = order[:, :t]
-    sigma = dist[np.arange(n), neighbors[:, t - 1]]
-    return neighbors, sigma
+    return _nearest(_self_distances(features), t)
 
 
 def local_scaling_kernel(features, t: int) -> KernelMatrix:
@@ -63,25 +92,16 @@ def local_scaling_kernel(features, t: int) -> KernelMatrix:
     Coincident points connected by the neighborhood condition get similarity 1
     regardless of their scales, so zero scales from duplicates never divide.
     """
-    features = np.asarray(features, dtype=float)
-    n = features.shape[0]
-    neighbors, sigma = nearest_neighbors(features, t)
-    dist = cdist(features, features)
-
+    dist = _self_distances(features)
+    neighbors, sigma = _nearest(dist, t)
+    np.fill_diagonal(dist, 0.0)
+    n = dist.shape[0]
     mask = np.zeros((n, n), dtype=bool)
-    rows = np.repeat(np.arange(n), t)
-    mask[rows, neighbors.ravel()] = True
+    mask[np.repeat(np.arange(n), t), neighbors.ravel()] = True
     mask |= mask.T
-
-    scale = sigma[:, None] * sigma[None, :]
-    entries = np.zeros((n, n))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.exp(-(dist**2) / (2.0 * scale))
-    regular = mask & (dist > 0) & (scale > 0)
-    entries[regular] = values[regular]
-    entries[mask & (dist == 0)] = 1.0
+    entries = _scaled_entries(dist, mask, sigma, sigma)
     np.fill_diagonal(entries, 1.0)
-    return KernelMatrix(entries=entries, t=t)
+    return KernelMatrix(entries=entries, t=t, sigma=sigma)
 
 
 def apply_constraints(kernel: KernelMatrix, cs: ConstraintSet) -> KernelMatrix:
@@ -93,4 +113,4 @@ def apply_constraints(kernel: KernelMatrix, cs: ConstraintSet) -> KernelMatrix:
         entries[i, j] = entries[j, i] = 1.0
     for i, j in cs.cannot_links:
         entries[i, j] = entries[j, i] = 0.0
-    return KernelMatrix(entries=entries, t=kernel.t, modified=True)
+    return KernelMatrix(entries=entries, t=kernel.t, modified=True, sigma=kernel.sigma)

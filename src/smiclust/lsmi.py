@@ -175,14 +175,22 @@ def ratio_matrix(model: RatioModel, x) -> np.ndarray:
     )
 
 
-def _class_counts(model: RatioModel, y: np.ndarray) -> np.ndarray:
-    counts = np.zeros(len(model.classes))
-    for k, cls in enumerate(model.classes):
-        counts[k] = np.sum(y == cls)
-    if counts.sum() != y.shape[0]:
-        extra = sorted(set(y.tolist()) - set(model.classes))
-        raise ValueError(f"labels contain unfitted class(es) {extra}")
-    return counts
+def _ratio_sums(ratios, y, classes) -> tuple[float, float]:
+    """The cross sum ``sum_{i,j} r(x_i, y_j)^2`` and the matched sum ``sum_i r(x_i, y_i)``.
+
+    ``ratios[i, k]`` is ``r(x_i, classes[k])``.
+    """
+    ratios = np.asarray(ratios, dtype=float)
+    y = np.asarray(y, dtype=int)
+    index = {cls: k for k, cls in enumerate(classes)}
+    counts = np.zeros(ratios.shape[1])
+    for cls, count in zip(*np.unique(y, return_counts=True)):
+        if cls not in index:
+            raise ValueError(f"labels contain unfitted class {cls}")
+        counts[index[cls]] = count
+    cross = float((ratios**2 @ counts).sum())
+    matched = float(ratios[np.arange(ratios.shape[0]), [index[v] for v in y]].sum())
+    return cross, matched
 
 
 def lsmi_from_ratios(ratios, y, classes) -> float:
@@ -191,18 +199,8 @@ def lsmi_from_ratios(ratios, y, classes) -> float:
     ``-(1/2n^2) sum_{i,j} r(x_i, y_j)^2 + (1/n) sum_i r(x_i, y_i) - 1/2``;
     note the first sum pairs every sample with every label occurrence.
     """
-    ratios = np.asarray(ratios, dtype=float)
-    y = np.asarray(y, dtype=int)
-    n = ratios.shape[0]
-    classes = list(classes)
-    index = {cls: k for k, cls in enumerate(classes)}
-    counts = np.zeros(len(classes))
-    for cls, count in zip(*np.unique(y, return_counts=True)):
-        if cls not in index:
-            raise ValueError(f"labels contain unfitted class {cls}")
-        counts[index[cls]] = count
-    cross = float((ratios**2 @ counts).sum())
-    matched = float(ratios[np.arange(n), [index[v] for v in y]].sum())
+    cross, matched = _ratio_sums(ratios, y, classes)
+    n = len(y)
     return -cross / (2.0 * n**2) + matched / n - 0.5
 
 
@@ -217,13 +215,8 @@ def cv_error(model: RatioModel, x_hold, y_hold) -> float:
     ``(1/2m^2) sum_{i,j} r(x_i, y_j)^2 - (1/m) sum_i r(x_i, y_i)`` over the
     ``m`` hold-out samples; the double sum covers all m^2 combinations.
     """
-    x_hold = np.asarray(x_hold, dtype=float)
-    y_hold = np.asarray(y_hold, dtype=int)
-    m = x_hold.shape[0]
-    ratios = ratio_matrix(model, x_hold)
-    counts = _class_counts(model, y_hold)
-    cross = float((ratios**2 @ counts).sum())
-    matched = float(ratios[np.arange(m), [model.class_index(v) for v in y_hold]].sum())
+    cross, matched = _ratio_sums(ratio_matrix(model, x_hold), y_hold, model.classes)
+    m = len(y_hold)
     return cross / (2.0 * m**2) - matched / m
 
 

@@ -22,7 +22,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .data import ConstraintSet, Dataset, empty_constraints
-from .kernel import KernelMatrix, apply_constraints, local_scaling_kernel, nearest_neighbors
+from .kernel import KernelMatrix, _nearest, _scaled_entries, apply_constraints, local_scaling_kernel
+from .kernel import nearest_neighbors  # noqa: F401  re-exported; perfbench/tracer.py wraps it
 
 MODEL_SCHEMA = "smiclust-model-v1"
 
@@ -64,8 +65,17 @@ class ClusterModel:
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=float)
         lam = np.asarray(self.lam, dtype=float)
-        if phi.shape[1] != self.c or lam.shape != (self.c,):
+        features = np.asarray(self.train_features, dtype=float)
+        sigma = np.asarray(self.train_sigma, dtype=float)
+        if phi.ndim != 2 or phi.shape[1] != self.c or lam.shape != (self.c,):
             raise ValueError("phi must be n x c and lam length c")
+        n = phi.shape[0]
+        if features.ndim != 2 or features.shape[0] != n or not np.isfinite(features).all():
+            raise ValueError(f"train_features must be finite with {n} rows, got {features.shape}")
+        if sigma.shape != (n,) or not np.isfinite(sigma).all() or np.any(sigma < 0):
+            raise ValueError(f"train_sigma must be {n} finite scales >= 0, got {sigma.shape}")
+        if not 1 <= self.t <= n - 1:
+            raise ValueError(f"t must be in 1..{n - 1}, got {self.t}")
         gram = phi.T @ phi
         if not np.allclose(gram, np.eye(self.c), atol=1e-8):
             raise ValueError("phi columns must be orthonormal")
@@ -73,6 +83,8 @@ class ClusterModel:
             raise ValueError("lam must be sorted in descending order")
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "train_features", features)
+        object.__setattr__(self, "train_sigma", sigma)
 
 
 def _entries(matrix) -> np.ndarray:
@@ -198,6 +210,24 @@ def smi_score(kernel, alpha: np.ndarray, c: int) -> float:
     return float(c / (2.0 * n) * np.sum((k @ alpha) ** 2) - 0.5)
 
 
+def _fit(matrix, kernel: KernelMatrix, features, c: int, gamma: float, eta: float):
+    """Top-c eigenvectors of ``matrix``, sign-fixed, assigned and packed as a model."""
+    lam, phi = top_eigenpairs(matrix, c)
+    phi_tilde = fix_signs(phi)
+    labels = assign_clusters(phi_tilde)
+    model = ClusterModel(
+        phi=phi_tilde,
+        lam=lam,
+        c=c,
+        t=kernel.t,
+        gamma=float(gamma),
+        eta=float(eta),
+        train_features=features,
+        train_sigma=kernel.sigma,
+    )
+    return labels, model
+
+
 def cluster(
     ds: Dataset,
     cs: ConstraintSet | None,
@@ -213,44 +243,15 @@ def cluster(
     """
     if cs is None:
         cs = empty_constraints(ds.n)
-    base = local_scaling_kernel(ds.features, t)
-    edited = apply_constraints(base, cs)
+    edited = apply_constraints(local_scaling_kernel(ds.features, t), cs)
     u = objective_matrix(edited, cs, gamma, eta, c)
-    lam, phi = top_eigenpairs(u, c)
-    phi_tilde = fix_signs(phi)
-    labels = assign_clusters(phi_tilde)
-    _, sigma = nearest_neighbors(ds.features, t)
-    model = ClusterModel(
-        phi=phi_tilde,
-        lam=lam,
-        c=c,
-        t=t,
-        gamma=float(gamma),
-        eta=float(eta),
-        train_features=ds.features,
-        train_sigma=sigma,
-    )
-    return labels, model
+    return _fit(u, edited, ds.features, c, gamma, eta)
 
 
 def cluster_unsupervised(ds: Dataset, t: int, c: int) -> tuple[np.ndarray, ClusterModel]:
     """Reference unsupervised path: eigenvectors of the kernel matrix itself."""
     base = local_scaling_kernel(ds.features, t)
-    lam, phi = top_eigenpairs(base, c)
-    phi_tilde = fix_signs(phi)
-    labels = assign_clusters(phi_tilde)
-    _, sigma = nearest_neighbors(ds.features, t)
-    model = ClusterModel(
-        phi=phi_tilde,
-        lam=lam,
-        c=c,
-        t=t,
-        gamma=0.0,
-        eta=0.0,
-        train_features=ds.features,
-        train_sigma=sigma,
-    )
-    return labels, model
+    return _fit(base, base, ds.features, c, 0.0, 0.0)
 
 
 def _query_kernel(model: ClusterModel, x: np.ndarray) -> np.ndarray:
@@ -260,23 +261,11 @@ def _query_kernel(model: ClusterModel, x: np.ndarray) -> np.ndarray:
     training point participates when it is among the query's t nearest or the
     query falls inside that point's own neighborhood radius.
     """
-    train = model.train_features
-    t = model.t
-    dist = cdist(x, train)
-    order = np.argsort(dist, axis=1, kind="stable")
-    sigma_new = dist[np.arange(x.shape[0]), order[:, t - 1]]
-    mask = np.zeros_like(dist, dtype=bool)
-    rows = np.repeat(np.arange(x.shape[0]), t)
-    mask[rows, order[:, :t].ravel()] = True
-    mask |= dist <= model.train_sigma[None, :]
-    scale = sigma_new[:, None] * model.train_sigma[None, :]
-    entries = np.zeros_like(dist)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.exp(-(dist**2) / (2.0 * scale))
-    regular = mask & (dist > 0) & (scale > 0)
-    entries[regular] = values[regular]
-    entries[mask & (dist == 0)] = 1.0
-    return entries
+    dist = cdist(x, model.train_features)
+    nearest, sigma_new = _nearest(dist, model.t)
+    mask = dist <= model.train_sigma[None, :]
+    mask[np.repeat(np.arange(x.shape[0]), model.t), nearest.ravel()] = True
+    return _scaled_entries(dist, mask, sigma_new, model.train_sigma)
 
 
 def predict(model: ClusterModel, x) -> int | np.ndarray:

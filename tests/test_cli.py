@@ -137,6 +137,16 @@ class TestPredictCommand:
         write_features_csv(workdir / "query.csv", np.zeros((3, 5)))
         assert main(["predict", "--model", "model.json", "--input", "query.csv"]) == 2
 
+    @pytest.mark.parametrize("field", ["train_sigma", "train_features"])
+    def test_truncated_model_exits_2_naming_the_field(self, workdir, blobs_csv, capsys, field):
+        ds = self._fit(workdir, blobs_csv)
+        doc = json.loads((workdir / "model.json").read_text())
+        doc[field] = doc[field][:-1]
+        (workdir / "model.json").write_text(json.dumps(doc))
+        write_features_csv(workdir / "query.csv", ds.features[:3])
+        assert main(["predict", "--model", "model.json", "--input", "query.csv"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field} must be ")
+
     def test_empty_input_empty_output(self, workdir, blobs_csv):
         self._fit(workdir, blobs_csv)
         (workdir / "query.csv").write_text("")
@@ -267,6 +277,18 @@ class TestParser:
         parser = build_parser()
         args = parser.parse_args(["cluster", "--input", "x.csv", "--classes", "2", "--t", "1"])
         assert args.jobs == 3
+
+    def test_jobs_env_clamped_to_one(self, monkeypatch):
+        monkeypatch.setenv("SMICLUST_JOBS", "-4")
+        args = build_parser().parse_args(["select", "--input", "x.csv", "--classes", "2"])
+        assert args.jobs == 1
+
+    def test_non_integer_jobs_env_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("SMICLUST_JOBS", "abc")
+        assert main(["--help"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: SMICLUST_JOBS must be an integer, got 'abc'\n"
+        assert captured.out == ""
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as err:

@@ -7,6 +7,7 @@ from smiclust.kernel import local_scaling_kernel, nearest_neighbors
 from smiclust.solver import (
     ClusterModel,
     PredictionError,
+    _query_kernel,
     assign_clusters,
     cluster,
     cluster_unsupervised,
@@ -45,6 +46,23 @@ def assign_oracle(phi):
                 best_v, best_y = scores[i, y], y
         labels[i] = best_y + 1
     return labels
+
+
+def query_kernel_oracle(train, train_sigma, t, queries):
+    """Loop transcription of the query-kernel rule in ``_query_kernel``'s docstring."""
+    out = np.zeros((queries.shape[0], train.shape[0]))
+    for q, x in enumerate(queries):
+        dist = [float(np.sqrt(np.sum((x - z) ** 2))) for z in train]
+        nearest = sorted(range(len(dist)), key=lambda j: (dist[j], j))[:t]
+        sigma_q = dist[nearest[-1]]
+        for j, d in enumerate(dist):
+            if j not in nearest and d > train_sigma[j]:
+                continue
+            if d == 0:
+                out[q, j] = 1.0
+            elif sigma_q * train_sigma[j] > 0:
+                out[q, j] = np.exp(-(d**2) / (2.0 * sigma_q * train_sigma[j]))
+    return out
 
 
 def random_kernel_like(rng, n):
@@ -254,6 +272,68 @@ class TestClusterPipeline:
         assert adjusted_rand_index(linked, truth) > adjusted_rand_index(plain, truth)
 
 
+class TestModelScales:
+    """The saved scales are exactly the training kernel's t-NN distances."""
+
+    def test_cluster_and_unsupervised_keep_the_kernel_scales(self):
+        ds = make_blobs(30, 2, 2, 3.0, seed=6)
+        sigma = nearest_neighbors(ds.features, 4)[1]
+        cs = sample_constraints(ds.labels, 40, seed=2)
+        assert cs.must_links
+        for _, model in (
+            cluster(ds, None, 4, 0.0, 0.0, 2),
+            cluster(ds, cs, 4, 1.0, 0.5, 2),
+            cluster_unsupervised(ds, 4, 2),
+        ):
+            assert model.train_sigma.dtype == sigma.dtype
+            assert model.train_sigma.tobytes() == sigma.tobytes()
+
+
+class TestQueryKernel:
+    def _model(self, train, t, seed=0):
+        rng = np.random.default_rng(seed)
+        return ClusterModel(
+            phi=np.linalg.qr(rng.standard_normal((train.shape[0], 2)))[0],
+            lam=np.array([2.0, 1.0]),
+            c=2,
+            t=t,
+            gamma=0.0,
+            eta=0.0,
+            train_features=train,
+            train_sigma=nearest_neighbors(train, t)[1],
+        )
+
+    def test_matches_oracle_on_edge_cases(self):
+        # Three coincident points (zero scales), a unit square, and an outlier
+        # whose radius sqrt(82) reaches queries that are far from their own t-NN.
+        train = np.array(
+            [[0, 0], [0, 0], [0, 0], [1, 0], [0, 1], [1, 1], [10, 0]], dtype=float
+        )
+        model = self._model(train, 2)
+        assert np.array_equal(model.train_sigma[:3], np.zeros(3))
+        queries = np.array([[0, 0], [0.5, 0], [1, 0], [2, 0], [10, 0], [3, 3]], dtype=float)
+        got = _query_kernel(model, queries)
+        want = query_kernel_oracle(train, model.train_sigma, 2, queries)
+        assert np.array_equal(got != 0, want != 0)
+        assert np.allclose(got, want, rtol=1e-13, atol=0)
+        assert np.array_equal(got[0, :3], np.ones(3))  # query on the duplicates
+        assert got[1, 0] == 0.0  # zero scale, positive distance
+        assert got[2, 3] == 1.0  # query equal to a training point
+        # (2, 0): its two nearest are (1, 0) and (1, 1); (10, 0) enters by its own radius.
+        assert got[3, 6] > 0.0
+
+    def test_matches_oracle_on_random_points(self):
+        rng = np.random.default_rng(3)
+        train = rng.standard_normal((30, 2))
+        train[7] = train[3]  # one duplicate pair
+        model = self._model(train, 3, seed=1)
+        queries = np.vstack([train[:6], rng.standard_normal((15, 2)) * 1.5])
+        got = _query_kernel(model, queries)
+        want = query_kernel_oracle(train, model.train_sigma, 3, queries)
+        assert np.array_equal(got != 0, want != 0)
+        assert np.allclose(got, want, rtol=1e-13, atol=0)
+
+
 class TestPredict:
     def _model(self, seed=1):
         ds = make_blobs(40, 2, 2, 10.0, seed=seed)
@@ -295,6 +375,52 @@ class TestPredict:
         )
         with pytest.raises(PredictionError, match="non-positive"):
             predict(model, feats[0])
+
+
+class TestModelValidation:
+    def _fields(self, n=10, t=3):
+        rng = np.random.default_rng(4)
+        feats = rng.standard_normal((n, 2))
+        return dict(
+            phi=np.linalg.qr(rng.standard_normal((n, 2)))[0],
+            lam=np.array([2.0, 1.0]),
+            c=2,
+            t=t,
+            gamma=0.0,
+            eta=0.0,
+            train_features=feats,
+            train_sigma=nearest_neighbors(feats, t)[1],
+        )
+
+    def test_valid_fields_accepted(self):
+        ClusterModel(**self._fields())
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("train_features", lambda f: f[:-1]),
+            ("train_features", lambda f: f[:, 0]),
+            ("train_features", lambda f: np.where(np.arange(10)[:, None] == 2, np.nan, f)),
+            ("train_sigma", lambda s: s[:-1]),
+            ("train_sigma", lambda s: s[:, None]),
+            ("train_sigma", lambda s: np.where(np.arange(10) == 5, np.inf, s)),
+            ("train_sigma", lambda s: np.where(np.arange(10) == 5, -1.0, s)),
+        ],
+        ids=["features-short", "features-1d", "features-nan", "sigma-short", "sigma-2d",
+             "sigma-inf", "sigma-negative"],
+    )
+    def test_bad_training_arrays_rejected(self, field, value):
+        fields = self._fields()
+        fields[field] = value(fields[field])
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ClusterModel(**fields)
+
+    @pytest.mark.parametrize("t", [0, 10])
+    def test_t_out_of_range_rejected(self, t):
+        fields = self._fields()
+        fields["t"] = t
+        with pytest.raises(ValueError, match="t must be in 1..9"):
+            ClusterModel(**fields)
 
 
 class TestModelPersistence:
