@@ -7,7 +7,11 @@ Must-links overwrite entries with 1, cannot-links with 0.
 
 One neighbour/scale rule (:func:`_nearest`) and one entry rule
 (:func:`_scaled_entries`) serve both the training kernel built here and the
-query kernel that labels new points in :mod:`smiclust.solver`.
+query kernel that labels new points in :mod:`smiclust.solver`.  The neighbour
+rule partially sorts each row and falls back to a stable full sort only on
+rows tied at the t-th distance; the entry rule evaluates the exponential only
+inside the neighbourhood mask.  The kernel is held dense; the solver converts
+it to CSR for its sparse eigensolve.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from scipy.spatial.distance import cdist
 from .data import ConstraintSet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelMatrix:
     """Symmetric similarity matrix with entries in [0, 1] and unit diagonal.
 
@@ -38,25 +42,40 @@ class KernelMatrix:
 
 
 def _nearest(dist: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """The t nearest columns of every row (ties to the lower index) and the t-th distance."""
+    """The t nearest columns of every row (ties to the lower index) and the t-th distance.
+
+    A partial sort picks each row's t smallest distances and only those t are
+    ordered, by (distance, index).  A row with more than t columns within its
+    t-th distance has a tie at the cut, where the partial sort may keep any of
+    the tied columns; those rows are redone with a stable full sort, which
+    keeps the lower indices.
+    """
     n = dist.shape[1]
     if not 1 <= t <= n - 1:
         raise ValueError(f"t must be in 1..{n - 1}, got {t}")
-    # Stable sort keeps ascending index order among equal distances; the copy
-    # lets the full sort order be freed before the caller builds its entries.
-    neighbors = np.argsort(dist, axis=1, kind="stable")[:, :t].copy()
-    return neighbors, dist[np.arange(dist.shape[0]), neighbors[:, t - 1]]
+    candidates = np.argpartition(dist, t - 1, axis=1)[:, :t]
+    candidate_dist = np.take_along_axis(dist, candidates, axis=1)
+    order = np.lexsort((candidates, candidate_dist), axis=1)
+    neighbors = np.take_along_axis(candidates, order, axis=1)
+    kth = np.take_along_axis(candidate_dist, order[:, -1:], axis=1)[:, 0]
+    tied = np.flatnonzero(np.count_nonzero(dist <= kth[:, None], axis=1) > t)
+    if tied.size:
+        neighbors[tied] = np.argsort(dist[tied], axis=1, kind="stable")[:, :t]
+    return neighbors, kth
 
 
 def _scaled_entries(dist, mask, row_sigma, col_sigma) -> np.ndarray:
-    """``exp(-d^2 / (2 s_row s_col))`` where ``mask`` holds (1 if ``d == 0``), else 0."""
-    scale = row_sigma[:, None] * col_sigma[None, :]
-    entries = np.zeros_like(dist)
+    """``exp(-d^2 / (2 s_row s_col))`` where ``mask`` holds (1 if ``d == 0``), else 0.
+
+    Only the masked entries are evaluated.  A zero scale at a positive
+    distance divides to ``-inf`` and so gives 0.
+    """
+    rows, cols = np.nonzero(mask)
+    d = dist[rows, cols]
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.exp(-(dist**2) / (2.0 * scale))
-    regular = mask & (dist > 0) & (scale > 0)
-    entries[regular] = values[regular]
-    entries[mask & (dist == 0)] = 1.0
+        values = np.exp(-(d**2) / (2.0 * (row_sigma[rows] * col_sigma[cols])))
+    entries = np.zeros_like(dist)
+    entries[rows, cols] = np.where(d == 0, 1.0, values)
     return entries
 
 

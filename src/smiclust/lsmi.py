@@ -21,7 +21,7 @@ DEFAULT_DELTA_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0)
 DEFAULT_CENTER_CAP = 500
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RatioModel:
     """Per-class density-ratio estimate r(x, y) = sum_l w_l exp(-||x - z_l||^2 / 2k^2).
 

@@ -10,6 +10,11 @@ g, e >= 0 the link strengths.  The global maximizer is the matrix of top-c
 eigenvectors of U; assignments come from the sign-fixed, clipped and
 normalized eigenvectors.  Out-of-sample points are labeled through the
 unmodified kernel against the training set.
+
+U is never formed: :class:`ObjectiveMatrix` keeps K' as CSR and M, C as
+sparse link matrices and applies ``U v`` as five sparse products, and
+:func:`top_eigenpairs` takes the top-c pairs from ARPACK's Lanczos on that
+operator.  The full dense ``eigh`` stays as the oracle and the fallback.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 from scipy.spatial.distance import cdist
 
 from .data import ConstraintSet, Dataset, empty_constraints
@@ -32,20 +38,44 @@ class PredictionError(RuntimeError):
     """Out-of-sample prediction was refused (non-positive leading eigenvalue)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObjectiveMatrix:
-    """The symmetric matrix of the clustering objective's quadratic form."""
+    """The clustering objective's quadratic form, held by its sparse factors.
 
-    entries: np.ndarray
+    ``U = K'(2I + 2g M + g^2 M^2 - 2e C + e^2 C^2)K'`` is applied to vectors
+    by :meth:`matvec` and never formed; :attr:`entries` densifies it on demand.
+    """
+
+    kernel: sparse.csr_matrix
+    must: sparse.csr_matrix
+    cannot: sparse.csr_matrix
     gamma: float
     eta: float
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return self.kernel.shape[0]
+
+    def _inner(self, w):
+        mw = self.must @ w
+        out = 2.0 * w + 2.0 * self.gamma * mw + self.gamma**2 * (self.must @ mw)
+        if self.eta != 0:
+            cw = self.cannot @ w
+            out += -2.0 * self.eta * cw + self.eta**2 * (self.cannot @ cw)
+        return out
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        return self.kernel @ self._inner(self.kernel @ v)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """Dense ``U``, symmetrized; O(n^3), for tests and inspection."""
+        k = self.kernel.toarray()
+        u = k @ self._inner(k)
+        return (u + u.T) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterModel:
     """Eigenpairs and kernel settings retained for out-of-sample prediction.
 
@@ -91,10 +121,17 @@ def _entries(matrix) -> np.ndarray:
     return np.asarray(getattr(matrix, "entries", matrix), dtype=float)
 
 
+def _link_matrix(pairs, n: int, diagonal: float) -> sparse.csr_matrix:
+    """Symmetric sparse 0/1 matrix marking ``pairs``, plus ``diagonal`` on the diagonal."""
+    i, j = np.unique(np.asarray(pairs, dtype=np.intp).reshape(-1, 2), axis=0).T
+    links = sparse.coo_matrix((np.ones(i.size), (i, j)), shape=(n, n))
+    return (links + links.T + diagonal * sparse.identity(n)).tocsr()
+
+
 def objective_matrix(
     kernel: KernelMatrix, cs: ConstraintSet, gamma: float, eta: float, c: int
 ) -> ObjectiveMatrix:
-    """Build U = K'(2I + 2g M + g^2 M^2 - 2e C + e^2 C^2)K'.
+    """U = K'(2I + 2g M + g^2 M^2 - 2e C + e^2 C^2)K' as a matrix-free operator.
 
     ``eta`` must be 0 for more than two clusters: the enemy-of-my-enemy
     squared term in C^2 only encodes a must-link when c = 2.
@@ -106,14 +143,13 @@ def objective_matrix(
     k = _entries(kernel)
     if cs.n != k.shape[0]:
         raise ValueError(f"constraint set n={cs.n} does not match kernel n={k.shape[0]}")
-    m = cs.must_link_matrix()
-    inner = 2.0 * np.eye(cs.n) + 2.0 * gamma * m + gamma**2 * (m @ m)
-    if eta != 0:
-        cmat = cs.cannot_link_matrix()
-        inner += -2.0 * eta * cmat + eta**2 * (cmat @ cmat)
-    u = k @ inner @ k
-    u = (u + u.T) / 2.0
-    return ObjectiveMatrix(entries=u, gamma=float(gamma), eta=float(eta))
+    return ObjectiveMatrix(
+        kernel=sparse.csr_matrix(k),
+        must=_link_matrix(cs.must_links, cs.n, 1.0),
+        cannot=_link_matrix(cs.cannot_links, cs.n, 0.0),
+        gamma=float(gamma),
+        eta=float(eta),
+    )
 
 
 def _canonical_eigenbasis(block: np.ndarray) -> np.ndarray:
@@ -137,28 +173,96 @@ def _canonical_eigenbasis(block: np.ndarray) -> np.ndarray:
     return block @ np.column_stack(accepted)
 
 
-def top_eigenpairs(matrix, c: int) -> tuple[np.ndarray, np.ndarray]:
-    """Largest-c eigenvalues (algebraic order, descending) and eigenvectors.
+def _tie_tolerance(w: np.ndarray) -> float:
+    return 1e-9 * max(1.0, float(np.abs(w).max()))
 
-    Within groups of (numerically) repeated eigenvalues the eigenbasis is
-    canonicalized so the result is deterministic.
+
+def _canonical_top(w: np.ndarray, v: np.ndarray, c: int) -> int:
+    """Canonicalize, in place, each group of tied eigenvalues among the first c.
+
+    ``w`` is descending and ``v`` holds the matching columns.  Returns where
+    the group holding position c ends.
     """
-    u = _entries(matrix)
-    n = u.shape[0]
-    if not 1 <= c <= n:
-        raise ValueError(f"c must be in 1..{n}, got {c}")
-    w, v = np.linalg.eigh(u)
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    tol = 1e-9 * max(1.0, float(np.abs(w).max()))
+    tol = _tie_tolerance(w)
     start = 0
     while start < c:
         stop = start + 1
-        while stop < n and w[stop - 1] - w[stop] <= tol:
+        while stop < len(w) and w[stop - 1] - w[stop] <= tol:
             stop += 1
         if stop - start > 1:
             v[:, start:stop] = _canonical_eigenbasis(v[:, start:stop])
         start = stop
+    return start
+
+
+def _lanczos_top(matrix, c: int):
+    """Top eigenpairs from ARPACK that hold the whole tie group at position c.
+
+    Lanczos from one start vector can return fewer copies of a repeated
+    eigenvalue than there are, so after the first c pairs each further pair
+    is the top pair of ``U - V diag(w) V'``, the operator with the pairs found
+    so far deflated.  The search stops once that top eigenvalue lies below the
+    group at c by more than the tie tolerance.  The tolerance scales with the
+    largest eigenvalue found, which is the spectral radius both for the
+    positive semi-definite ``U`` and, by Perron-Frobenius, for the
+    non-negative kernel.
+
+    Returns descending ``(w, v)`` canonicalized by :func:`_canonical_top`, or
+    None where ARPACK cannot serve: ``n - 1`` pairs would be needed, it does
+    not converge, or the group at c is not positive (deflated pairs sit at 0).
+    """
+    # Imported on first use: the package adds tens of milliseconds to start-up,
+    # and predict and the other commands never solve an eigenproblem.
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+    n = matrix.n
+    if c >= n - 1:
+        return None
+    if isinstance(matrix, KernelMatrix):
+        apply = sparse.csr_matrix(matrix.entries).dot
+    else:
+        apply = matrix.matvec
+    v0 = np.random.default_rng(0).standard_normal(n)  # fixed start: same pairs every run
+    try:
+        w, v = eigsh(LinearOperator((n, n), matvec=apply, dtype=float), k=c, which="LA", v0=v0)
+        while True:
+            order = np.argsort(-w, kind="stable")
+            w, v = w[order], v[:, order]
+            stop = _canonical_top(w, v, c)
+            floor = w[stop - 1] - _tie_tolerance(w)
+            if floor <= 0 or len(w) >= n - 1:
+                return None
+            deflated = LinearOperator(
+                (n, n), matvec=lambda x, w=w, v=v: apply(x) - v @ (w * (v.T @ x)), dtype=float
+            )
+            top, vector = eigsh(deflated, k=1, which="LA", v0=v0)
+            if top[0] < floor:
+                return w, v
+            w, v = np.append(w, top), np.hstack([v, vector])
+    except ArpackError:
+        return None
+
+
+def top_eigenpairs(matrix, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Largest-c eigenvalues (algebraic order, descending) and eigenvectors.
+
+    A dense array goes to the full ``eigh``, the oracle for the other paths.
+    An :class:`ObjectiveMatrix` or :class:`KernelMatrix` goes to ARPACK's
+    Lanczos on its sparse operator, falling back to ``eigh`` on its dense
+    entries only when ARPACK cannot serve.  Within groups of (numerically)
+    repeated eigenvalues the eigenbasis is canonicalized so the result is
+    deterministic.
+    """
+    operator = isinstance(matrix, (ObjectiveMatrix, KernelMatrix))
+    n = matrix.n if operator else _entries(matrix).shape[0]
+    if not 1 <= c <= n:
+        raise ValueError(f"c must be in 1..{n}, got {c}")
+    pairs = _lanczos_top(matrix, c) if operator else None
+    if pairs is None:
+        w, v = np.linalg.eigh(_entries(matrix))
+        pairs = w[::-1].copy(), v[:, ::-1].copy()
+        _canonical_top(*pairs, c)
+    w, v = pairs
     return w[:c], v[:, :c]
 
 

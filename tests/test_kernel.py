@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from smiclust.data import ConstraintSet, empty_constraints, sample_constraints
-from smiclust.kernel import apply_constraints, local_scaling_kernel, nearest_neighbors
+from smiclust.kernel import (
+    _nearest,
+    _self_distances,
+    apply_constraints,
+    local_scaling_kernel,
+    nearest_neighbors,
+)
 
 
 def dense_kernel_oracle(points, t):
@@ -58,6 +65,30 @@ class TestNearestNeighbors:
         with pytest.raises(ValueError):
             nearest_neighbors(np.zeros((5, 1)), t)
 
+
+
+class TestNearestPartialSort:
+    """``_nearest`` against a stable full sort, byte for byte, on tie-heavy distances."""
+
+    @pytest.mark.parametrize("decimals", [0, 1, 2])
+    @pytest.mark.parametrize("shape", ["self", "query"])
+    def test_matches_stable_argsort(self, decimals, shape):
+        rng = np.random.default_rng(decimals)
+        for _ in range(30):
+            n = int(rng.integers(2, 40))
+            x = np.round(rng.uniform(0, 3, (n, 2)), decimals)
+            if shape == "self":
+                dist = _self_distances(x)
+            else:
+                m = int(rng.integers(1, 60))
+                m += m == n
+                dist = cdist(np.round(rng.uniform(0, 3, (m, 2)), decimals), x)
+            for t in sorted({1, int(rng.integers(1, n)), n - 1}):
+                neighbors, kth = _nearest(dist, t)
+                want = np.argsort(dist, axis=1, kind="stable")[:, :t]
+                assert neighbors.dtype == want.dtype
+                assert neighbors.tobytes() == want.tobytes()
+                assert kth.tobytes() == dist[np.arange(dist.shape[0]), want[:, -1]].tobytes()
 
 class TestLocalScalingKernel:
     def test_points_on_a_line(self):

@@ -1,9 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from smiclust.data import ConstraintSet, empty_constraints, make_blobs, sample_constraints
+from smiclust.data import ConstraintSet, Dataset, empty_constraints, make_blobs, sample_constraints
 from smiclust.evaluation import adjusted_rand_index
-from smiclust.kernel import local_scaling_kernel, nearest_neighbors
+from smiclust.kernel import KernelMatrix, apply_constraints, local_scaling_kernel, nearest_neighbors
+from smiclust.lsmi import fit_ratio_model
 from smiclust.solver import (
     ClusterModel,
     PredictionError,
@@ -270,6 +275,144 @@ class TestClusterPipeline:
         linked, _ = cluster(ds, cs, 5, 2.0, 2.0, 2)
         truth = ds.labels
         assert adjusted_rand_index(linked, truth) > adjusted_rand_index(plain, truth)
+
+
+def random_links(rng, n, count):
+    """``count`` distinct random pairs over n samples, split into must- and cannot-links."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = rng.permutation(len(pairs))[: min(count, len(pairs))]
+    split = int(rng.integers(0, chosen.size + 1))
+    return ConstraintSet(
+        tuple(pairs[p] for p in chosen[:split]), tuple(pairs[p] for p in chosen[split:]), n
+    )
+
+
+def oracle_problem(kind, seed, n, c, t):
+    """Features for one oracle case; ``t`` is clipped to 1..n-1."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        x = rng.standard_normal((n, 2))
+    elif kind == "duplicates":
+        distinct = max(2, n // 3)
+        x = np.round(rng.standard_normal((distinct, 2)), 1)[rng.integers(0, distinct, n)]
+    elif kind == "components":
+        # c + 1 or more far-apart groups joined by 1-NN edges only: more components than c.
+        groups = int(rng.integers(c + 1, c + 4))
+        x = rng.standard_normal((n, 2)) + 1000.0 * (np.arange(n) % groups)[:, None]
+        t = 1
+    else:  # "degenerate": exact integer copies of one group, so tied eigenvalues are exact
+        copies = int(rng.integers(2, 5))
+        base = rng.integers(0, 6, size=(max(2, n // copies), 2)).astype(float)
+        x = np.vstack([base + 1000.0 * k for k in range(copies)])
+    return x, min(t, len(x) - 1)
+
+
+def decided_rows(phi_tilde, margin=1e-8):
+    """Rows whose assignment beats the runner-up score by more than rounding."""
+    clipped = np.maximum(phi_tilde, 0.0)
+    dead = ~clipped.any(axis=0)
+    clipped[:, dead] = np.abs(phi_tilde[:, dead])
+    sums = clipped.sum(axis=0)
+    scores = clipped / np.where(sums == 0, 1.0, sums)
+    top2 = np.sort(scores, axis=1)[:, -2:]
+    return top2[:, 1] - top2[:, 0] > margin * max(1.0, float(scores.max()))
+
+
+class TestLanczosAgainstDenseOracle:
+    """The ARPACK path of ``top_eigenpairs`` against dense ``eigh`` on the densified matrix."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        kind=st.sampled_from(["random", "duplicates", "components", "degenerate"]),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 60),
+        c=st.sampled_from([2, 3]),
+        t=st.integers(1, 6),
+        links=st.integers(0, 30),
+        gamma=st.sampled_from([0.0, 0.5, 2.0]),
+        eta=st.sampled_from([0.0, 1.0]),
+        kernel_only=st.booleans(),
+    )
+    def test_matches_dense_eigh(self, kind, seed, n, c, t, links, gamma, eta, kernel_only):
+        x, t = oracle_problem(kind, seed, n, c, t)
+        n = len(x)
+        c = min(c, n)
+        cs = random_links(np.random.default_rng(seed + 1), n, links)
+        edited = apply_constraints(local_scaling_kernel(x, t), cs)
+        if kernel_only:
+            matrix = edited
+        else:
+            matrix = objective_matrix(edited, cs, gamma, eta if c == 2 else 0.0, c)
+        dense = matrix.entries
+        lam, phi = top_eigenpairs(matrix, c)
+        lam_ref, phi_ref = top_eigenpairs(dense, c)
+        norm = max(1.0, float(np.abs(np.linalg.eigvalsh(dense)).max()))
+        assert np.all(np.abs(lam - lam_ref) <= 1e-8 * norm)
+        assert np.all(np.linalg.norm(dense @ phi - phi * lam, axis=0) <= 1e-8 * norm)
+        assert np.allclose(phi.T @ phi, np.eye(c), atol=1e-10)
+        # A column summing to about 0 gets its sign from rounding in either
+        # solver, so the fast columns take the signs of the oracle's.
+        ref = fix_signs(phi_ref)
+        aligned = phi * np.where(np.sum(phi * ref, axis=0) < 0, -1.0, 1.0)
+        decided = decided_rows(ref) & decided_rows(aligned)
+        labels = assign_clusters(aligned)[decided]
+        labels_ref = assign_clusters(ref)[decided]
+        pairs = set(zip(labels_ref.tolist(), labels.tolist()))
+        assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
+
+
+class TestMetamorphic:
+    """Invariances of the method, checked through ``cluster``."""
+
+    def _problem(self, seed):
+        ds = make_blobs(60, 2, 2, 3.0, seed=seed)
+        return ds, sample_constraints(ds.labels, 40, seed=seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_permuting_samples_and_links(self, seed):
+        ds, cs = self._problem(seed)
+        perm = np.random.default_rng(seed).permutation(ds.n)
+        new_index = np.argsort(perm)
+        relinked = ConstraintSet(
+            tuple((new_index[i], new_index[j]) for i, j in cs.must_links),
+            tuple((new_index[i], new_index[j]) for i, j in cs.cannot_links),
+            ds.n,
+        )
+        labels, _ = cluster(ds, cs, 5, 1.0, 1.0, 2)
+        permuted, _ = cluster(Dataset(features=ds.features[perm]), relinked, 5, 1.0, 1.0, 2)
+        assert adjusted_rand_index(permuted, labels[perm]) == 1.0
+
+    @pytest.mark.parametrize("scale, shift", [(1e-3, 0.0), (7.5, -3.0), (1.0, 250.0), (1e3, 1e3)])
+    def test_scaling_and_translation(self, scale, shift):
+        ds, cs = self._problem(3)
+        labels, _ = cluster(ds, cs, 5, 1.0, 1.0, 2)
+        moved, _ = cluster(Dataset(features=ds.features * scale + shift), cs, 5, 1.0, 1.0, 2)
+        assert np.array_equal(moved, labels)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_link_order_is_irrelevant(self, seed):
+        ds, cs = self._problem(seed)
+        reversed_cs = ConstraintSet(cs.must_links[::-1], cs.cannot_links[::-1], cs.n)
+        labels, model = cluster(ds, cs, 5, 1.0, 1.0, 2)
+        again, model_again = cluster(ds, reversed_cs, 5, 1.0, 1.0, 2)
+        assert labels.tobytes() == again.tobytes()
+        assert model.phi.tobytes() == model_again.phi.tobytes()
+        assert model.lam.tobytes() == model_again.lam.tobytes()
+
+
+def test_array_dataclasses_compare_by_identity():
+    ds = make_blobs(10, 2, 2, 5.0, seed=0)
+    kernel = local_scaling_kernel(ds.features, 3)
+    _, model = cluster(ds, None, 3, 0.0, 0.0, 2)
+    for make in (
+        lambda: KernelMatrix(np.eye(3), 1),
+        lambda: objective_matrix(kernel, empty_constraints(ds.n), 1.0, 0.0, 2),
+        lambda: replace(model),
+        lambda: fit_ratio_model(ds.features, ds.labels, 1.0, 0.1, seed=0),
+    ):
+        first, second = make(), make()
+        assert (first == second) is False
+        assert (first == first) is True
 
 
 class TestModelScales:
