@@ -6,15 +6,22 @@ kernel model per class.  The ridge-regularized least-squares fit has the
 closed-form solution ``w = (H + delta I)^-1 h``, and hyperparameters
 (Gaussian width kappa, ridge delta) are picked by M-fold cross-validation on
 the hold-out squared error.
+
+:func:`cross_validate` does each exact computation once: one pass of squared
+distances to the centers per fold (training and hold-out rows), one ``exp``
+of them per (fold, kappa), and one Cholesky factorization per (fold, kappa,
+delta, class).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.spatial.distance import cdist, pdist
 
 DEFAULT_DELTA_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0)
@@ -50,8 +57,12 @@ class RatioModel:
             raise ValueError(f"class {y} was not fitted (classes: {self.classes})") from None
 
 
+def _kernel(sqdist: np.ndarray, kappa: float) -> np.ndarray:
+    return np.exp(-sqdist / (2.0 * kappa**2))
+
+
 def _gauss(x: np.ndarray, centers: np.ndarray, kappa: float) -> np.ndarray:
-    return np.exp(-cdist(x, centers, "sqeuclidean") / (2.0 * kappa**2))
+    return _kernel(cdist(x, centers, "sqeuclidean"), kappa)
 
 
 def _center_quotas(counts: np.ndarray, cap: int) -> np.ndarray:
@@ -84,37 +95,52 @@ def _stratified_centers(x, y, center_cap, rng) -> dict[int, np.ndarray]:
     return centers
 
 
-def _class_systems(x, y, centers, kappa):
-    """The least-squares normal systems (H, h, L) for every class.
+def _normal_system(lmat, own, n):
+    """(H, h) of one class from ``lmat``, the kernel of all n samples against its centers.
 
-    H is built from kernel values of *all* samples against the class centers,
-    h only from the class's own samples.
+    H is built from kernel values of *all* samples, h only from the class's
+    own samples (the boolean mask ``own``).
     """
+    n_y = int(np.sum(own))
+    h_mat = (n_y / n**2) * (lmat.T @ lmat)
+    h_vec = lmat[own].sum(axis=0) / n
+    return h_mat, h_vec
+
+
+def _class_systems(x, y, centers, kappa):
+    """The least-squares normal systems (H, h) for every class."""
     n = x.shape[0]
-    systems = {}
-    for cls, ctr in centers.items():
-        lmat = _gauss(x, ctr, kappa)
-        n_y = int(np.sum(y == cls))
-        h_mat = (n_y / n**2) * (lmat.T @ lmat)
-        h_vec = lmat[y == cls].sum(axis=0) / n
-        systems[cls] = (h_mat, h_vec)
-    return systems
+    return {cls: _normal_system(_gauss(x, ctr, kappa), y == cls, n) for cls, ctr in centers.items()}
 
 
 def _solve_ridge(h_mat, h_vec, delta):
+    """``(H + delta I)^-1 h`` by Cholesky; a singular delta=0 system gets a pseudo-solution.
+
+    Calls LAPACK potrf/potrs with the arguments and checks of scipy's
+    ``cho_factor``/``cho_solve``, without their per-call wrapper cost.
+    """
     system = h_mat + delta * np.eye(h_mat.shape[0])
-    try:
-        return cho_solve(cho_factor(system), h_vec)
-    except LinAlgError:
-        if delta > 0:
-            raise
-        warnings.warn(
-            "singular least-squares system with delta=0; falling back to a "
-            "pseudo-solution (consider delta > 0)",
-            RuntimeWarning,
-            stacklevel=3,
+    if not (np.isfinite(system).all() and np.isfinite(h_vec).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    factor, info = dpotrf(system, lower=0, clean=0)
+    if info < 0:
+        raise ValueError(
+            f'LAPACK reported an illegal value in {-info}-th argument on entry to "POTRF".'
         )
-        return np.linalg.lstsq(system, h_vec, rcond=None)[0]
+    if info == 0:
+        weights, info = dpotrs(factor, h_vec, lower=0)
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+        return weights
+    if delta > 0:
+        raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    warnings.warn(
+        "singular least-squares system with delta=0; falling back to a "
+        "pseudo-solution (consider delta > 0)",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+    return np.linalg.lstsq(system, h_vec, rcond=None)[0]
 
 
 def fit_ratio_model(
@@ -175,21 +201,27 @@ def ratio_matrix(model: RatioModel, x) -> np.ndarray:
     )
 
 
-def _ratio_sums(ratios, y, classes) -> tuple[float, float]:
-    """The cross sum ``sum_{i,j} r(x_i, y_j)^2`` and the matched sum ``sum_i r(x_i, y_i)``.
-
-    ``ratios[i, k]`` is ``r(x_i, classes[k])``.
-    """
-    ratios = np.asarray(ratios, dtype=float)
+def _class_columns(y, classes) -> tuple[np.ndarray, list[int]]:
+    """Label counts per class of ``classes`` and each label's column in ``classes``."""
     y = np.asarray(y, dtype=int)
     index = {cls: k for k, cls in enumerate(classes)}
-    counts = np.zeros(ratios.shape[1])
+    counts = np.zeros(len(classes))
     for cls, count in zip(*np.unique(y, return_counts=True)):
         if cls not in index:
             raise ValueError(f"labels contain unfitted class {cls}")
         counts[index[cls]] = count
+    return counts, [index[v] for v in y]
+
+
+def _ratio_sums(ratios, counts, columns) -> tuple[float, float]:
+    """The cross sum ``sum_{i,j} r(x_i, y_j)^2`` and the matched sum ``sum_i r(x_i, y_i)``.
+
+    ``ratios[i, k]`` is ``r(x_i, classes[k])``; ``counts`` and ``columns``
+    come from :func:`_class_columns`.
+    """
+    ratios = np.asarray(ratios, dtype=float)
     cross = float((ratios**2 @ counts).sum())
-    matched = float(ratios[np.arange(ratios.shape[0]), [index[v] for v in y]].sum())
+    matched = float(ratios[np.arange(ratios.shape[0]), columns].sum())
     return cross, matched
 
 
@@ -199,7 +231,7 @@ def lsmi_from_ratios(ratios, y, classes) -> float:
     ``-(1/2n^2) sum_{i,j} r(x_i, y_j)^2 + (1/n) sum_i r(x_i, y_i) - 1/2``;
     note the first sum pairs every sample with every label occurrence.
     """
-    cross, matched = _ratio_sums(ratios, y, classes)
+    cross, matched = _ratio_sums(ratios, *_class_columns(y, classes))
     n = len(y)
     return -cross / (2.0 * n**2) + matched / n - 0.5
 
@@ -215,8 +247,12 @@ def cv_error(model: RatioModel, x_hold, y_hold) -> float:
     ``(1/2m^2) sum_{i,j} r(x_i, y_j)^2 - (1/m) sum_i r(x_i, y_i)`` over the
     ``m`` hold-out samples; the double sum covers all m^2 combinations.
     """
-    cross, matched = _ratio_sums(ratio_matrix(model, x_hold), y_hold, model.classes)
-    m = len(y_hold)
+    return _hold_error(ratio_matrix(model, x_hold), *_class_columns(y_hold, model.classes))
+
+
+def _hold_error(ratios, counts, columns) -> float:
+    cross, matched = _ratio_sums(ratios, counts, columns)
+    m = len(columns)
     return cross / (2.0 * m**2) - matched / m
 
 
@@ -261,7 +297,9 @@ def cross_validate(
 
     Returns the pair minimizing the mean hold-out error (ties to the smaller
     kappa, then the smaller delta) together with the full CV table.  Raises
-    when some class of a hold-out fold never occurs in its training part.
+    on a kappa that is not finite and positive or a delta that is not finite
+    and non-negative, and when some class of a hold-out fold never occurs in
+    its training part.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -271,6 +309,12 @@ def cross_validate(
     delta_grid = sorted(float(d) for d in (DEFAULT_DELTA_GRID if delta_grid is None else delta_grid))
     if not kappa_grid or not delta_grid:
         raise ValueError("kappa and delta grids must be nonempty")
+    for kappa in kappa_grid:
+        if not (math.isfinite(kappa) and kappa > 0):
+            raise ValueError(f"kappa grid values must be finite and positive, got {kappa}")
+    for delta in delta_grid:
+        if not (math.isfinite(delta) and delta >= 0):
+            raise ValueError(f"delta grid values must be finite and non-negative, got {delta}")
     rng = np.random.default_rng(seed)
     fold_of = _fold_assignment(y, folds, rng)
     splits = []
@@ -285,27 +329,34 @@ def cross_validate(
         centers = _stratified_centers(x[train], y[train], center_cap, rng)
         splits.append((train, hold, centers))
 
+    # fold_errors[m][a][b] is fold m's hold-out error at (kappa_grid[a], delta_grid[b]).
+    fold_errors = []
+    for train, hold, centers in splits:
+        classes = tuple(sorted(centers))
+        n = int(np.sum(train))
+        own = [y[train] == cls for cls in classes]
+        train_sq = [cdist(x[train], centers[cls], "sqeuclidean") for cls in classes]
+        hold_sq = [cdist(x[hold], centers[cls], "sqeuclidean") for cls in classes]
+        counts, columns = _class_columns(y[hold], classes)
+        errors = []
+        for kappa in kappa_grid:
+            systems = [_normal_system(_kernel(d, kappa), mask, n) for d, mask in zip(train_sq, own)]
+            hold_kernels = [_kernel(d, kappa) for d in hold_sq]
+            row = []
+            for delta in delta_grid:
+                weights = [_solve_ridge(*system, delta) for system in systems]
+                ratios = np.column_stack([lmat @ w for lmat, w in zip(hold_kernels, weights)])
+                row.append(_hold_error(ratios, counts, columns))
+            errors.append(row)
+        fold_errors.append(errors)
+
     table = []
     best = None
-    for kappa in kappa_grid:
-        fold_systems = [
-            (_class_systems(x[train], y[train], centers, kappa), hold, centers)
-            for train, hold, centers in splits
-        ]
-        for delta in delta_grid:
-            fold_cv = []
-            for systems, hold, centers in fold_systems:
-                classes = tuple(sorted(centers))
-                model = RatioModel(
-                    classes=classes,
-                    centers=tuple(centers[cls] for cls in classes),
-                    weights=tuple(_solve_ridge(*systems[cls], delta) for cls in classes),
-                    kappa=kappa,
-                    delta=delta,
-                )
-                fold_cv.append(cv_error(model, x[hold], y[hold]))
+    for a, kappa in enumerate(kappa_grid):
+        for b, delta in enumerate(delta_grid):
+            fold_cv = tuple(errors[a][b] for errors in fold_errors)
             mean_cv = float(np.mean(fold_cv))
-            table.append(CvRecord(kappa, delta, mean_cv, tuple(fold_cv)))
+            table.append(CvRecord(kappa, delta, mean_cv, fold_cv))
             if best is None or mean_cv < best[2]:
                 best = (kappa, delta, mean_cv)
     return best[0], best[1], table

@@ -8,10 +8,15 @@ delta), and each candidate is scored as
 
 where n_v counts links the candidate's labeling violates.  The highest score
 wins.
+
+The search runs in two phases: every candidate is clustered, then LSMI (its
+cross-validation, fit and value) and n_v are computed once per distinct
+labeling and shared by the candidates that produced it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 import warnings
@@ -40,6 +45,9 @@ class Candidate:
     lsmi: float = math.nan
     n_v: int = 0
     score: float = math.nan
+    # Wall time of this candidate's clustering plus, for the first candidate
+    # with its labeling, the LSMI scoring; a repeated labeling reuses its
+    # first occurrence's LSMI and n_v, so its seconds cover clustering only.
     seconds: float = 0.0
     error: str | None = None
 
@@ -66,9 +74,17 @@ def count_violations(labels, cs: ConstraintSet) -> int:
     labels = np.asarray(labels)
     if labels.shape[0] != cs.n:
         raise ValueError(f"labels length {labels.shape[0]} does not match cs.n={cs.n}")
-    violated = sum(1 for i, j in cs.must_links if labels[i] != labels[j])
-    violated += sum(1 for i, j in cs.cannot_links if labels[i] == labels[j])
-    return violated
+    i, j = _pair_ends(cs.must_links)
+    violated = np.count_nonzero(labels[i] != labels[j])
+    i, j = _pair_ends(cs.cannot_links)
+    violated += np.count_nonzero(labels[i] == labels[j])
+    return int(violated)
+
+
+def _pair_ends(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The first and the second indices of ``pairs`` as two integer arrays."""
+    flat = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.intp, count=2 * len(pairs))
+    return flat[0::2], flat[1::2]
 
 
 def score_candidates(candidates: list[Candidate]) -> list[Candidate]:
@@ -100,14 +116,26 @@ def score_candidates(candidates: list[Candidate]) -> list[Candidate]:
     return candidates
 
 
-def _evaluate_candidate(job) -> Candidate:
-    ds, cs, t, gamma, eta, c, cfg, seed = job
-    cand = Candidate(t=t, gamma=gamma, eta=eta)
+def _cluster_job(job):
+    """(labels, error, seconds) of one candidate's clustering; labels is None on error."""
+    ds, cs, t, gamma, eta, c = job
     start = time.perf_counter()
+    labels, error = None, None
     try:
         labels, _ = solver.cluster(ds, cs, t, gamma, eta, c)
+    except Exception as exc:  # candidate failure is data, not a crash
+        error = f"{type(exc).__name__}: {exc}"
+    return labels, error, time.perf_counter() - start
+
+
+def _score_job(job):
+    """((lsmi, n_v), error, seconds) of one labeling; the pair is None on error."""
+    features, cs, labels, cfg, seed = job
+    start = time.perf_counter()
+    scores, error = None, None
+    try:
         kappa, delta, _ = lsmi_mod.cross_validate(
-            ds.features,
+            features,
             labels,
             kappa_grid=cfg.kappa_grid,
             delta_grid=cfg.delta_grid,
@@ -116,15 +144,20 @@ def _evaluate_candidate(job) -> Candidate:
             seed=seed,
         )
         model = lsmi_mod.fit_ratio_model(
-            ds.features, labels, kappa, delta, center_cap=cfg.center_cap, seed=seed
+            features, labels, kappa, delta, center_cap=cfg.center_cap, seed=seed
         )
-        cand.labels = labels
-        cand.lsmi = lsmi_mod.lsmi_value(model, ds.features, labels)
-        cand.n_v = count_violations(labels, cs)
+        scores = (lsmi_mod.lsmi_value(model, features, labels), count_violations(labels, cs))
     except Exception as exc:  # candidate failure is data, not a crash
-        cand.error = f"{type(exc).__name__}: {exc}"
-    cand.seconds = time.perf_counter() - start
-    return cand
+        error = f"{type(exc).__name__}: {exc}"
+    return scores, error, time.perf_counter() - start
+
+
+def _map(fn, items: list, jobs: int) -> list:
+    """``fn`` over ``items`` in order, in this process or on a pool of ``jobs`` workers."""
+    if jobs == 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
+        return list(pool.map(fn, items))
 
 
 def grid_search(
@@ -159,17 +192,31 @@ def grid_search(
         eta_grid = (0.0,)
     cfg = lsmi_cfg or LsmiConfig()
     jobs = max(1, int(jobs))
-    work = [
-        (ds, cs, t, gamma, eta, c, cfg, seed)
+    candidates = [
+        Candidate(t=t, gamma=gamma, eta=eta)
         for t in t_grid
         for gamma in gamma_grid
         for eta in eta_grid
     ]
-    if jobs == 1 or len(work) == 1:
-        candidates = [_evaluate_candidate(job) for job in work]
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
-            candidates = list(pool.map(_evaluate_candidate, work))
+    clustered = _map(
+        _cluster_job, [(ds, cs, cand.t, cand.gamma, cand.eta, c) for cand in candidates], jobs
+    )
+    first = {}  # labels.tobytes() -> index of the first candidate with that labeling
+    for i, (labels, _, _) in enumerate(clustered):
+        if labels is not None:
+            first.setdefault(labels.tobytes(), i)
+    score_work = [(ds.features, cs, clustered[i][0], cfg, seed) for i in first.values()]
+    scored = dict(zip(first, _map(_score_job, score_work, jobs)))
+    for i, (cand, (labels, error, seconds)) in enumerate(zip(candidates, clustered)):
+        cand.seconds, cand.error = seconds, error
+        if labels is None:
+            continue
+        scores, cand.error, score_seconds = scored[labels.tobytes()]
+        if first[labels.tobytes()] == i:
+            cand.seconds += score_seconds
+        if scores is not None:
+            cand.labels = labels
+            cand.lsmi, cand.n_v = scores
 
     failures = [cand for cand in candidates if cand.error is not None]
     if len(failures) == len(candidates):

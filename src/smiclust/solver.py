@@ -267,19 +267,23 @@ def top_eigenpairs(matrix, c: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fix_signs(phi: np.ndarray) -> np.ndarray:
-    """Resolve each eigenvector's sign so its entry sum is non-negative.
+    """Resolve each eigenvector's sign so its entry sum is non-negative, up to rounding.
 
-    A column summing to exactly zero is oriented by its first nonzero entry.
+    A sum within ``1e-8 * ||phi_y||_1`` of zero is rounding noise (an
+    eigenvector antisymmetric across mirrored groups sums to about 0), so
+    such a column is oriented by its first entry whose magnitude clears that
+    tolerance; an all-zero column is left as is.
     """
     phi = np.asarray(phi, dtype=float)
     out = phi.copy()
     for y in range(phi.shape[1]):
         s = phi[:, y].sum()
-        if s == 0:
-            nonzero = np.flatnonzero(phi[:, y])
-            if nonzero.size == 0:
+        tol = 1e-8 * np.abs(phi[:, y]).sum()
+        if abs(s) <= tol:
+            clear = np.flatnonzero(np.abs(phi[:, y]) > tol)
+            if clear.size == 0:
                 continue
-            s = phi[nonzero[0], y]
+            s = phi[clear[0], y]
         if s < 0:
             out[:, y] = -out[:, y]
     return out

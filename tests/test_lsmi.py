@@ -1,10 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from smiclust.data import make_blobs
 from smiclust.lsmi import (
+    DEFAULT_DELTA_GRID,
+    CvRecord,
     RatioModel,
     _class_systems,
+    _fold_assignment,
+    _stratified_centers,
     cross_validate,
     cv_error,
     default_kappa_grid,
@@ -48,6 +57,53 @@ def cv_oracle(model, x_hold, y_hold):
     ) / (2 * m**2)
     second = sum(evaluate_ratio(model, x_hold[i], y_hold[i]) for i in range(m)) / m
     return first - second
+
+
+def solve_ridge_oracle(h_mat, h_vec, delta):
+    """The ridge solve through scipy's Cholesky wrappers, with the delta=0 fallback."""
+    system = h_mat + delta * np.eye(h_mat.shape[0])
+    try:
+        return cho_solve(cho_factor(system), h_vec)
+    except LinAlgError:
+        if delta > 0:
+            raise
+        return np.linalg.lstsq(system, h_vec, rcond=None)[0]
+
+
+def cross_validate_oracle(x, y, kappa_grid, delta_grid, folds, center_cap, seed):
+    """Per-kappa, per-delta transcription of the CV: every fold's systems and
+    hold-out kernels are rebuilt from the features at each grid point."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=int)
+    kappa_grid = sorted(float(k) for k in kappa_grid)
+    delta_grid = sorted(float(d) for d in delta_grid)
+    rng = np.random.default_rng(seed)
+    fold_of = _fold_assignment(y, folds, rng)
+    splits = []
+    for m in range(folds):
+        hold = fold_of == m
+        centers = _stratified_centers(x[~hold], y[~hold], center_cap, rng)
+        splits.append((~hold, hold, centers))
+    table, best = [], None
+    for kappa in kappa_grid:
+        for delta in delta_grid:
+            fold_cv = []
+            for train, hold, centers in splits:
+                systems = _class_systems(x[train], y[train], centers, kappa)
+                classes = tuple(sorted(centers))
+                model = RatioModel(
+                    classes=classes,
+                    centers=tuple(centers[cls] for cls in classes),
+                    weights=tuple(solve_ridge_oracle(*systems[cls], delta) for cls in classes),
+                    kappa=kappa,
+                    delta=delta,
+                )
+                fold_cv.append(cv_error(model, x[hold], y[hold]))
+            mean_cv = float(np.mean(fold_cv))
+            table.append(CvRecord(kappa, delta, mean_cv, tuple(fold_cv)))
+            if best is None or mean_cv < best[2]:
+                best = (kappa, delta, mean_cv)
+    return best[0], best[1], table
 
 
 def lsmi_oracle(model, x, y):
@@ -296,6 +352,61 @@ class TestCrossValidate:
         ds = make_blobs(10, 2, 2, 4.0, seed=0)
         with pytest.raises(ValueError):
             cross_validate(ds.features, ds.labels, folds=1)
+
+    @pytest.mark.parametrize(
+        "grid, value, match",
+        [
+            ("kappa", 0.0, "kappa grid values must be finite and positive, got 0.0"),
+            ("kappa", -1.0, "kappa grid values must be finite and positive, got -1.0"),
+            ("kappa", np.inf, "kappa grid values must be finite and positive, got inf"),
+            ("kappa", np.nan, "kappa grid values must be finite and positive, got nan"),
+            ("delta", -0.1, "delta grid values must be finite and non-negative, got -0.1"),
+            ("delta", np.nan, "delta grid values must be finite and non-negative, got nan"),
+            ("delta", np.inf, "delta grid values must be finite and non-negative, got inf"),
+        ],
+    )
+    def test_bad_grid_value_rejected_before_fold_work(self, grid, value, match):
+        ds = make_blobs(10, 2, 2, 4.0, seed=0)
+        grids = {"kappa_grid": [1.0], "delta_grid": [0.1]}
+        grids[f"{grid}_grid"] = [1.0 if grid == "kappa" else 0.1, value]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no singular-system warning on the way
+            with pytest.raises(ValueError, match=match):
+                cross_validate(ds.features, ds.labels, **grids, seed=0)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(6, 40),
+        dim=st.integers(1, 3),
+        classes=st.integers(1, 3),
+        folds=st.integers(2, 5),
+        cap_below_n=st.booleans(),
+        duplicates=st.booleans(),
+        with_zero_delta=st.booleans(),
+    )
+    def test_table_matches_per_grid_point_oracle(
+        self, seed, n, dim, classes, folds, cap_below_n, duplicates, with_zero_delta
+    ):
+        rng = np.random.default_rng(seed)
+        # every class at least ``folds`` times, so each hold-out class trains
+        y = np.concatenate(
+            [np.repeat(np.arange(1, classes + 1), folds), rng.integers(1, classes + 1, size=n)]
+        )
+        x = rng.standard_normal((y.shape[0], dim))
+        if duplicates:
+            x = np.round(x)  # many coincident points, near-singular systems
+        center_cap = int(rng.integers(classes, n)) if cap_below_n else 500
+        # On rounded features the two narrowest widths underflow every kernel
+        # value between distinct points to 0, so their rows tie: the tie-break.
+        kappa_grid = [1e-3, 2e-3] + list(rng.uniform(0.05, 3.0, size=int(rng.integers(0, 4))))
+        delta_grid = [0.0, 1e-2, 1.0] if with_zero_delta else list(DEFAULT_DELTA_GRID)
+        args = (x, y, kappa_grid, delta_grid, folds, center_cap, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = cross_validate_oracle(*args)
+            got = cross_validate(*args)
+        assert repr(got) == repr(expected)  # float reprs round-trip: bit for bit
 
 
 class TestRatioMatrix:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from smiclust import lsmi
 from smiclust.data import ConstraintSet, empty_constraints, make_blobs, sample_constraints
 from smiclust.evaluation import adjusted_rand_index
 from smiclust.model_select import (
@@ -189,6 +190,46 @@ class TestGridSearch:
             par.best.gamma,
             par.best.eta,
         )
+
+    def test_one_cv_per_distinct_labeling(self, monkeypatch):
+        ds = make_blobs(25, 2, 2, 6.0, seed=4)
+        cs = sample_constraints(ds.labels, 15, seed=4)
+        kwargs = dict(
+            t_grid=(2, 3, 5), gamma_grid=(0.0, 1.0), eta_grid=(0.0, 1.0), lsmi_cfg=FAST_LSMI
+        )
+        par = grid_search(ds, cs, 2, jobs=2, **kwargs)
+        calls = []
+        original = lsmi.cross_validate
+
+        def counted(x, y, **kw):
+            calls.append(np.asarray(y).tobytes())
+            return original(x, y, **kw)
+
+        monkeypatch.setattr(lsmi, "cross_validate", counted)
+        seq = grid_search(ds, cs, 2, jobs=1, **kwargs)
+        distinct = {cand.labels.tobytes() for cand in seq.candidates}
+        assert len(distinct) < len(seq.candidates)  # the grid repeats some labeling
+        assert sorted(calls) == sorted(distinct)
+        columns = ("t", "gamma", "eta", "lsmi", "n_v", "score", "error")
+        for a, b in zip(seq.candidates, par.candidates):
+            assert [getattr(a, k) for k in columns] == [getattr(b, k) for k in columns]
+            assert a.labels.tobytes() == b.labels.tobytes()
+
+    def test_scoring_failure_is_recorded_per_candidate(self, monkeypatch):
+        ds = make_blobs(25, 2, 2, 6.0, seed=4)
+        cs = sample_constraints(ds.labels, 15, seed=4)
+
+        def failing(x, y, **kw):
+            raise ValueError("no usable fold")
+
+        monkeypatch.setattr(lsmi, "cross_validate", failing)
+        with pytest.raises(RuntimeError, match="all 4 grid candidates failed") as info:
+            grid_search(ds, cs, 2, t_grid=(3, 5), gamma_grid=(0.0, 1.0), eta_grid=(0.0,))
+        for t in (3, 5):
+            for gamma in (0.0, 1.0):
+                assert f"(t={t}, gamma={gamma}, eta=0.0): ValueError: no usable fold" in str(
+                    info.value
+                )
 
     def test_all_candidates_failing_raises(self):
         ds = make_blobs(5, 2, 1, 5.0, seed=5)  # n=10, so t=20 is invalid

@@ -186,6 +186,25 @@ class TestFixSigns:
         phi = fix_signs(rng.standard_normal((30, 4)))
         assert np.all(phi.sum(axis=0) >= 0)
 
+    def test_rounding_level_sum_uses_first_clear_entry(self):
+        # the sum 1e-12 is below 1e-8 * ||phi||_1, and so is the first entry
+        phi = np.array([[1e-12], [-1.0], [1.0]])
+        assert np.array_equal(fix_signs(phi).ravel(), [-1e-12, 1.0, -1.0])
+
+    def test_mirrored_groups_keep_labels_under_last_bit_changes(self):
+        rng = np.random.default_rng(0)
+        half = rng.standard_normal((6, 2)) + [1.5, 0.0]
+        x = np.vstack([half, -half])  # x -> -x swaps the two groups
+        k = np.exp(-np.sum((x[:, None] - x[None]) ** 2, axis=2) / 2.0)
+        _, phi = top_eigenpairs(k, 2)
+        # the second eigenvector is antisymmetric across the mirror
+        assert abs(phi[:, 1].sum()) <= 1e-8 * np.abs(phi[:, 1]).sum()
+        labels = assign_clusters(fix_signs(phi))
+        assert sorted(np.bincount(labels)[1:]) == [6, 6]
+        for _ in range(100):
+            nudged = phi * (1.0 + 1e-14 * rng.standard_normal(phi.shape))
+            assert np.array_equal(assign_clusters(fix_signs(nudged)), labels)
+
 
 class TestAssignClusters:
     def test_indicator_columns(self):
