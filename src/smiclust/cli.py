@@ -42,7 +42,6 @@ from .evaluation import (
     write_report_summary,
 )
 from .kernel import apply_constraints, local_scaling_kernel
-from .lsmi import cross_validate
 from .model_select import LsmiConfig, grid_search
 from .solver import PredictionError, cluster, load_model, predict, save_model
 
@@ -112,9 +111,13 @@ def _read_labels_csv(path) -> np.ndarray:
     return np.array(values, dtype=int)
 
 
-def _write_kernel_csv(path, entries) -> None:
-    lines = [",".join(repr(float(v)) for v in row) for row in entries]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_kernel_csv(path, matrix) -> None:
+    """Every entry of the CSR ``matrix`` as dense CSV, one row in memory at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for start, stop in zip(matrix.indptr[:-1], matrix.indptr[1:]):
+            row = np.zeros(matrix.shape[1])
+            row[matrix.indices[start:stop]] = matrix.data[start:stop]
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def _parse_grid(text, kind=float):
@@ -196,7 +199,7 @@ def cmd_cluster(args) -> int:
         outputs.append(args.model_out)
     if args.dump_kernel:
         edited = apply_constraints(local_scaling_kernel(ds.features, model.t), cs)
-        _write_kernel_csv(args.dump_kernel, edited.entries)
+        _write_kernel_csv(args.dump_kernel, edited.csr)
         outputs.append(args.dump_kernel)
     _write_manifest(args, "cluster", [args.input, args.constraints], outputs, started)
     return 0
@@ -222,16 +225,9 @@ def cmd_select(args) -> int:
         save_model(result.model, args.model_out)
         outputs.append(args.model_out)
     if args.dump_cv:
-        _, _, cv_table = cross_validate(
-            ds.features,
-            result.best.labels,
-            folds=args.folds,
-            center_cap=args.center_cap,
-            seed=args.seed,
-        )
-        folds = len(cv_table[0].fold_cv)
+        folds = len(result.best_cv[0].fold_cv)
         cv_lines = ["kappa,delta,mean_cv," + ",".join(f"fold_{m}" for m in range(folds))]
-        for rec in cv_table:
+        for rec in result.best_cv:
             cells = [repr(rec.kappa), repr(rec.delta), repr(rec.mean_cv)]
             cells += [repr(v) for v in rec.fold_cv]
             cv_lines.append(",".join(cells))

@@ -5,40 +5,68 @@ where ``s_i`` is the distance from x_i to its t-th nearest neighbor, and the
 entry is kept only when i is among the t nearest neighbors of j or vice versa.
 Must-links overwrite entries with 1, cannot-links with 0.
 
-One neighbour/scale rule (:func:`_nearest`) and one entry rule
-(:func:`_scaled_entries`) serve both the training kernel built here and the
-query kernel that labels new points in :mod:`smiclust.solver`.  The neighbour
-rule partially sorts each row and falls back to a stable full sort only on
-rows tied at the t-th distance; the entry rule evaluates the exponential only
-inside the neighbourhood mask.  The kernel is held dense; the solver converts
-it to CSR for its sparse eigensolve.
+The kernel is built sparse and held as canonical CSR (sorted indices, no
+duplicates, no explicit zeros); no n x n array is formed.  One neighbour rule
+(:func:`_tree_nearest`) and one entry rule (:func:`_pair_values`) serve both
+the training kernel built here and the query kernel that labels new points in
+:mod:`smiclust.solver`.  The neighbour rule queries a ``cKDTree`` for one
+candidate more than it needs, recomputes the candidates' distances exactly
+(bit for bit as ``cdist`` gives them) and orders them by (distance, index).
+A row whose next candidate lies within a relative 1e-9 of its t-th distance
+(or within 1e-150 of it, where squares lose precision) may hold a tie at the
+cut that the tree cannot settle; that row is redone on its exact ``cdist``
+row with the dense rule :func:`_nearest`, which keeps the lower-index
+neighbours.  The entry rule evaluates the exponential only on kept pairs.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .data import ConstraintSet
 
+# Tied rows are redone on exact cdist rows, at most this many entries at a time.
+_TIE_BLOCK = 1 << 22
+
 
 @dataclass(frozen=True, eq=False)
 class KernelMatrix:
-    """Symmetric similarity matrix with entries in [0, 1] and unit diagonal.
+    """Symmetric similarity matrix with entries in [0, 1] and unit diagonal, held as CSR.
 
-    ``sigma`` holds the local scales the entries were built with, when known.
+    ``csr`` may be passed as a dense array or any sparse matrix; it is stored
+    as a canonical CSR copy, the form ``sparse.csr_matrix`` gives a dense
+    array.  ``sigma`` holds the local scales the entries were built with,
+    when known.
     """
 
-    entries: np.ndarray
+    csr: sparse.csr_matrix
     t: int
     modified: bool = False
     sigma: np.ndarray | None = None
 
+    def __post_init__(self):
+        matrix = sparse.csr_matrix(self.csr, dtype=float, copy=True)
+        matrix.sum_duplicates()
+        matrix.eliminate_zeros()
+        object.__setattr__(self, "csr", matrix)
+
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return self.csr.shape[0]
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        return self.csr @ v
+
+    @property
+    def entries(self) -> np.ndarray:
+        """Dense entries; O(n^2) memory, for tests and inspection."""
+        return self.csr.toarray()
 
 
 def _nearest(dist: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -64,27 +92,89 @@ def _nearest(dist: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
     return neighbors, kth
 
 
-def _scaled_entries(dist, mask, row_sigma, col_sigma) -> np.ndarray:
-    """``exp(-d^2 / (2 s_row s_col))`` where ``mask`` holds (1 if ``d == 0``), else 0.
-
-    Only the masked entries are evaluated.  A zero scale at a positive
-    distance divides to ``-inf`` and so gives 0.
-    """
-    rows, cols = np.nonzero(mask)
-    d = dist[rows, cols]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.exp(-(d**2) / (2.0 * (row_sigma[rows] * col_sigma[cols])))
-    entries = np.zeros_like(dist)
-    entries[rows, cols] = np.where(d == 0, 1.0, values)
-    return entries
-
-
-def _self_distances(features) -> np.ndarray:
-    """Pairwise distances with an infinite diagonal, so no point is its own neighbor."""
+def _self_distances(features, rows=None) -> np.ndarray:
+    """Distances from ``rows`` (default: all) to every point, infinite to the point itself."""
     features = np.asarray(features, dtype=float)
-    dist = cdist(features, features)
-    np.fill_diagonal(dist, np.inf)
+    rows = np.arange(features.shape[0]) if rows is None else rows
+    dist = cdist(features[rows], features)
+    dist[np.arange(rows.shape[0]), rows] = np.inf
     return dist
+
+
+def _widened(dist):
+    """``dist`` plus the slack within which tree and exact distances may disagree."""
+    return dist * (1.0 + 1e-9) + 1e-150
+
+
+def _pair_distances(a: np.ndarray, rows: np.ndarray, b: np.ndarray, cols: np.ndarray):
+    """``||a[rows] - b[cols]||`` pairwise, bit for bit as ``cdist`` computes it.
+
+    The squares are summed one dimension at a time, in order, then rooted.
+    """
+    total = np.zeros(rows.shape[0])
+    for k in range(a.shape[1]):
+        total += (a[rows, k] - b[cols, k]) ** 2
+    return np.sqrt(total)
+
+
+def _tree_nearest(points: np.ndarray, queries: np.ndarray | None, t: int):
+    """:func:`_nearest` over the distances from ``queries`` to ``points``, without forming them.
+
+    ``queries=None`` asks for every point's neighbours among the other points.
+    """
+    n = points.shape[0]
+    if not 1 <= t <= n - 1:
+        raise ValueError(f"t must be in 1..{n - 1}, got {t}")
+    own = queries is None
+    queries = points if own else queries
+    m = queries.shape[0]
+    k = min(t + 1 + own, n)
+    cand = cKDTree(points).query(queries, k=k)[1].reshape(m, k)
+    dist = _pair_distances(queries, np.repeat(np.arange(m), k), points, cand.ravel())
+    dist = dist.reshape(m, k)
+    if own:
+        # The point itself sorts last and is dropped; a point missing from its
+        # own candidates has k duplicates, so its row ties at 0 and is redone.
+        dist[cand == np.arange(m)[:, None]] = np.inf
+    order = np.lexsort((cand, dist), axis=1)
+    cand = np.take_along_axis(cand, order, axis=1)[:, : k - own]
+    dist = np.take_along_axis(dist, order, axis=1)[:, : k - own]
+    neighbors, kth = cand[:, :t].copy(), dist[:, t - 1].copy()
+    if cand.shape[1] > t:
+        tied = np.flatnonzero(dist[:, t] <= _widened(kth))
+        step = max(1, _TIE_BLOCK // n)
+        for block in (tied[i : i + step] for i in range(0, tied.size, step)):
+            exact = _self_distances(points, block) if own else cdist(queries[block], points)
+            neighbors[block], kth[block] = _nearest(exact, t)
+    return neighbors, kth
+
+
+def _pair_values(dist, row_sigma, col_sigma) -> np.ndarray:
+    """``exp(-d^2 / (2 s_row s_col))`` per pair, or 1 where ``d == 0``.
+
+    A zero scale at a positive distance divides to ``-inf`` and so gives 0.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.exp(-(dist**2) / (2.0 * (row_sigma * col_sigma)))
+    return np.where(dist == 0, 1.0, values)
+
+
+def _pairs_csr(keys: np.ndarray, values: np.ndarray, shape) -> sparse.csr_matrix:
+    """Canonical CSR holding ``values`` at the sorted unique ``row * shape[1] + col`` keys.
+
+    Zero values are left out.
+    """
+    keep = values != 0
+    rows, cols = np.divmod(keys[keep], shape[1])
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return sparse.csr_matrix((values[keep], cols, indptr), shape=shape)
+
+
+def _pair_keys(pairs, n: int) -> np.ndarray:
+    """Keys ``i * n + j`` of both orientations of every pair."""
+    i, j = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    return np.concatenate([i * n + j, j * n + i])
 
 
 def nearest_neighbors(features, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -100,7 +190,7 @@ def nearest_neighbors(features, t: int) -> tuple[np.ndarray, np.ndarray]:
     neighbors : int ndarray of shape (n, t)
     sigma : float ndarray of shape (n,)
     """
-    return _nearest(_self_distances(features), t)
+    return _tree_nearest(np.asarray(features, dtype=float), None, t)
 
 
 def local_scaling_kernel(features, t: int) -> KernelMatrix:
@@ -111,25 +201,50 @@ def local_scaling_kernel(features, t: int) -> KernelMatrix:
     Coincident points connected by the neighborhood condition get similarity 1
     regardless of their scales, so zero scales from duplicates never divide.
     """
-    dist = _self_distances(features)
-    neighbors, sigma = _nearest(dist, t)
-    np.fill_diagonal(dist, 0.0)
-    n = dist.shape[0]
-    mask = np.zeros((n, n), dtype=bool)
-    mask[np.repeat(np.arange(n), t), neighbors.ravel()] = True
-    mask |= mask.T
-    entries = _scaled_entries(dist, mask, sigma, sigma)
-    np.fill_diagonal(entries, 1.0)
-    return KernelMatrix(entries=entries, t=t, sigma=sigma)
+    x = np.asarray(features, dtype=float)
+    neighbors, sigma = _tree_nearest(x, None, t)
+    n = x.shape[0]
+    pairs = np.column_stack([np.repeat(np.arange(n), t), neighbors.ravel()])
+    keys = np.union1d(_pair_keys(pairs, n), np.arange(n) * (n + 1))
+    rows, cols = np.divmod(keys, n)
+    values = _pair_values(_pair_distances(x, rows, x, cols), sigma[rows], sigma[cols])
+    return KernelMatrix(_pairs_csr(keys, values, (n, n)), t=t, sigma=sigma)
+
+
+def query_kernel(features, sigma, t: int, queries) -> sparse.csr_matrix:
+    """The unmodified kernel between ``queries`` (rows) and training ``features``, as CSR.
+
+    A query's scale is the distance to its t-th nearest training point; a
+    training point j participates when it is among the query's t nearest or
+    the query lies within ``sigma[j]``, that point's own neighborhood radius.
+    The points within each radius come from a ball query on a tree over the
+    queries, kept only where the exact distance is within the radius.
+    """
+    m, n = queries.shape[0], features.shape[0]
+    nearest, query_sigma = _tree_nearest(features, queries, t)
+    covered = cKDTree(queries).query_ball_point(features, _widened(sigma))
+    counts = np.fromiter(map(len, covered), dtype=np.intp, count=n)
+    rows = np.fromiter(itertools.chain.from_iterable(covered), dtype=np.intp, count=counts.sum())
+    cols = np.repeat(np.arange(n), counts)
+    inside = _pair_distances(queries, rows, features, cols) <= sigma[cols]
+    near = np.repeat(np.arange(m, dtype=np.int64), t) * n + nearest.ravel()
+    keys = np.union1d(near, rows[inside].astype(np.int64) * n + cols[inside])
+    rows, cols = np.divmod(keys, n)
+    dist = _pair_distances(queries, rows, features, cols)
+    return _pairs_csr(keys, _pair_values(dist, query_sigma[rows], sigma[cols]), (m, n))
 
 
 def apply_constraints(kernel: KernelMatrix, cs: ConstraintSet) -> KernelMatrix:
     """Overwrite similarities for linked pairs: must-links to 1, cannot-links to 0."""
     if cs.n != kernel.n:
         raise ValueError(f"constraint set is over n={cs.n} samples, kernel over n={kernel.n}")
-    entries = kernel.entries.copy()
-    for i, j in cs.must_links:
-        entries[i, j] = entries[j, i] = 1.0
-    for i, j in cs.cannot_links:
-        entries[i, j] = entries[j, i] = 0.0
-    return KernelMatrix(entries=entries, t=kernel.t, modified=True, sigma=kernel.sigma)
+    n, csr = kernel.n, kernel.csr
+    present = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr)) * n + csr.indices
+    must = _pair_keys(cs.must_links, n)
+    keys = np.union1d(present, must)
+    values = np.empty(keys.shape[0])
+    values[np.searchsorted(keys, present)] = csr.data
+    values[np.searchsorted(keys, must)] = 1.0
+    values[np.isin(keys, _pair_keys(cs.cannot_links, n))] = 0.0
+    edited = _pairs_csr(keys, values, (n, n))
+    return KernelMatrix(edited, kernel.t, modified=True, sigma=kernel.sigma)

@@ -117,9 +117,12 @@ def _solve_ridge(h_mat, h_vec, delta):
     """``(H + delta I)^-1 h`` by Cholesky; a singular delta=0 system gets a pseudo-solution.
 
     Calls LAPACK potrf/potrs with the arguments and checks of scipy's
-    ``cho_factor``/``cho_solve``, without their per-call wrapper cost.
+    ``cho_factor``/``cho_solve``, without their per-call wrapper cost.  Delta
+    is added to the diagonal of a copy of H; H's off-diagonal entries are
+    non-negative, so this equals ``H + delta I`` bit for bit.
     """
-    system = h_mat + delta * np.eye(h_mat.shape[0])
+    system = h_mat.copy()
+    system.flat[:: system.shape[0] + 1] += delta
     if not (np.isfinite(system).all() and np.isfinite(h_vec).all()):
         raise ValueError("array must not contain infs or NaNs")
     factor, info = dpotrf(system, lower=0, clean=0)

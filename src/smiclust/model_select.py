@@ -54,19 +54,28 @@ class Candidate:
 
 @dataclass(frozen=True)
 class LsmiConfig:
-    """LSMI settings used when scoring candidates."""
+    """LSMI settings used when scoring candidates; bad counts are refused when built."""
 
     center_cap: int = lsmi_mod.DEFAULT_CENTER_CAP
     folds: int = 5
     kappa_grid: tuple[float, ...] | None = None
     delta_grid: tuple[float, ...] | None = None
 
+    def __post_init__(self):
+        if self.folds < 2:
+            raise ValueError(f"folds must be >= 2, got {self.folds}")
+        if self.center_cap < 1:
+            raise ValueError(f"center cap must be >= 1, got {self.center_cap}")
+
 
 @dataclass(frozen=True)
 class GridSearchResult:
+    """The winner, its model, every candidate and the winner's LSMI cross-validation table."""
+
     best: Candidate
     model: solver.ClusterModel
     candidates: list[Candidate] = field(repr=False)
+    best_cv: list[lsmi_mod.CvRecord] = field(repr=False)
 
 
 def count_violations(labels, cs: ConstraintSet) -> int:
@@ -129,12 +138,12 @@ def _cluster_job(job):
 
 
 def _score_job(job):
-    """((lsmi, n_v), error, seconds) of one labeling; the pair is None on error."""
+    """((lsmi, n_v, cv_table), error, seconds) of one labeling; the triple is None on error."""
     features, cs, labels, cfg, seed = job
     start = time.perf_counter()
     scores, error = None, None
     try:
-        kappa, delta, _ = lsmi_mod.cross_validate(
+        kappa, delta, table = lsmi_mod.cross_validate(
             features,
             labels,
             kappa_grid=cfg.kappa_grid,
@@ -146,7 +155,9 @@ def _score_job(job):
         model = lsmi_mod.fit_ratio_model(
             features, labels, kappa, delta, center_cap=cfg.center_cap, seed=seed
         )
-        scores = (lsmi_mod.lsmi_value(model, features, labels), count_violations(labels, cs))
+        scores = (
+            lsmi_mod.lsmi_value(model, features, labels), count_violations(labels, cs), table
+        )
     except Exception as exc:  # candidate failure is data, not a crash
         error = f"{type(exc).__name__}: {exc}"
     return scores, error, time.perf_counter() - start
@@ -216,7 +227,7 @@ def grid_search(
             cand.seconds += score_seconds
         if scores is not None:
             cand.labels = labels
-            cand.lsmi, cand.n_v = scores
+            cand.lsmi, cand.n_v, _ = scores
 
     failures = [cand for cand in candidates if cand.error is not None]
     if len(failures) == len(candidates):
@@ -232,4 +243,5 @@ def grid_search(
         key=lambda cand: (-cand.score, cand.n_v, -cand.lsmi, cand.t, cand.gamma, cand.eta),
     )
     _, model = solver.cluster(ds, cs, best.t, best.gamma, best.eta, c)
-    return GridSearchResult(best=best, model=model, candidates=candidates)
+    best_cv = scored[best.labels.tobytes()][0][2]
+    return GridSearchResult(best=best, model=model, candidates=candidates, best_cv=best_cv)

@@ -11,24 +11,32 @@ eigenvectors of U; assignments come from the sign-fixed, clipped and
 normalized eigenvectors.  Out-of-sample points are labeled through the
 unmodified kernel against the training set.
 
-U is never formed: :class:`ObjectiveMatrix` keeps K' as CSR and M, C as
-sparse link matrices and applies ``U v`` as five sparse products, and
-:func:`top_eigenpairs` takes the top-c pairs from ARPACK's Lanczos on that
-operator.  The full dense ``eigh`` stays as the oracle and the fallback.
+No n x n array lies between the input and the labels, or between a model
+and its predictions.  The training kernel K and the query kernel are built
+as CSR by :mod:`smiclust.kernel` from a k-d tree: the tree proposes each
+point's t nearest plus one, their distances are recomputed exactly as
+``cdist`` gives them, and a row whose next candidate ties its t-th distance
+to within a relative 1e-9 is redone on its exact distance row, keeping the
+lower-index neighbours.  U is never formed either: :class:`ObjectiveMatrix`
+keeps K' as CSR and M, C as sparse link matrices and applies ``U v`` as five
+sparse products, and :func:`top_eigenpairs` takes the top-c pairs from
+ARPACK's Lanczos on that operator.  The full dense ``eigh`` stays as the
+oracle and the fallback, behind a check that its memory is free.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy import sparse
-from scipy.spatial.distance import cdist
 
 from .data import ConstraintSet, Dataset, empty_constraints
-from .kernel import KernelMatrix, _nearest, _scaled_entries, apply_constraints, local_scaling_kernel
+from .kernel import KernelMatrix, apply_constraints, local_scaling_kernel, query_kernel
 from .kernel import nearest_neighbors  # noqa: F401  re-exported; perfbench/tracer.py wraps it
 
 MODEL_SCHEMA = "smiclust-model-v1"
@@ -136,15 +144,14 @@ def objective_matrix(
     ``eta`` must be 0 for more than two clusters: the enemy-of-my-enemy
     squared term in C^2 only encodes a must-link when c = 2.
     """
-    if gamma < 0 or eta < 0:
-        raise ValueError("gamma and eta must be non-negative")
+    if not (math.isfinite(gamma) and math.isfinite(eta) and gamma >= 0 and eta >= 0):
+        raise ValueError(f"gamma and eta must be finite and non-negative, got {gamma} and {eta}")
     if c > 2 and eta != 0:
         raise ValueError(f"eta must be 0 when c > 2 (got eta={eta}, c={c})")
-    k = _entries(kernel)
-    if cs.n != k.shape[0]:
-        raise ValueError(f"constraint set n={cs.n} does not match kernel n={k.shape[0]}")
+    if cs.n != kernel.n:
+        raise ValueError(f"constraint set n={cs.n} does not match kernel n={kernel.n}")
     return ObjectiveMatrix(
-        kernel=sparse.csr_matrix(k),
+        kernel=kernel.csr,
         must=_link_matrix(cs.must_links, cs.n, 1.0),
         cannot=_link_matrix(cs.cannot_links, cs.n, 0.0),
         gamma=float(gamma),
@@ -218,10 +225,7 @@ def _lanczos_top(matrix, c: int):
     n = matrix.n
     if c >= n - 1:
         return None
-    if isinstance(matrix, KernelMatrix):
-        apply = sparse.csr_matrix(matrix.entries).dot
-    else:
-        apply = matrix.matvec
+    apply = matrix.matvec
     v0 = np.random.default_rng(0).standard_normal(n)  # fixed start: same pairs every run
     try:
         w, v = eigsh(LinearOperator((n, n), matvec=apply, dtype=float), k=c, which="LA", v0=v0)
@@ -243,13 +247,20 @@ def _lanczos_top(matrix, c: int):
         return None
 
 
+def _available_memory() -> int:
+    """Bytes of physical memory the system reports free."""
+    return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def top_eigenpairs(matrix, c: int) -> tuple[np.ndarray, np.ndarray]:
     """Largest-c eigenvalues (algebraic order, descending) and eigenvectors.
 
     A dense array goes to the full ``eigh``, the oracle for the other paths.
     An :class:`ObjectiveMatrix` or :class:`KernelMatrix` goes to ARPACK's
     Lanczos on its sparse operator, falling back to ``eigh`` on its dense
-    entries only when ARPACK cannot serve.  Within groups of (numerically)
+    entries only when ARPACK cannot serve.  Before densifying, the dense
+    path checks that its roughly ``24 n^2`` bytes are free and raises
+    :class:`MemoryError` otherwise.  Within groups of (numerically)
     repeated eigenvalues the eigenbasis is canonicalized so the result is
     deterministic.
     """
@@ -259,6 +270,13 @@ def top_eigenpairs(matrix, c: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"c must be in 1..{n}, got {c}")
     pairs = _lanczos_top(matrix, c) if operator else None
     if pairs is None:
+        # The dense matrix, its eigenvectors and eigh's workspace.
+        need, available = 24 * n * n, _available_memory()
+        if need > available:
+            raise MemoryError(
+                f"the dense eigensolver needs about {need} bytes for n={n}, "
+                f"more than the {available} bytes available"
+            )
         w, v = np.linalg.eigh(_entries(matrix))
         pairs = w[::-1].copy(), v[:, ::-1].copy()
         _canonical_top(*pairs, c)
@@ -362,18 +380,12 @@ def cluster_unsupervised(ds: Dataset, t: int, c: int) -> tuple[np.ndarray, Clust
     return _fit(base, base, ds.features, c, 0.0, 0.0)
 
 
-def _query_kernel(model: ClusterModel, x: np.ndarray) -> np.ndarray:
-    """Unmodified local-scaling kernel rows between query points and training set.
+def _query_kernel(model: ClusterModel, x: np.ndarray) -> sparse.csr_matrix:
+    """The unmodified kernel rows of queries ``x`` against the model's training set, as CSR.
 
-    The query scale is the distance to its t-th nearest training point; a
-    training point participates when it is among the query's t nearest or the
-    query falls inside that point's own neighborhood radius.
+    See :func:`smiclust.kernel.query_kernel` for the rule.
     """
-    dist = cdist(x, model.train_features)
-    nearest, sigma_new = _nearest(dist, model.t)
-    mask = dist <= model.train_sigma[None, :]
-    mask[np.repeat(np.arange(x.shape[0]), model.t), nearest.ravel()] = True
-    return _scaled_entries(dist, mask, sigma_new, model.train_sigma)
+    return query_kernel(model.train_features, model.train_sigma, model.t, x)
 
 
 def predict(model: ClusterModel, x) -> int | np.ndarray:

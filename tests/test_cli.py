@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import smiclust
+from smiclust import lsmi
 from smiclust.cli import build_parser, main
 from smiclust.data import make_blobs
 from smiclust.solver import ClusterModel, save_model
@@ -294,3 +300,64 @@ class TestParser:
         with pytest.raises(SystemExit) as err:
             build_parser().parse_args(["frobnicate"])
         assert err.value.code == 2
+
+
+class TestDumpCvReusesTheSearch:
+    def test_cross_validate_runs_once_per_distinct_labeling(self, workdir, blobs_csv, monkeypatch):
+        path, _ = blobs_csv
+        seen = []
+        original = lsmi.cross_validate
+
+        def counted(x, y, *args, **kwargs):
+            seen.append(np.asarray(y).tobytes())
+            return original(x, y, *args, **kwargs)
+
+        monkeypatch.setattr(lsmi, "cross_validate", counted)
+        monkeypatch.setattr("smiclust.cli.cross_validate", counted, raising=False)
+        code = main(
+            ["select", "--input", str(path), "--format", "labeled-csv", "--classes", "2",
+             "--t-grid", "3,4,5", "--gamma-grid", "0,1", "--eta-grid", "0",
+             "--jobs", "1", "--folds", "3", "--dump-cv", "cv.csv"]
+        )
+        assert code == 0
+        assert seen and len(seen) == len(set(seen))
+        assert len((workdir / "cv.csv").read_text().splitlines()) == 1 + 10 * 5
+
+
+def run_cli(args, cwd):
+    """``smiclust`` in a fresh process, importing the package under test."""
+    env = os.environ.copy()
+    package_root = str(Path(smiclust.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "smiclust", *args], cwd=cwd, env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+
+
+class TestUpFrontInputChecks:
+    """Each bad value exits 2 with one stderr line naming it, before any clustering."""
+
+    @pytest.mark.parametrize(
+        "args, names",
+        [
+            (["cluster", "--t", "4", "--gamma", "nan"], "gamma"),
+            (["cluster", "--t", "4", "--gamma", "inf"], "gamma"),
+            (["cluster", "--t", "4", "--eta", "nan"], "eta"),
+            (["select", "--folds", "1"], "folds"),
+            (["select", "--center-cap", "0"], "center cap"),
+        ],
+        ids=["gamma-nan", "gamma-inf", "eta-nan", "folds-1", "center-cap-0"],
+    )
+    def test_exits_2_with_one_line(self, workdir, blobs_csv, args, names):
+        path, _ = blobs_csv
+        proc = run_cli(
+            [args[0], "--input", str(path), "--format", "labeled-csv", "--classes", "2",
+             *args[1:]],
+            workdir,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+        assert names in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (workdir / "labels.csv").exists()

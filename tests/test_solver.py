@@ -474,7 +474,7 @@ class TestQueryKernel:
         model = self._model(train, 2)
         assert np.array_equal(model.train_sigma[:3], np.zeros(3))
         queries = np.array([[0, 0], [0.5, 0], [1, 0], [2, 0], [10, 0], [3, 3]], dtype=float)
-        got = _query_kernel(model, queries)
+        got = _query_kernel(model, queries).toarray()
         want = query_kernel_oracle(train, model.train_sigma, 2, queries)
         assert np.array_equal(got != 0, want != 0)
         assert np.allclose(got, want, rtol=1e-13, atol=0)
@@ -490,7 +490,7 @@ class TestQueryKernel:
         train[7] = train[3]  # one duplicate pair
         model = self._model(train, 3, seed=1)
         queries = np.vstack([train[:6], rng.standard_normal((15, 2)) * 1.5])
-        got = _query_kernel(model, queries)
+        got = _query_kernel(model, queries).toarray()
         want = query_kernel_oracle(train, model.train_sigma, 3, queries)
         assert np.array_equal(got != 0, want != 0)
         assert np.allclose(got, want, rtol=1e-13, atol=0)
