@@ -14,9 +14,10 @@ candidate more than it needs, recomputes the candidates' distances exactly
 (bit for bit as ``cdist`` gives them) and orders them by (distance, index).
 A row whose next candidate lies within a relative 1e-9 of its t-th distance
 (or within 1e-150 of it, where squares lose precision) may hold a tie at the
-cut that the tree cannot settle; that row is redone on its exact ``cdist``
-row with the dense rule :func:`_nearest`, which keeps the lower-index
-neighbours.  The entry rule evaluates the exponential only on kept pairs.
+cut that the tree cannot settle; that row takes every point of a ball query
+on the same tree at its widened t-th distance and keeps the first t by exact
+distance, then index.  The entry rule evaluates the exponential only on kept
+pairs.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .data import ConstraintSet
 
-# Tied rows are redone on exact cdist rows, at most this many entries at a time.
-_TIE_BLOCK = 1 << 22
+# Tied rows are settled on at most this many (row, point) ball pairs at a time, or one row.
+_TIE_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,38 +69,6 @@ class KernelMatrix:
         return self.csr.toarray()
 
 
-def _nearest(dist: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """The t nearest columns of every row (ties to the lower index) and the t-th distance.
-
-    A partial sort picks each row's t smallest distances and only those t are
-    ordered, by (distance, index).  A row with more than t columns within its
-    t-th distance has a tie at the cut, where the partial sort may keep any of
-    the tied columns; those rows are redone with a stable full sort, which
-    keeps the lower indices.
-    """
-    n = dist.shape[1]
-    if not 1 <= t <= n - 1:
-        raise ValueError(f"t must be in 1..{n - 1}, got {t}")
-    candidates = np.argpartition(dist, t - 1, axis=1)[:, :t]
-    candidate_dist = np.take_along_axis(dist, candidates, axis=1)
-    order = np.lexsort((candidates, candidate_dist), axis=1)
-    neighbors = np.take_along_axis(candidates, order, axis=1)
-    kth = np.take_along_axis(candidate_dist, order[:, -1:], axis=1)[:, 0]
-    tied = np.flatnonzero(np.count_nonzero(dist <= kth[:, None], axis=1) > t)
-    if tied.size:
-        neighbors[tied] = np.argsort(dist[tied], axis=1, kind="stable")[:, :t]
-    return neighbors, kth
-
-
-def _self_distances(features, rows=None) -> np.ndarray:
-    """Distances from ``rows`` (default: all) to every point, infinite to the point itself."""
-    features = np.asarray(features, dtype=float)
-    rows = np.arange(features.shape[0]) if rows is None else rows
-    dist = cdist(features[rows], features)
-    dist[np.arange(rows.shape[0]), rows] = np.inf
-    return dist
-
-
 def _widened(dist):
     """``dist`` plus the slack within which tree and exact distances may disagree."""
     return dist * (1.0 + 1e-9) + 1e-150
@@ -117,8 +85,19 @@ def _pair_distances(a: np.ndarray, rows: np.ndarray, b: np.ndarray, cols: np.nda
     return np.sqrt(total)
 
 
+def _ball_pairs(tree: cKDTree, centers: np.ndarray, radii: np.ndarray):
+    """(row, point) arrays of every tree point within ``radii[row]`` of ``centers[row]``.
+
+    Pairs come by row, and within a row by ascending point index.
+    """
+    balls = tree.query_ball_point(centers, radii, return_sorted=True)
+    counts = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
+    points = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp, count=counts.sum())
+    return np.repeat(np.arange(len(balls)), counts), points
+
+
 def _tree_nearest(points: np.ndarray, queries: np.ndarray | None, t: int):
-    """:func:`_nearest` over the distances from ``queries`` to ``points``, without forming them.
+    """The t nearest points of every query by (distance, index) and the t-th distance.
 
     ``queries=None`` asks for every point's neighbours among the other points.
     """
@@ -129,23 +108,38 @@ def _tree_nearest(points: np.ndarray, queries: np.ndarray | None, t: int):
     queries = points if own else queries
     m = queries.shape[0]
     k = min(t + 1 + own, n)
-    cand = cKDTree(points).query(queries, k=k)[1].reshape(m, k)
+    tree = cKDTree(points)
+    cand = tree.query(queries, k=k)[1].reshape(m, k)
     dist = _pair_distances(queries, np.repeat(np.arange(m), k), points, cand.ravel())
     dist = dist.reshape(m, k)
     if own:
         # The point itself sorts last and is dropped; a point missing from its
-        # own candidates has k duplicates, so its row ties at 0 and is redone.
+        # own candidates has k duplicates, so its row ties at 0 and is settled
+        # on its ball.
         dist[cand == np.arange(m)[:, None]] = np.inf
     order = np.lexsort((cand, dist), axis=1)
     cand = np.take_along_axis(cand, order, axis=1)[:, : k - own]
     dist = np.take_along_axis(dist, order, axis=1)[:, : k - own]
     neighbors, kth = cand[:, :t].copy(), dist[:, t - 1].copy()
-    if cand.shape[1] > t:
-        tied = np.flatnonzero(dist[:, t] <= _widened(kth))
-        step = max(1, _TIE_BLOCK // n)
-        for block in (tied[i : i + step] for i in range(0, tied.size, step)):
-            exact = _self_distances(points, block) if own else cdist(queries[block], points)
-            neighbors[block], kth[block] = _nearest(exact, t)
+    tied = np.flatnonzero(dist[:, t] <= _widened(kth)) if k - own > t else np.arange(0)
+    if not tied.size:
+        return neighbors, kth
+    # The ball at the widened t-th distance holds the true t nearest and every tie.
+    radii = _widened(kth[tied])
+    offsets = np.cumsum(np.r_[0, tree.query_ball_point(queries[tied], radii, return_length=True)])
+    start = 0
+    while start < tied.size:
+        stop = max(start + 1, np.searchsorted(offsets, offsets[start] + _TIE_BLOCK, "right") - 1)
+        block = tied[start:stop]
+        rows, cols = _ball_pairs(tree, queries[block], radii[start:stop])
+        dist = _pair_distances(queries, block[rows], points, cols)
+        if own:
+            dist[cols == block[rows]] = np.inf
+        # Balls list points by index and the sort is stable: (row, distance, index) order.
+        order = np.lexsort((dist, rows))
+        first = order[(offsets[start:stop] - offsets[start])[:, None] + np.arange(t)]
+        neighbors[block], kth[block] = cols[first], dist[first[:, -1]]
+        start = stop
     return neighbors, kth
 
 
@@ -222,10 +216,7 @@ def query_kernel(features, sigma, t: int, queries) -> sparse.csr_matrix:
     """
     m, n = queries.shape[0], features.shape[0]
     nearest, query_sigma = _tree_nearest(features, queries, t)
-    covered = cKDTree(queries).query_ball_point(features, _widened(sigma))
-    counts = np.fromiter(map(len, covered), dtype=np.intp, count=n)
-    rows = np.fromiter(itertools.chain.from_iterable(covered), dtype=np.intp, count=counts.sum())
-    cols = np.repeat(np.arange(n), counts)
+    cols, rows = _ball_pairs(cKDTree(queries), features, _widened(sigma))
     inside = _pair_distances(queries, rows, features, cols) <= sigma[cols]
     near = np.repeat(np.arange(m, dtype=np.int64), t) * n + nearest.ravel()
     keys = np.union1d(near, rows[inside].astype(np.int64) * n + cols[inside])

@@ -99,11 +99,14 @@ def _normal_system(lmat, own, n):
     """(H, h) of one class from ``lmat``, the kernel of all n samples against its centers.
 
     H is built from kernel values of *all* samples, h only from the class's
-    own samples (the boolean mask ``own``).
+    own samples (the boolean mask ``own``).  Both are checked finite here, so
+    ``H + delta I`` is too for any finite delta.
     """
     n_y = int(np.sum(own))
     h_mat = (n_y / n**2) * (lmat.T @ lmat)
     h_vec = lmat[own].sum(axis=0) / n
+    if not (np.isfinite(h_mat).all() and np.isfinite(h_vec).all()):
+        raise ValueError("array must not contain infs or NaNs")
     return h_mat, h_vec
 
 
@@ -123,8 +126,6 @@ def _solve_ridge(h_mat, h_vec, delta):
     """
     system = h_mat.copy()
     system.flat[:: system.shape[0] + 1] += delta
-    if not (np.isfinite(system).all() and np.isfinite(h_vec).all()):
-        raise ValueError("array must not contain infs or NaNs")
     factor, info = dpotrf(system, lower=0, clean=0)
     if info < 0:
         raise ValueError(
@@ -165,8 +166,8 @@ def fit_ratio_model(
     y = np.asarray(y, dtype=int)
     if kappa <= 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
-    if delta < 0:
-        raise ValueError(f"delta must be non-negative, got {delta}")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError(f"delta must be finite and non-negative, got {delta}")
     if centers is None:
         centers = _stratified_centers(x, y, center_cap, np.random.default_rng(seed))
     else:

@@ -186,7 +186,8 @@ def grid_search(
 
     Ties on the score are broken by smaller violation count, larger LSMI,
     then smaller t, gamma, eta.  With more than two clusters the eta grid is
-    forced to {0}.  Raises if every candidate fails.
+    forced to {0}.  Raises if the LSMI center cap is below c, before any
+    clustering, and if every candidate fails.
     """
     t_grid = tuple(int(t) for t in (DEFAULT_T_GRID if t_grid is None else t_grid))
     gamma_grid = tuple(float(g) for g in (DEFAULT_GAMMA_GRID if gamma_grid is None else gamma_grid))
@@ -202,6 +203,8 @@ def grid_search(
         )
         eta_grid = (0.0,)
     cfg = lsmi_cfg or LsmiConfig()
+    if cfg.center_cap < c:
+        raise ValueError(f"center cap {cfg.center_cap} is smaller than the number of classes {c}")
     jobs = max(1, int(jobs))
     candidates = [
         Candidate(t=t, gamma=gamma, eta=eta)

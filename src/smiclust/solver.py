@@ -16,8 +16,8 @@ and its predictions.  The training kernel K and the query kernel are built
 as CSR by :mod:`smiclust.kernel` from a k-d tree: the tree proposes each
 point's t nearest plus one, their distances are recomputed exactly as
 ``cdist`` gives them, and a row whose next candidate ties its t-th distance
-to within a relative 1e-9 is redone on its exact distance row, keeping the
-lower-index neighbours.  U is never formed either: :class:`ObjectiveMatrix`
+to within a relative 1e-9 is settled on a ball query of the same tree at
+that distance, keeping the lower-index neighbours.  U is never formed either: :class:`ObjectiveMatrix`
 keeps K' as CSR and M, C as sparse link matrices and applies ``U v`` as five
 sparse products, and :func:`top_eigenpairs` takes the top-c pairs from
 ARPACK's Lanczos on that operator.  The full dense ``eigh`` stays as the

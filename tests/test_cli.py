@@ -346,8 +346,9 @@ class TestUpFrontInputChecks:
             (["cluster", "--t", "4", "--eta", "nan"], "eta"),
             (["select", "--folds", "1"], "folds"),
             (["select", "--center-cap", "0"], "center cap"),
+            (["select", "--center-cap", "1"], "center cap"),
         ],
-        ids=["gamma-nan", "gamma-inf", "eta-nan", "folds-1", "center-cap-0"],
+        ids=["gamma-nan", "gamma-inf", "eta-nan", "folds-1", "center-cap-0", "center-cap-1"],
     )
     def test_exits_2_with_one_line(self, workdir, blobs_csv, args, names):
         path, _ = blobs_csv

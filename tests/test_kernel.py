@@ -4,8 +4,7 @@ from scipy.spatial.distance import cdist
 
 from smiclust.data import ConstraintSet, empty_constraints, sample_constraints
 from smiclust.kernel import (
-    _nearest,
-    _self_distances,
+    _tree_nearest,
     apply_constraints,
     local_scaling_kernel,
     nearest_neighbors,
@@ -68,7 +67,7 @@ class TestNearestNeighbors:
 
 
 class TestNearestPartialSort:
-    """``_nearest`` against a stable full sort, byte for byte, on tie-heavy distances."""
+    """``_tree_nearest`` against a stable full sort, byte for byte, on tie-heavy distances."""
 
     @pytest.mark.parametrize("decimals", [0, 1, 2])
     @pytest.mark.parametrize("shape", ["self", "query"])
@@ -78,13 +77,16 @@ class TestNearestPartialSort:
             n = int(rng.integers(2, 40))
             x = np.round(rng.uniform(0, 3, (n, 2)), decimals)
             if shape == "self":
-                dist = _self_distances(x)
+                queries = None
+                dist = cdist(x, x)
+                np.fill_diagonal(dist, np.inf)
             else:
                 m = int(rng.integers(1, 60))
                 m += m == n
-                dist = cdist(np.round(rng.uniform(0, 3, (m, 2)), decimals), x)
+                queries = np.round(rng.uniform(0, 3, (m, 2)), decimals)
+                dist = cdist(queries, x)
             for t in sorted({1, int(rng.integers(1, n)), n - 1}):
-                neighbors, kth = _nearest(dist, t)
+                neighbors, kth = _tree_nearest(x, queries, t)
                 want = np.argsort(dist, axis=1, kind="stable")[:, :t]
                 assert neighbors.dtype == want.dtype
                 assert neighbors.tobytes() == want.tobytes()

@@ -226,6 +226,13 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_ratio_model(x, y, kappa=1.0, delta=-0.1)
 
+    @pytest.mark.parametrize("delta", [np.inf, np.nan])
+    def test_non_finite_delta_rejected(self, delta):
+        x = np.ones((3, 1))
+        y = np.array([1, 1, 1])
+        with pytest.raises(ValueError, match=f"delta must be finite and non-negative, got {delta}"):
+            fit_ratio_model(x, y, kappa=1.0, delta=delta)
+
     def test_center_cap_respected(self):
         ds = make_blobs(300, 2, 2, 5.0, seed=0)
         model = fit_ratio_model(ds.features, ds.labels, kappa=1.0, delta=0.1, center_cap=50)
@@ -373,6 +380,16 @@ class TestCrossValidate:
             warnings.simplefilter("error")  # no singular-system warning on the way
             with pytest.raises(ValueError, match=match):
                 cross_validate(ds.features, ds.labels, **grids, seed=0)
+
+    def test_underflowing_kappa_names_non_finite_system(self):
+        # kappa**2 underflows to 0, so a center's zero distance to itself gives 0/0.
+        ds = make_blobs(10, 2, 2, 4.0, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+                cross_validate(ds.features, ds.labels, kappa_grid=[1e-200], seed=0)
+            with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+                fit_ratio_model(ds.features, ds.labels, kappa=1e-200, delta=0.1)
 
     @settings(deadline=None, max_examples=60)
     @given(

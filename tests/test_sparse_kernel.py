@@ -111,7 +111,7 @@ class TestAgainstDenseOracle:
         rng = np.random.default_rng(seed)
         x = tie_heavy(rng, n, d, decimals)
         t = 1 + int(t_frac * (n - 2))
-        # A block of one row makes the tied rows be redone one cdist row at a time.
+        # A block of one pair gives each tied row a ball query of its own.
         with mock.patch.object(kernel, "_TIE_BLOCK", 1 if small_blocks else kernel._TIE_BLOCK):
             k = local_scaling_kernel(x, t)
             entries, sigma = dense_kernel(x, t)
@@ -151,6 +151,26 @@ class TestAgainstDenseOracle:
             entries, sigma = dense_kernel(x, t)
             assert_same_csr(k.csr, entries)
             assert k.sigma.tobytes() == sigma.tobytes()
+
+
+def test_tied_rows_compute_few_distances(monkeypatch):
+    """Rounded blobs tie most rows at the cut; settling them must not cost a distance row each."""
+    x = np.round(make_blobs(10000, 2, 2, 3.0, seed=1).features, 1)
+    computed = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            computed.append(out.size)
+            return out
+
+        return wrapped
+
+    for name in ("_pair_distances", "cdist"):
+        if hasattr(kernel, name):
+            monkeypatch.setattr(kernel, name, counting(getattr(kernel, name)))
+    nearest_neighbors(x, 5)
+    assert sum(computed) < 50 * x.shape[0]
 
 
 def test_kernel_matrix_keeps_canonical_csr():
