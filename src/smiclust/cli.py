@@ -88,8 +88,8 @@ def _write_manifest(args, command: str, inputs, outputs, started: float, **extra
 
 
 def _write_labels_csv(path, labels) -> None:
-    lines = ["index,label"] + [f"{i + 1},{int(lab)}" for i, lab in enumerate(labels)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = map("{},{}\n".format, range(1, len(labels) + 1), map(int, labels))
+    Path(path).write_text("".join(["index,label\n", *rows]), encoding="utf-8")
 
 
 def _read_labels_csv(path) -> np.ndarray:

@@ -9,6 +9,7 @@ the on-disk constraint format.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -109,20 +110,6 @@ class ConstraintSet:
     def __len__(self) -> int:
         return len(self.must_links) + len(self.cannot_links)
 
-    def must_link_matrix(self) -> np.ndarray:
-        """Symmetric binary matrix with unit diagonal marking must-links."""
-        m = np.eye(self.n)
-        for i, j in self.must_links:
-            m[i, j] = m[j, i] = 1.0
-        return m
-
-    def cannot_link_matrix(self) -> np.ndarray:
-        """Symmetric binary matrix with zero diagonal marking cannot-links."""
-        m = np.zeros((self.n, self.n))
-        for i, j in self.cannot_links:
-            m[i, j] = m[j, i] = 1.0
-        return m
-
 
 def empty_constraints(n: int) -> ConstraintSet:
     return ConstraintSet((), (), n)
@@ -135,27 +122,23 @@ def _parse_rows(path, fmt, allow_empty):
     rows = []
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        first_data_line = None
         for lineno, cells in enumerate(reader, start=1):
-            if not cells or all(cell.strip() == "" for cell in cells):
-                continue
-            if first_data_line is None:
-                # Header auto-detection: a first line with any non-numeric
-                # cell is treated as a header and skipped.
-                try:
-                    [float(cell) for cell in cells]
-                except ValueError:
+            try:
+                values = list(map(float, cells))
+            except ValueError:
+                # A blank row is skipped.  Before the first data row, a row
+                # with any non-numeric cell is taken for a header and skipped.
+                if not rows or all(cell.strip() == "" for cell in cells):
                     continue
-                first_data_line = lineno
-            values = []
-            for cell in cells:
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise DatasetFormatError(
-                        f"{path}: non-numeric cell {cell.strip()!r} on line {lineno}"
-                    ) from None
-            rows.append((lineno, values))
+                for cell in cells:
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise DatasetFormatError(
+                            f"{path}: non-numeric cell {cell.strip()!r} on line {lineno}"
+                        ) from None
+            if values:
+                rows.append((lineno, values))
     if not rows:
         if allow_empty:
             return []
@@ -166,7 +149,7 @@ def _parse_rows(path, fmt, allow_empty):
             raise DatasetFormatError(
                 f"{path}: ragged row on line {lineno} ({len(values)} cells, expected {width})"
             )
-        if not all(np.isfinite(v) for v in values):
+        if not all(map(math.isfinite, values)):
             raise DatasetFormatError(f"{path}: non-finite value on line {lineno}")
     return rows
 

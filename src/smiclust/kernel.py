@@ -16,8 +16,14 @@ A row whose next candidate lies within a relative 1e-9 of its t-th distance
 (or within 1e-150 of it, where squares lose precision) may hold a tie at the
 cut that the tree cannot settle; that row takes every point of a ball query
 on the same tree at its widened t-th distance and keeps the first t by exact
-distance, then index.  The entry rule evaluates the exponential only on kept
-pairs.
+distance, then index.  Tied rows with equal coordinates and radius share one
+ball, so d copies of a point cost one d-point ball, not d of them.  The entry
+rule evaluates the exponential only on kept pairs.
+
+Entries are addressed by int64 keys ``row * columns + column``, whose sorted
+order is CSR order.  Key sets (neighbour pairs, the diagonal, the query radius
+pairs, links) are merged by :func:`_union_keys`, one sort that drops adjacent
+repeats, and each value is written at its key's ``searchsorted`` position.
 """
 
 from __future__ import annotations
@@ -125,21 +131,37 @@ def _tree_nearest(points: np.ndarray, queries: np.ndarray | None, t: int):
     if not tied.size:
         return neighbors, kth
     # The ball at the widened t-th distance holds the true t nearest and every tie.
+    # Rows with equal coordinates and radius share one ball: sort them together
+    # and let the first of each run stand for it.
     radii = _widened(kth[tied])
-    offsets = np.cumsum(np.r_[0, tree.query_ball_point(queries[tied], radii, return_length=True)])
+    key = np.column_stack([queries[tied], radii])
+    by_key = np.lexsort(key.T)
+    tied, key = tied[by_key], key[by_key]
+    head = np.r_[True, (key[1:] != key[:-1]).any(axis=1)]
+    group = np.cumsum(head) - 1
+    heads, radii = tied[head], radii[by_key][head]
+    width = t + own  # a row of the own case drops itself from its ball's first t + 1
+    offsets = np.cumsum(np.r_[0, tree.query_ball_point(queries[heads], radii, return_length=True)])
+    first_cols = np.empty((heads.size, width), dtype=neighbors.dtype)
+    first_dist = np.empty((heads.size, width))
     start = 0
-    while start < tied.size:
+    while start < heads.size:
         stop = max(start + 1, np.searchsorted(offsets, offsets[start] + _TIE_BLOCK, "right") - 1)
-        block = tied[start:stop]
+        block = heads[start:stop]
         rows, cols = _ball_pairs(tree, queries[block], radii[start:stop])
         dist = _pair_distances(queries, block[rows], points, cols)
-        if own:
-            dist[cols == block[rows]] = np.inf
         # Balls list points by index and the sort is stable: (row, distance, index) order.
         order = np.lexsort((dist, rows))
-        first = order[(offsets[start:stop] - offsets[start])[:, None] + np.arange(t)]
-        neighbors[block], kth[block] = cols[first], dist[first[:, -1]]
+        first = order[(offsets[start:stop] - offsets[start])[:, None] + np.arange(width)]
+        first_cols[start:stop], first_dist[start:stop] = cols[first], dist[first]
         start = stop
+    cols, dist = first_cols[group], first_dist[group]
+    if own:
+        # Drop the row itself, or the (t + 1)-th point when the row is not among the first.
+        keep = cols != tied[:, None]
+        keep[keep.all(axis=1), t] = False
+        cols, dist = cols[keep].reshape(-1, t), dist[keep].reshape(-1, t)
+    neighbors[tied], kth[tied] = cols, dist[:, -1]
     return neighbors, kth
 
 
@@ -165,10 +187,31 @@ def _pairs_csr(keys: np.ndarray, values: np.ndarray, shape) -> sparse.csr_matrix
     return sparse.csr_matrix((values[keep], cols, indptr), shape=shape)
 
 
+def _union_keys(*parts: np.ndarray) -> np.ndarray:
+    """Sorted unique keys of all ``parts``, as ``np.union1d`` gives them.
+
+    One sort and a drop of adjacent repeats; ``np.union1d``, a hash table in
+    numpy 2, is several times slower on these int64 keys.
+    """
+    keys = np.sort(np.concatenate(parts))
+    new = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return keys[new]
+
+
 def _pair_keys(pairs, n: int) -> np.ndarray:
     """Keys ``i * n + j`` of both orientations of every pair."""
     i, j = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
     return np.concatenate([i * n + j, j * n + i])
+
+
+def _link_matrix(pairs, n: int, diagonal: float) -> sparse.csr_matrix:
+    """Symmetric sparse 0/1 matrix marking ``pairs``, plus ``diagonal`` on the diagonal."""
+    diag = np.arange(n, dtype=np.int64) * (n + 1)
+    keys = _union_keys(_pair_keys(pairs, n), diag)
+    values = np.ones(keys.size)
+    values[np.searchsorted(keys, diag)] = diagonal
+    return _pairs_csr(keys, values, (n, n))
 
 
 def nearest_neighbors(features, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -199,7 +242,7 @@ def local_scaling_kernel(features, t: int) -> KernelMatrix:
     neighbors, sigma = _tree_nearest(x, None, t)
     n = x.shape[0]
     pairs = np.column_stack([np.repeat(np.arange(n), t), neighbors.ravel()])
-    keys = np.union1d(_pair_keys(pairs, n), np.arange(n) * (n + 1))
+    keys = _union_keys(_pair_keys(pairs, n), np.arange(n) * (n + 1))
     rows, cols = np.divmod(keys, n)
     values = _pair_values(_pair_distances(x, rows, x, cols), sigma[rows], sigma[cols])
     return KernelMatrix(_pairs_csr(keys, values, (n, n)), t=t, sigma=sigma)
@@ -219,7 +262,7 @@ def query_kernel(features, sigma, t: int, queries) -> sparse.csr_matrix:
     cols, rows = _ball_pairs(cKDTree(queries), features, _widened(sigma))
     inside = _pair_distances(queries, rows, features, cols) <= sigma[cols]
     near = np.repeat(np.arange(m, dtype=np.int64), t) * n + nearest.ravel()
-    keys = np.union1d(near, rows[inside].astype(np.int64) * n + cols[inside])
+    keys = _union_keys(near, rows[inside].astype(np.int64) * n + cols[inside])
     rows, cols = np.divmod(keys, n)
     dist = _pair_distances(queries, rows, features, cols)
     return _pairs_csr(keys, _pair_values(dist, query_sigma[rows], sigma[cols]), (m, n))
@@ -231,11 +274,13 @@ def apply_constraints(kernel: KernelMatrix, cs: ConstraintSet) -> KernelMatrix:
         raise ValueError(f"constraint set is over n={cs.n} samples, kernel over n={kernel.n}")
     n, csr = kernel.n, kernel.csr
     present = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr)) * n + csr.indices
-    must = _pair_keys(cs.must_links, n)
-    keys = np.union1d(present, must)
+    must, cannot = _pair_keys(cs.must_links, n), _pair_keys(cs.cannot_links, n)
+    # Every key sits in the union, so each write finds its place by a search;
+    # the cannot-links' zeros are then left out of the CSR.
+    keys = _union_keys(present, must, cannot)
     values = np.empty(keys.shape[0])
     values[np.searchsorted(keys, present)] = csr.data
     values[np.searchsorted(keys, must)] = 1.0
-    values[np.isin(keys, _pair_keys(cs.cannot_links, n))] = 0.0
+    values[np.searchsorted(keys, cannot)] = 0.0
     edited = _pairs_csr(keys, values, (n, n))
     return KernelMatrix(edited, kernel.t, modified=True, sigma=kernel.sigma)

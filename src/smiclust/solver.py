@@ -37,6 +37,7 @@ from scipy import sparse
 
 from .data import ConstraintSet, Dataset, empty_constraints
 from .kernel import KernelMatrix, apply_constraints, local_scaling_kernel, query_kernel
+from .kernel import _link_matrix
 from .kernel import nearest_neighbors  # noqa: F401  re-exported; perfbench/tracer.py wraps it
 
 MODEL_SCHEMA = "smiclust-model-v1"
@@ -127,13 +128,6 @@ class ClusterModel:
 
 def _entries(matrix) -> np.ndarray:
     return np.asarray(getattr(matrix, "entries", matrix), dtype=float)
-
-
-def _link_matrix(pairs, n: int, diagonal: float) -> sparse.csr_matrix:
-    """Symmetric sparse 0/1 matrix marking ``pairs``, plus ``diagonal`` on the diagonal."""
-    i, j = np.unique(np.asarray(pairs, dtype=np.intp).reshape(-1, 2), axis=0).T
-    links = sparse.coo_matrix((np.ones(i.size), (i, j)), shape=(n, n))
-    return (links + links.T + diagonal * sparse.identity(n)).tocsr()
 
 
 def objective_matrix(

@@ -1,0 +1,77 @@
+"""Slow, plain reference implementations that the faster program code must equal.
+
+Only tests import this module.  Each function is the form some program code
+once had (or the direct form of what it computes), kept here so property tests
+can compare the fast path with it exactly.
+"""
+
+import csv
+
+import numpy as np
+from scipy import sparse
+
+from smiclust.data import DATASET_FORMATS, DatasetFormatError, EmptyDatasetError
+
+
+def must_link_matrix(cs) -> np.ndarray:
+    """Dense symmetric binary matrix with unit diagonal marking the must-links of ``cs``."""
+    m = np.eye(cs.n)
+    for i, j in cs.must_links:
+        m[i, j] = m[j, i] = 1.0
+    return m
+
+
+def cannot_link_matrix(cs) -> np.ndarray:
+    """Dense symmetric binary matrix with zero diagonal marking the cannot-links of ``cs``."""
+    m = np.zeros((cs.n, cs.n))
+    for i, j in cs.cannot_links:
+        m[i, j] = m[j, i] = 1.0
+    return m
+
+
+def link_matrix(pairs, n: int, diagonal: float) -> sparse.csr_matrix:
+    """The sparse link matrix as a deduplicated COO sum, with ``diagonal`` on the diagonal."""
+    i, j = np.unique(np.asarray(pairs, dtype=np.intp).reshape(-1, 2), axis=0).T
+    links = sparse.coo_matrix((np.ones(i.size), (i, j)), shape=(n, n))
+    return (links + links.T + diagonal * sparse.identity(n)).tocsr()
+
+
+def parse_rows(path, fmt, allow_empty):
+    """CSV rows as ``(line number, values)``, parsed one cell and one check at a time."""
+    if fmt not in DATASET_FORMATS:
+        raise ValueError(f"unknown format {fmt!r}; expected one of {DATASET_FORMATS}")
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        first_data_line = None
+        for lineno, cells in enumerate(reader, start=1):
+            if not cells or all(cell.strip() == "" for cell in cells):
+                continue
+            if first_data_line is None:
+                try:
+                    [float(cell) for cell in cells]
+                except ValueError:
+                    continue
+                first_data_line = lineno
+            values = []
+            for cell in cells:
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise DatasetFormatError(
+                        f"{path}: non-numeric cell {cell.strip()!r} on line {lineno}"
+                    ) from None
+            rows.append((lineno, values))
+    if not rows:
+        if allow_empty:
+            return []
+        raise EmptyDatasetError(f"{path}: file contains no data rows")
+    width = len(rows[0][1])
+    for lineno, values in rows:
+        if len(values) != width:
+            raise DatasetFormatError(
+                f"{path}: ragged row on line {lineno} ({len(values)} cells, expected {width})"
+            )
+        if not all(np.isfinite(v) for v in values):
+            raise DatasetFormatError(f"{path}: non-finite value on line {lineno}")
+    return rows

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import smiclust
+from oracles import cannot_link_matrix, must_link_matrix
 from smiclust.data import ConstraintSet, empty_constraints, make_blobs, sample_constraints
 from smiclust.evaluation import BenchmarkConfig, adjusted_rand_index, run_benchmark
 from smiclust.kernel import KernelMatrix, local_scaling_kernel
@@ -208,8 +209,8 @@ def test_criterion_7_objective_matrix_oracle():
             gamma = float(rng.uniform(0, 4))
             eta = float(rng.uniform(0, 4))
             u = objective_matrix(KernelMatrix(k, t=1), cs, gamma, eta, 2)
-            m = cs.must_link_matrix()
-            c_mat = cs.cannot_link_matrix()
+            m = must_link_matrix(cs)
+            c_mat = cannot_link_matrix(cs)
             eye = np.eye(n)
             inner = (
                 2 * eye

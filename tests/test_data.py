@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from smiclust import data
 from smiclust.data import (
     ConstraintFormatError,
     ConstraintSet,
@@ -17,6 +21,7 @@ from smiclust.data import (
     sample_constraints,
     save_constraints,
 )
+from smiclust.kernel import _link_matrix
 
 
 def _csv(tmp_path, text, name="data.csv"):
@@ -80,6 +85,58 @@ class TestLoadDataset:
         path = _csv(tmp_path, "1,2\n")
         with pytest.raises(ValueError, match="format"):
             load_dataset(path, "tsv")
+
+
+_CELLS = st.one_of(
+    st.sampled_from([
+        "1", "-2.5", " 3 ", "4e2", "1_0", "_1", "nan", " nan", "inf", "-inf", "Infinity", "1e999",
+        "x", "abc", "", " ", '"7"', '" 8 "', '"1,2"', '"x"', "0x10", "\u0661",
+    ]),
+    st.floats().map(repr),
+    st.integers(-2, 4).map(str),
+)
+_NUMBERS = st.one_of(
+    st.sampled_from(["1", "2", "-2.5", " 3 ", "4e2", "1_0", "2.0"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+_LINES = st.one_of(
+    st.lists(_NUMBERS, min_size=1, max_size=3).map(",".join),
+    st.lists(_NUMBERS, min_size=2, max_size=2).map(",".join),
+    st.lists(_CELLS, max_size=4).map(",".join),
+    st.sampled_from(["x,y", "a,b,c", "", "   ", " , ", ",", "\t"]),
+    st.text(alphabet='0123456789.,-+eEnaif_ "x\t', max_size=12),
+)
+
+
+def _load_outcome(path, fmt, allow_empty):
+    """What ``load_dataset`` gives: the arrays and class count, or the exception."""
+    try:
+        ds = load_dataset(path, fmt, allow_empty)
+    except Exception as exc:  # noqa: BLE001  the type and message are compared
+        return type(exc), str(exc)
+    if ds is None:
+        return None
+    labels = None if ds.labels is None else (ds.labels.dtype, ds.labels.tobytes())
+    return ds.features.shape, ds.features.tobytes(), labels, ds.c
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(_LINES, max_size=8),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    trailing=st.booleans(),
+    fmt=st.sampled_from(["csv", "labeled-csv"]),
+    allow_empty=st.booleans(),
+)
+def test_parse_equals_cell_by_cell_oracle(tmp_path_factory, lines, newline, trailing, fmt,
+                                          allow_empty):
+    """Headers, blanks, quotes, ``1_0``, ``nan``/``inf``, ragged and non-numeric rows alike."""
+    path = tmp_path_factory.mktemp("parse") / "data.csv"
+    path.write_bytes((newline.join(lines) + (newline if trailing else "")).encode("utf-8"))
+    got = _load_outcome(path, fmt, allow_empty)
+    with mock.patch.object(data, "_parse_rows", oracles.parse_rows):
+        want = _load_outcome(path, fmt, allow_empty)
+    assert got == want
 
 
 class TestNormalize:
@@ -199,13 +256,15 @@ class TestSampleConstraints:
 
     def test_matrix_invariants(self):
         cs = sample_constraints([1, 1, 2, 2, 3], 7, seed=4)
-        m = cs.must_link_matrix()
-        c = cs.cannot_link_matrix()
+        m = oracles.must_link_matrix(cs)
+        c = oracles.cannot_link_matrix(cs)
         assert np.array_equal(m, m.T) and np.array_equal(c, c.T)
         assert np.array_equal(np.diag(m), np.ones(5))
         assert np.array_equal(np.diag(c), np.zeros(5))
         off = ~np.eye(5, dtype=bool)
         assert np.all((m * c)[off] == 0)
+        assert np.array_equal(_link_matrix(cs.must_links, 5, 1.0).toarray(), m)
+        assert np.array_equal(_link_matrix(cs.cannot_links, 5, 0.0).toarray(), c)
 
 
 class TestConstraintSet:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import cannot_link_matrix, must_link_matrix
 from smiclust.data import ConstraintSet, Dataset, empty_constraints, make_blobs, sample_constraints
 from smiclust.evaluation import adjusted_rand_index
 from smiclust.kernel import KernelMatrix, apply_constraints, local_scaling_kernel, nearest_neighbors
@@ -96,7 +97,7 @@ class TestObjectiveMatrix:
         k = local_scaling_kernel(x, 2)
         cs = ConstraintSet(((1, 4),), (), 7)
         u = objective_matrix(k, cs, 1.0, 0.0, 2)
-        expected = u_oracle(k.entries, cs.must_link_matrix(), cs.cannot_link_matrix(), 1.0, 0.0)
+        expected = u_oracle(k.entries, must_link_matrix(cs), cannot_link_matrix(cs), 1.0, 0.0)
         assert np.allclose(u.entries, expected, atol=1e-10)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -111,7 +112,7 @@ class TestObjectiveMatrix:
         from smiclust.kernel import KernelMatrix
 
         u = objective_matrix(KernelMatrix(k, t=1), cs, gamma, eta, 2)
-        expected = u_oracle(k, cs.must_link_matrix(), cs.cannot_link_matrix(), gamma, eta)
+        expected = u_oracle(k, must_link_matrix(cs), cannot_link_matrix(cs), gamma, eta)
         assert np.allclose(u.entries, expected, atol=1e-10)
         assert np.allclose(u.entries, u.entries.T, atol=1e-10)
 

@@ -13,11 +13,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.spatial.distance import cdist
 
+import oracles
 import smiclust
 from smiclust import kernel, solver
 from smiclust.data import ConstraintSet, make_blobs
@@ -153,24 +154,71 @@ class TestAgainstDenseOracle:
             assert k.sigma.tobytes() == sigma.tobytes()
 
 
+def distances_computed(monkeypatch, x, t):
+    """How many pair distances ``nearest_neighbors(x, t)`` computes."""
+    computed = []
+    pair_distances = kernel._pair_distances
+
+    def counting(*args):
+        out = pair_distances(*args)
+        computed.append(out.size)
+        return out
+
+    monkeypatch.setattr(kernel, "_pair_distances", counting)
+    nearest_neighbors(x, t)
+    return sum(computed)
+
+
 def test_tied_rows_compute_few_distances(monkeypatch):
     """Rounded blobs tie most rows at the cut; settling them must not cost a distance row each."""
     x = np.round(make_blobs(10000, 2, 2, 3.0, seed=1).features, 1)
-    computed = []
+    assert distances_computed(monkeypatch, x, 5) < 50 * x.shape[0]
 
-    def counting(fn):
-        def wrapped(*args, **kwargs):
-            out = fn(*args, **kwargs)
-            computed.append(out.size)
-            return out
 
-        return wrapped
+def test_identical_rows_share_one_ball(monkeypatch):
+    """Half the rows are one point; their shared ball must not be listed once per copy."""
+    x = make_blobs(10000, 2, 2, 3.0, seed=1).features
+    x[: x.shape[0] // 2] = x[0]
+    assert distances_computed(monkeypatch, x, 5) <= 50 * x.shape[0]
 
-    for name in ("_pair_distances", "cdist"):
-        if hasattr(kernel, name):
-            monkeypatch.setattr(kernel, name, counting(getattr(kernel, name)))
-    nearest_neighbors(x, 5)
-    assert sum(computed) < 50 * x.shape[0]
+
+class TestSortedKeys:
+    """The sort-and-search key path against the hash-based set calls it replaced."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        parts=st.lists(
+            st.lists(st.integers(0, 60), max_size=30).map(lambda v: np.array(v, dtype=np.int64)),
+            min_size=1, max_size=4,
+        )
+    )
+    def test_union_and_membership_equal_union1d_and_isin(self, parts):
+        keys = kernel._union_keys(*parts)
+        want = np.array([], dtype=np.int64)
+        for part in parts:
+            want = np.union1d(want, part)
+        assert keys.dtype == want.dtype and keys.tobytes() == want.tobytes()
+        for part in parts:
+            at = np.searchsorted(keys, part)
+            member = np.zeros(keys.size, dtype=bool)
+            member[at] = True
+            assert np.array_equal(keys[at], part)
+            assert np.array_equal(member, np.isin(keys, part))
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        n=st.integers(2, 12),
+        raw=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=20),
+        diagonal=st.sampled_from([0.0, 1.0]),
+    )
+    @example(n=2, raw=[], diagonal=0.0)
+    @example(n=2, raw=[(0, 1), (1, 0), (0, 1)], diagonal=1.0)
+    def test_link_matrix_equals_coo_build(self, n, raw, diagonal):
+        # Pairs as a ConstraintSet holds them: i < j, repeats kept.
+        pairs = tuple((i % n, j % n) for i, j in raw if i % n != j % n)
+        pairs = ConstraintSet(pairs, (), n).must_links
+        want = oracles.link_matrix(pairs, n, diagonal)
+        assert_same_csr(kernel._link_matrix(pairs, n, diagonal), want)
 
 
 def test_kernel_matrix_keeps_canonical_csr():
