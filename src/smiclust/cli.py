@@ -43,7 +43,7 @@ from .evaluation import (
 )
 from .kernel import apply_constraints, local_scaling_kernel
 from .model_select import LsmiConfig, grid_search
-from .solver import PredictionError, cluster, load_model, predict, save_model
+from .solver import PredictionError, cluster_kernel, load_model, predict, save_model
 
 
 class UserInputError(ValueError):
@@ -88,7 +88,7 @@ def _write_manifest(args, command: str, inputs, outputs, started: float, **extra
 
 
 def _write_labels_csv(path, labels) -> None:
-    rows = map("{},{}\n".format, range(1, len(labels) + 1), map(int, labels))
+    rows = [f"{i},{label}\n" for i, label in enumerate(np.asarray(labels, dtype=int).tolist(), 1)]
     Path(path).write_text("".join(["index,label\n", *rows]), encoding="utf-8")
 
 
@@ -183,6 +183,7 @@ def cmd_cluster(args) -> int:
     ds = _load_input(args)
     cs = _load_links(args, ds.n)
     outputs = [args.labels_out]
+    edited = None
     if args.auto:
         result = _grid_search(args, ds, cs)
         labels, model = result.best.labels, result.model
@@ -192,13 +193,15 @@ def cmd_cluster(args) -> int:
             file=sys.stderr,
         )
     else:
-        labels, model = cluster(ds, cs, args.t, args.gamma, args.eta, args.classes)
+        edited = apply_constraints(local_scaling_kernel(ds.features, args.t), cs)
+        labels, model = cluster_kernel(edited, ds, cs, args.gamma, args.eta, args.classes)
     _write_labels_csv(args.labels_out, labels)
     if args.model_out:
         save_model(model, args.model_out)
         outputs.append(args.model_out)
     if args.dump_kernel:
-        edited = apply_constraints(local_scaling_kernel(ds.features, model.t), cs)
+        if edited is None:  # the grid search keeps no kernel
+            edited = apply_constraints(local_scaling_kernel(ds.features, model.t), cs)
         _write_kernel_csv(args.dump_kernel, edited.csr)
         outputs.append(args.dump_kernel)
     _write_manifest(args, "cluster", [args.input, args.constraints], outputs, started)

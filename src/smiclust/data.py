@@ -4,6 +4,14 @@ Feature matrices are plain ``(n, d)`` float arrays.  Labels, when present,
 take values in ``{1, ..., c}``.  Pairwise side information is held in a
 :class:`ConstraintSet`; sample indices are 0-based in memory and 1-based in
 the on-disk constraint format.
+
+A dataset CSV holds one sample per row.  Blank and whitespace-only rows are
+skipped anywhere, rows before the first numeric row are skipped as a header,
+and every other row must be numeric, as wide as the first and finite.  With
+``labeled-csv`` the last column holds whole-number labels in ``1..n``, n the
+number of data rows, so the class count never exceeds n.  The file is read
+by ``csv.reader`` once and converted and checked as one matrix; only after a
+check fails are the rows walked one by one, to name the first bad line.
 """
 
 from __future__ import annotations
@@ -11,6 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from itertools import chain, compress
 from pathlib import Path
 
 import numpy as np
@@ -116,71 +125,116 @@ def empty_constraints(n: int) -> ConstraintSet:
 
 
 def _parse_rows(path, fmt, allow_empty):
+    """The data rows of a CSV file as ``(line numbers, matrix)``, or ``None`` if empty.
+
+    Blank and whitespace-only rows are dropped, and rows before the first row
+    that parses are skipped as headers.  The remaining rows are checked and
+    converted all at once; only when that fails does :func:`_raise_first_defect`
+    walk them row by row to name the line.
+    """
     if fmt not in DATASET_FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {DATASET_FORMATS}")
     path = Path(path)
-    rows = []
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for lineno, cells in enumerate(reader, start=1):
-            try:
-                values = list(map(float, cells))
-            except ValueError:
-                # A blank row is skipped.  Before the first data row, a row
-                # with any non-numeric cell is taken for a header and skipped.
-                if not rows or all(cell.strip() == "" for cell in cells):
-                    continue
-                for cell in cells:
-                    try:
-                        float(cell)
-                    except ValueError:
-                        raise DatasetFormatError(
-                            f"{path}: non-numeric cell {cell.strip()!r} on line {lineno}"
-                        ) from None
-            if values:
-                rows.append((lineno, values))
+        rows = list(csv.reader(fh))
+    kept = np.fromiter(map(bool, map(str.strip, map("".join, rows))), bool, len(rows))
+    lines = np.flatnonzero(kept) + 1
+    if lines.size < len(rows):
+        rows = list(compress(rows, kept))
+    first = next((k for k, cells in enumerate(rows) if _is_numeric(cells)), len(rows))
+    rows, lines = rows[first:], lines[first:]
     if not rows:
         if allow_empty:
-            return []
+            return None
         raise EmptyDatasetError(f"{path}: file contains no data rows")
-    width = len(rows[0][1])
-    for lineno, values in rows:
-        if len(values) != width:
+    width = len(rows[0])
+    matrix = None
+    if (np.fromiter(map(len, rows), np.intp, len(rows)) == width).all():
+        try:
+            cells = map(float, chain.from_iterable(rows))
+            matrix = np.fromiter(cells, float, len(rows) * width).reshape(len(rows), width)
+        except ValueError:
+            pass
+    if matrix is None or not np.isfinite(matrix).all():
+        _raise_first_defect(path, rows, lines.tolist())
+    return lines, matrix
+
+
+def _is_numeric(cells) -> bool:
+    try:
+        list(map(float, cells))
+    except ValueError:
+        return False
+    return True
+
+
+def _raise_first_defect(path, rows, lines):
+    """Raise for the first bad data row, naming its line.
+
+    A non-numeric cell anywhere comes first; then, row by row, a row whose
+    width differs from the first row's or that holds a non-finite value.
+    """
+    for lineno, cells in zip(lines, rows):
+        for cell in cells:
+            try:
+                float(cell)
+            except ValueError:
+                raise DatasetFormatError(
+                    f"{path}: non-numeric cell {cell.strip()!r} on line {lineno}"
+                ) from None
+    width = len(rows[0])
+    for lineno, cells in zip(lines, rows):
+        if len(cells) != width:
             raise DatasetFormatError(
-                f"{path}: ragged row on line {lineno} ({len(values)} cells, expected {width})"
+                f"{path}: ragged row on line {lineno} ({len(cells)} cells, expected {width})"
             )
-        if not all(map(math.isfinite, values)):
+        if not all(map(math.isfinite, map(float, cells))):
             raise DatasetFormatError(f"{path}: non-finite value on line {lineno}")
-    return rows
+
+
+def _labels(path, lines, column) -> np.ndarray:
+    """The label column as integers; each must be a whole number in ``1..n``.
+
+    ``n`` is the number of data rows, so the class count it implies is at
+    most ``n``.  The first bad label, in file order, is named by its line.
+    """
+    n = column.shape[0]
+    bad = (column != np.trunc(column)) | (column < 1) | (column > n)
+    if bad.any():
+        k = int(np.argmax(bad))
+        value, lineno = column[k], lines[k]
+        if value != int(value):
+            raise DatasetFormatError(f"{path}: non-integer label {value!r} on line {lineno}")
+        if value < 1:
+            raise DatasetFormatError(f"{path}: label {int(value)} < 1 on line {lineno}")
+        raise DatasetFormatError(
+            f"{path}: label {int(value)} exceeds the row count {n} on line {lineno}"
+        )
+    return column.astype(int)
 
 
 def load_dataset(path, fmt: str = "csv", allow_empty: bool = False) -> Dataset | None:
     """Load a dataset from a CSV file.
 
     ``fmt="csv"`` reads every column as a feature.  ``fmt="labeled-csv"``
-    treats the last column as integer class labels and infers the class count
-    as the largest label.  An optional header line is detected automatically
-    (first line containing any non-numeric cell).
+    treats the last column as integer class labels in ``1..n`` (n data rows)
+    and infers the class count as the largest label.  Blank and
+    whitespace-only rows are skipped anywhere, and rows before the first
+    numeric row are skipped as a header.
 
     Returns ``None`` for a file without data rows when ``allow_empty`` is set;
     otherwise raises :class:`DatasetFormatError` with the offending line number.
     """
-    rows = _parse_rows(path, fmt, allow_empty)
-    if not rows:
+    parsed = _parse_rows(path, fmt, allow_empty)
+    if parsed is None:
         return None
-    matrix = np.array([values for _, values in rows], dtype=float)
+    lines, matrix = parsed
     name = Path(path).stem
     if fmt == "csv":
         return Dataset(features=matrix, name=name)
     if matrix.shape[1] < 2:
         raise DatasetFormatError(f"{path}: labeled-csv needs at least one feature column")
-    raw_labels = matrix[:, -1]
-    for (lineno, _), value in zip(rows, raw_labels):
-        if value != int(value):
-            raise DatasetFormatError(f"{path}: non-integer label {value!r} on line {lineno}")
-        if value < 1:
-            raise DatasetFormatError(f"{path}: label {int(value)} < 1 on line {lineno}")
-    labels = raw_labels.astype(int)
+    labels = _labels(path, lines, matrix[:, -1])
     return Dataset(features=matrix[:, :-1], labels=labels, c=int(labels.max()), name=name)
 
 

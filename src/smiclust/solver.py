@@ -364,6 +364,13 @@ def cluster(
     if cs is None:
         cs = empty_constraints(ds.n)
     edited = apply_constraints(local_scaling_kernel(ds.features, t), cs)
+    return cluster_kernel(edited, ds, cs, gamma, eta, c)
+
+
+def cluster_kernel(
+    edited: KernelMatrix, ds: Dataset, cs: ConstraintSet, gamma: float, eta: float, c: int
+) -> tuple[np.ndarray, ClusterModel]:
+    """:func:`cluster` from the kernel ``apply_constraints(K, cs)``, for a caller that keeps it."""
     u = objective_matrix(edited, cs, gamma, eta, c)
     return _fit(u, edited, ds.features, c, gamma, eta)
 

@@ -37,7 +37,10 @@ def link_matrix(pairs, n: int, diagonal: float) -> sparse.csr_matrix:
 
 
 def parse_rows(path, fmt, allow_empty):
-    """CSV rows as ``(line number, values)``, parsed one cell and one check at a time."""
+    """CSV data rows as ``(line numbers, matrix)``, parsed one cell and one check at a time.
+
+    ``None`` for a file without data rows when ``allow_empty`` is set.
+    """
     if fmt not in DATASET_FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {DATASET_FORMATS}")
     rows = []
@@ -64,7 +67,7 @@ def parse_rows(path, fmt, allow_empty):
             rows.append((lineno, values))
     if not rows:
         if allow_empty:
-            return []
+            return None
         raise EmptyDatasetError(f"{path}: file contains no data rows")
     width = len(rows[0][1])
     for lineno, values in rows:
@@ -74,4 +77,19 @@ def parse_rows(path, fmt, allow_empty):
             )
         if not all(np.isfinite(v) for v in values):
             raise DatasetFormatError(f"{path}: non-finite value on line {lineno}")
-    return rows
+    return np.array([lineno for lineno, _ in rows]), np.array([v for _, v in rows], dtype=float)
+
+
+def labels(path, lines, column):
+    """The label column checked one row at a time: a whole number in 1..n, n the row count."""
+    n = len(column)
+    for lineno, value in zip(lines, column):
+        if value != int(value):
+            raise DatasetFormatError(f"{path}: non-integer label {value!r} on line {lineno}")
+        if value < 1:
+            raise DatasetFormatError(f"{path}: label {int(value)} < 1 on line {lineno}")
+        if value > n:
+            raise DatasetFormatError(
+                f"{path}: label {int(value)} exceeds the row count {n} on line {lineno}"
+            )
+    return column.astype(int)

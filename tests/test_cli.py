@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import smiclust
-from smiclust import lsmi
-from smiclust.cli import build_parser, main
-from smiclust.data import make_blobs
+from smiclust import kernel, lsmi
+from smiclust.cli import _write_labels_csv, build_parser, main
+from smiclust.data import load_constraints, make_blobs
 from smiclust.solver import ClusterModel, save_model
 
 
@@ -322,6 +322,37 @@ class TestDumpCvReusesTheSearch:
         assert code == 0
         assert seen and len(seen) == len(set(seen))
         assert len((workdir / "cv.csv").read_text().splitlines()) == 1 + 10 * 5
+
+
+class TestClusterBuildsTheKernelOnce:
+    def test_dump_kernel_reuses_the_fitted_kernel(self, workdir, blobs_csv, monkeypatch):
+        path, ds = blobs_csv
+        calls = []
+        original = kernel.local_scaling_kernel
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in ("smiclust.kernel", "smiclust.solver", "smiclust.cli"):
+            monkeypatch.setattr(f"{module}.local_scaling_kernel", counted, raising=False)
+        links = workdir / "links.txt"
+        links.write_text("1 2 +1\n3 40 -1\n")
+        code = main(
+            ["cluster", "--input", str(path), "--format", "labeled-csv", "--classes", "2",
+             "--t", "5", "--gamma", "1", "--eta", "1", "--constraints", str(links),
+             "--dump-kernel", "kernel.csv"]
+        )
+        assert code == 0
+        assert len(calls) == 1
+        edited = kernel.apply_constraints(original(ds.features, 5), load_constraints(links, ds.n))
+        expected = "".join(",".join(map(repr, row.tolist())) + "\n" for row in edited.entries)
+        assert (workdir / "kernel.csv").read_text() == expected
+
+
+def test_labels_csv_is_index_then_label(workdir):
+    _write_labels_csv(workdir / "labels.csv", np.array([2, 1, 2, 10]))
+    assert (workdir / "labels.csv").read_bytes() == b"index,label\n1,2\n2,1\n3,2\n4,10\n"
 
 
 def run_cli(args, cwd):

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -136,6 +137,81 @@ def test_parse_equals_cell_by_cell_oracle(tmp_path_factory, lines, newline, trai
     got = _load_outcome(path, fmt, allow_empty)
     with mock.patch.object(data, "_parse_rows", oracles.parse_rows):
         want = _load_outcome(path, fmt, allow_empty)
+    assert got == want
+
+
+class TestLabelBound:
+    """A label above the number of data rows is refused on its line, with no warning."""
+
+    @pytest.mark.parametrize("label", ["1e20", "3e9", "3"])
+    def test_label_above_row_count_names_line(self, tmp_path, label):
+        path = _csv(tmp_path, f"1,{label}\n2,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetFormatError, match="line 1") as err:
+                load_dataset(path, "labeled-csv")
+        assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,1\n2,9\n3,0\n", r"label 9 exceeds the row count 3 on line 2$"),
+        ("1,1\n2,0\n3,9\n", r"label 0 < 1 on line 2$"),
+        ("1,1\n2,2.5\n3,0\n", r"non-integer label .*2\.5.* on line 2$"),
+    ])
+    def test_first_bad_label_in_file_order_is_named(self, tmp_path, text, message):
+        with pytest.raises(DatasetFormatError, match=message):
+            load_dataset(_csv(tmp_path, text), "labeled-csv")
+
+    def test_label_equal_to_row_count_accepted(self, tmp_path):
+        ds = load_dataset(_csv(tmp_path, "1,1\n2,2\n"), "labeled-csv")
+        assert ds.c == 2 and np.array_equal(ds.labels, [1, 2])
+
+
+_VALUES = ["1", "-2.5", " 3 ", "4e2", "2.0", "0.1", "-0", "1e-300"]
+_BLANKS = ["", "   ", " , ", ",", "\t", ",,"]
+_HEADERS = ["x,y", "a,b,c", "label", '"x"', "x,1", "1,x"]
+_DEFECTS = ["ragged", "x", '"x"', '"1,2"', '"7"', '" 8 "', "1_0", "nan", " nan", "inf",
+            "-inf", "1e999", "0", "2.5", "1e20", "none"]
+
+
+@st.composite
+def _long_file(draw):
+    """Up to about 300 lines: valid rows, blanks anywhere, headers first, at most one defect."""
+    n = draw(st.integers(1, 250))
+    width = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = [[rng.choice(_VALUES) if rng.random() < 0.2 else repr(float(v))
+             for v in rng.standard_normal(width)] for _ in range(n)]
+    top = draw(st.integers(1, 3))
+    for row in rows:  # an integer last column, so that labeled-csv files can be valid
+        row[-1] = str(rng.integers(1, top + 1))
+    defect = draw(st.sampled_from(_DEFECTS))
+    at = draw(st.integers(0, n - 1))
+    if defect == "ragged":
+        rows[at] = rows[at][:-1] if width > 1 and rng.random() < 0.5 else rows[at] + ["1"]
+    elif defect != "none":
+        rows[at][draw(st.integers(0, width - 1))] = defect
+    lines = [",".join(row) for row in rows]
+    for pos, blank in draw(st.lists(st.tuples(st.integers(0, n), st.sampled_from(_BLANKS)),
+                                    max_size=40)):
+        lines.insert(pos, blank)
+    return draw(st.lists(st.sampled_from(_HEADERS + _BLANKS), max_size=3)) + lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lines=_long_file(),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    trailing=st.booleans(),
+    fmt=st.sampled_from(["csv", "labeled-csv"]),
+)
+def test_long_files_equal_row_by_row_oracle(tmp_path_factory, lines, newline, trailing, fmt):
+    """A late defect, or none, among blanks and headers: the bulk parse gives the oracle's outcome."""
+    path = tmp_path_factory.mktemp("long") / "data.csv"
+    path.write_bytes((newline.join(lines) + (newline if trailing else "")).encode("utf-8"))
+    got = _load_outcome(path, fmt, False)
+    with mock.patch.object(data, "_parse_rows", oracles.parse_rows), \
+            mock.patch.object(data, "_labels", oracles.labels):
+        want = _load_outcome(path, fmt, False)
     assert got == want
 
 
