@@ -62,7 +62,6 @@ from .solver import (
     objective_matrix,
     predict,
     save_model,
-    smi_score,
     top_eigenpairs,
 )
 
@@ -113,7 +112,6 @@ __all__ = [
     "save_constraints",
     "save_model",
     "score_candidates",
-    "smi_score",
     "top_eigenpairs",
     "write_report_csv",
     "write_report_summary",

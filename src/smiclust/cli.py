@@ -29,6 +29,7 @@ from .data import (
     empty_constraints,
     load_constraints,
     load_dataset,
+    load_labels,
     normalize,
     sample_constraints,
     save_constraints,
@@ -90,25 +91,6 @@ def _write_manifest(args, command: str, inputs, outputs, started: float, **extra
 def _write_labels_csv(path, labels) -> None:
     rows = [f"{i},{label}\n" for i, label in enumerate(np.asarray(labels, dtype=int).tolist(), 1)]
     Path(path).write_text("".join(["index,label\n", *rows]), encoding="utf-8")
-
-
-def _read_labels_csv(path) -> np.ndarray:
-    """Labels from a CSV written by this tool (index,label) or a bare column."""
-    values = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        cells = line.split(",")
-        try:
-            values.append(int(float(cells[-1])))
-        except ValueError:
-            if lineno == 1:  # header
-                continue
-            raise DatasetFormatError(f"{path}: non-numeric label on line {lineno}") from None
-    if not values:
-        raise DatasetFormatError(f"{path}: no labels found")
-    return np.array(values, dtype=int)
 
 
 def _write_kernel_csv(path, matrix) -> None:
@@ -277,8 +259,8 @@ def cmd_constraints(args) -> int:
 
 def cmd_ari(args) -> int:
     started = time.perf_counter()
-    labels_a = _read_labels_csv(args.a)
-    labels_b = _read_labels_csv(args.b)
+    labels_a = load_labels(args.a)
+    labels_b = load_labels(args.b)
     print(adjusted_rand_index(labels_a, labels_b))
     _write_manifest(args, "ari", [args.a, args.b], [], started)
     return 0

@@ -204,7 +204,7 @@ def _labels(path, lines, column) -> np.ndarray:
         k = int(np.argmax(bad))
         value, lineno = column[k], lines[k]
         if value != int(value):
-            raise DatasetFormatError(f"{path}: non-integer label {value!r} on line {lineno}")
+            raise DatasetFormatError(f"{path}: non-integer label {float(value)!r} on line {lineno}")
         if value < 1:
             raise DatasetFormatError(f"{path}: label {int(value)} < 1 on line {lineno}")
         raise DatasetFormatError(
@@ -236,6 +236,16 @@ def load_dataset(path, fmt: str = "csv", allow_empty: bool = False) -> Dataset |
         raise DatasetFormatError(f"{path}: labeled-csv needs at least one feature column")
     labels = _labels(path, lines, matrix[:, -1])
     return Dataset(features=matrix[:, :-1], labels=labels, c=int(labels.max()), name=name)
+
+
+def load_labels(path) -> np.ndarray:
+    """The last column of a label CSV (``index,label`` rows or a bare column) as integers.
+
+    Rows are read as :func:`load_dataset` reads them and the labels are held
+    to its ``labeled-csv`` rule: whole numbers in ``1..n``, n the row count.
+    """
+    lines, matrix = _parse_rows(path, "csv", False)
+    return _labels(path, lines, matrix[:, -1])
 
 
 def normalize(ds: Dataset, scheme: str = "minmax-symmetric") -> Dataset:

@@ -70,6 +70,11 @@ class KernelMatrix:
         return self.csr @ v
 
     @property
+    def graph(self) -> sparse.csr_matrix:
+        """The sparse matrix whose connected components the eigensolver checks."""
+        return self.csr
+
+    @property
     def entries(self) -> np.ndarray:
         """Dense entries; O(n^2) memory, for tests and inspection."""
         return self.csr.toarray()
@@ -116,6 +121,11 @@ def _tree_nearest(points: np.ndarray, queries: np.ndarray | None, t: int):
     k = min(t + 1 + own, n)
     tree = cKDTree(points)
     cand = tree.query(queries, k=k)[1].reshape(m, k)
+    if (cand == n).any():  # the tree reports no point where a squared distance overflows
+        raise ValueError(
+            "squared distances between points overflow float64; rescale the features "
+            "(cluster and select take --normalize minmax-symmetric)"
+        )
     dist = _pair_distances(queries, np.repeat(np.arange(m), k), points, cand.ravel())
     dist = dist.reshape(m, k)
     if own:

@@ -17,11 +17,13 @@ as CSR by :mod:`smiclust.kernel` from a k-d tree: the tree proposes each
 point's t nearest plus one, their distances are recomputed exactly as
 ``cdist`` gives them, and a row whose next candidate ties its t-th distance
 to within a relative 1e-9 is settled on a ball query of the same tree at
-that distance, keeping the lower-index neighbours.  U is never formed either: :class:`ObjectiveMatrix`
-keeps K' as CSR and M, C as sparse link matrices and applies ``U v`` as five
-sparse products, and :func:`top_eigenpairs` takes the top-c pairs from
-ARPACK's Lanczos on that operator.  The full dense ``eigh`` stays as the
-oracle and the fallback, behind a check that its memory is free.
+that distance, keeping the lower-index neighbours.  U is never formed
+either: :class:`ObjectiveMatrix` keeps K' and the fused inner matrix
+``B = 2I + 2g M + g^2 M^2 - 2e C + e^2 C^2`` as CSR and applies ``U v`` as
+three sparse products, and :func:`top_eigenpairs` takes the top c + 1 pairs
+from one ARPACK Lanczos call on that operator, deflating for more only on a
+tie or a graph in parts.  The full dense ``eigh`` stays as the oracle and
+the fallback, behind a check that its memory is free.
 """
 
 from __future__ import annotations
@@ -49,38 +51,33 @@ class PredictionError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class ObjectiveMatrix:
-    """The clustering objective's quadratic form, held by its sparse factors.
+    """The clustering objective's quadratic form ``U = K' B K'``, held by its sparse factors.
 
-    ``U = K'(2I + 2g M + g^2 M^2 - 2e C + e^2 C^2)K'`` is applied to vectors
-    by :meth:`matvec` and never formed; :attr:`entries` densifies it on demand.
+    ``inner`` is ``B = 2I + 2g M + g^2 M^2 - 2e C + e^2 C^2``.  :meth:`matvec`
+    applies U as three sparse products and never forms it; :attr:`entries`
+    densifies it on demand.
     """
 
     kernel: sparse.csr_matrix
-    must: sparse.csr_matrix
-    cannot: sparse.csr_matrix
-    gamma: float
-    eta: float
+    inner: sparse.csr_matrix
 
     @property
     def n(self) -> int:
         return self.kernel.shape[0]
 
-    def _inner(self, w):
-        mw = self.must @ w
-        out = 2.0 * w + 2.0 * self.gamma * mw + self.gamma**2 * (self.must @ mw)
-        if self.eta != 0:
-            cw = self.cannot @ w
-            out += -2.0 * self.eta * cw + self.eta**2 * (self.cannot @ cw)
-        return out
-
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.kernel @ self._inner(self.kernel @ v)
+        return self.kernel @ (self.inner @ (self.kernel @ v))
+
+    @property
+    def graph(self) -> sparse.csr_matrix:
+        """K', whose every edge joins two indices that U connects too."""
+        return self.kernel
 
     @property
     def entries(self) -> np.ndarray:
         """Dense ``U``, symmetrized; O(n^3), for tests and inspection."""
         k = self.kernel.toarray()
-        u = k @ self._inner(k)
+        u = k @ (self.inner @ k)
         return (u + u.T) / 2.0
 
 
@@ -126,17 +123,14 @@ class ClusterModel:
         object.__setattr__(self, "train_sigma", sigma)
 
 
-def _entries(matrix) -> np.ndarray:
-    return np.asarray(getattr(matrix, "entries", matrix), dtype=float)
-
-
 def objective_matrix(
     kernel: KernelMatrix, cs: ConstraintSet, gamma: float, eta: float, c: int
 ) -> ObjectiveMatrix:
-    """U = K'(2I + 2g M + g^2 M^2 - 2e C + e^2 C^2)K' as a matrix-free operator.
+    """U = K' B K' with ``B = 2I + 2g M + g^2 M^2 - 2e C + e^2 C^2``, as a matrix-free operator.
 
-    ``eta`` must be 0 for more than two clusters: the enemy-of-my-enemy
-    squared term in C^2 only encodes a must-link when c = 2.
+    B is built once as canonical CSR; the cannot-link terms are left out when
+    ``eta`` is 0.  ``eta`` must be 0 for more than two clusters: the
+    enemy-of-my-enemy squared term in C^2 only encodes a must-link when c = 2.
     """
     if not (math.isfinite(gamma) and math.isfinite(eta) and gamma >= 0 and eta >= 0):
         raise ValueError(f"gamma and eta must be finite and non-negative, got {gamma} and {eta}")
@@ -144,13 +138,14 @@ def objective_matrix(
         raise ValueError(f"eta must be 0 when c > 2 (got eta={eta}, c={c})")
     if cs.n != kernel.n:
         raise ValueError(f"constraint set n={cs.n} does not match kernel n={kernel.n}")
-    return ObjectiveMatrix(
-        kernel=kernel.csr,
-        must=_link_matrix(cs.must_links, cs.n, 1.0),
-        cannot=_link_matrix(cs.cannot_links, cs.n, 0.0),
-        gamma=float(gamma),
-        eta=float(eta),
-    )
+    must = _link_matrix(cs.must_links, cs.n, 1.0)
+    inner = 2.0 * sparse.identity(cs.n, format="csr") + 2.0 * gamma * must
+    inner = inner + gamma**2 * (must @ must)
+    if eta != 0:
+        cannot = _link_matrix(cs.cannot_links, cs.n, 0.0)
+        inner = inner - 2.0 * eta * cannot + eta**2 * (cannot @ cannot)
+    inner.sort_indices()
+    return ObjectiveMatrix(kernel=kernel.csr, inner=inner)
 
 
 def _canonical_eigenbasis(block: np.ndarray) -> np.ndarray:
@@ -199,13 +194,16 @@ def _canonical_top(w: np.ndarray, v: np.ndarray, c: int) -> int:
 def _lanczos_top(matrix, c: int):
     """Top eigenpairs from ARPACK that hold the whole tie group at position c.
 
-    Lanczos from one start vector can return fewer copies of a repeated
-    eigenvalue than there are, so after the first c pairs each further pair
-    is the top pair of ``U - V diag(w) V'``, the operator with the pairs found
-    so far deflated.  The search stops once that top eigenvalue lies below the
-    group at c by more than the tie tolerance.  The tolerance scales with the
-    largest eigenvalue found, which is the spectral radius both for the
-    positive semi-definite ``U`` and, by Perron-Frobenius, for the
+    One call asks for c + 1 pairs.  Lanczos from one start vector can return
+    fewer copies of a repeated eigenvalue than there are.  The exact copies
+    seen in practice come from parts of ``matrix.graph`` that are not
+    connected to each other, and ARPACK may find only some of them.  So when
+    the graph has more than one part or two of the pairs found tie, each
+    further pair is the top pair of ``U - V diag(w) V'``, the operator with
+    the pairs found so far deflated, until that top eigenvalue lies below the
+    group at c by more than the tie tolerance.  Otherwise the one call stands.  The tolerance scales
+    with the largest eigenvalue found, which is the spectral radius both for
+    the positive semi-definite ``U`` and, by Perron-Frobenius, for the
     non-negative kernel.
 
     Returns descending ``(w, v)`` canonicalized by :func:`_canonical_top`, or
@@ -214,21 +212,28 @@ def _lanczos_top(matrix, c: int):
     """
     # Imported on first use: the package adds tens of milliseconds to start-up,
     # and predict and the other commands never solve an eigenproblem.
+    from scipy.sparse.csgraph import connected_components
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     n = matrix.n
     if c >= n - 1:
         return None
+    split = connected_components(matrix.graph, directed=False, return_labels=False) > 1
     apply = matrix.matvec
     v0 = np.random.default_rng(0).standard_normal(n)  # fixed start: same pairs every run
     try:
-        w, v = eigsh(LinearOperator((n, n), matvec=apply, dtype=float), k=c, which="LA", v0=v0)
+        w, v = eigsh(LinearOperator((n, n), matvec=apply, dtype=float), k=c + 1, which="LA", v0=v0)
         while True:
             order = np.argsort(-w, kind="stable")
             w, v = w[order], v[:, order]
             stop = _canonical_top(w, v, c)
-            floor = w[stop - 1] - _tie_tolerance(w)
-            if floor <= 0 or len(w) >= n - 1:
+            tol = _tie_tolerance(w)
+            floor = w[stop - 1] - tol
+            if floor <= 0:
+                return None
+            if not split and np.all(w[:-1] - w[1:] > tol):
+                return w, v
+            if len(w) >= n - 1:
                 return None
             deflated = LinearOperator(
                 (n, n), matvec=lambda x, w=w, v=v: apply(x) - v @ (w * (v.T @ x)), dtype=float
@@ -249,20 +254,20 @@ def _available_memory() -> int:
 def top_eigenpairs(matrix, c: int) -> tuple[np.ndarray, np.ndarray]:
     """Largest-c eigenvalues (algebraic order, descending) and eigenvectors.
 
-    A dense array goes to the full ``eigh``, the oracle for the other paths.
-    An :class:`ObjectiveMatrix` or :class:`KernelMatrix` goes to ARPACK's
-    Lanczos on its sparse operator, falling back to ``eigh`` on its dense
-    entries only when ARPACK cannot serve.  Before densifying, the dense
-    path checks that its roughly ``24 n^2`` bytes are free and raises
-    :class:`MemoryError` otherwise.  Within groups of (numerically)
-    repeated eigenvalues the eigenbasis is canonicalized so the result is
-    deterministic.
+    ``matrix`` is a symmetric operator with ``n``, ``matvec``, ``entries``
+    (its dense array) and ``graph`` (a sparse matrix each of whose edges joins
+    two indices the operator connects), such as :class:`ObjectiveMatrix` or
+    :class:`~smiclust.kernel.KernelMatrix`.  The pairs come from ARPACK's
+    Lanczos on ``matvec``; only where ARPACK cannot serve does the full
+    ``eigh`` run on ``entries``.  Before densifying, that path checks that its
+    roughly ``24 n^2`` bytes are free and raises :class:`MemoryError`
+    otherwise.  Within groups of (numerically) repeated eigenvalues the
+    eigenbasis is canonicalized so the result is deterministic.
     """
-    operator = isinstance(matrix, (ObjectiveMatrix, KernelMatrix))
-    n = matrix.n if operator else _entries(matrix).shape[0]
+    n = matrix.n
     if not 1 <= c <= n:
         raise ValueError(f"c must be in 1..{n}, got {c}")
-    pairs = _lanczos_top(matrix, c) if operator else None
+    pairs = _lanczos_top(matrix, c)
     if pairs is None:
         # The dense matrix, its eigenvectors and eigh's workspace.
         need, available = 24 * n * n, _available_memory()
@@ -271,7 +276,7 @@ def top_eigenpairs(matrix, c: int) -> tuple[np.ndarray, np.ndarray]:
                 f"the dense eigensolver needs about {need} bytes for n={n}, "
                 f"more than the {available} bytes available"
             )
-        w, v = np.linalg.eigh(_entries(matrix))
+        w, v = np.linalg.eigh(matrix.entries)
         pairs = w[::-1].copy(), v[:, ::-1].copy()
         _canonical_top(*pairs, c)
     w, v = pairs
@@ -316,18 +321,6 @@ def assign_clusters(phi_tilde: np.ndarray) -> np.ndarray:
     sums[sums == 0] = 1.0  # entirely-zero column: scores stay 0
     scores = clipped / sums
     return np.argmax(scores, axis=1) + 1
-
-
-def smi_score(kernel, alpha: np.ndarray, c: int) -> float:
-    """Estimated squared-loss mutual information of an assignment matrix.
-
-    Computes ``(c / 2n) * sum_y alpha_y' K^2 alpha_y - 1/2`` for a symmetric
-    kernel matrix K; the quadratic form is evaluated as ``||K alpha_y||^2``.
-    """
-    k = _entries(kernel)
-    alpha = np.asarray(alpha, dtype=float)
-    n = k.shape[0]
-    return float(c / (2.0 * n) * np.sum((k @ alpha) ** 2) - 0.5)
 
 
 def _fit(matrix, kernel: KernelMatrix, features, c: int, gamma: float, eta: float):

@@ -6,11 +6,44 @@ can compare the fast path with it exactly.
 """
 
 import csv
+from unittest import mock
 
 import numpy as np
 from scipy import sparse
 
+from smiclust import solver
 from smiclust.data import DATASET_FORMATS, DatasetFormatError, EmptyDatasetError
+
+
+class Dense:
+    """A dense symmetric array behind the operator protocol of ``top_eigenpairs``."""
+
+    def __init__(self, array):
+        self.entries = np.asarray(array, dtype=float)
+        self.n = self.entries.shape[0]
+        self.graph = sparse.csr_matrix(self.entries)
+
+    def matvec(self, v):
+        return self.entries @ v
+
+
+def eigh_top_eigenpairs(matrix, c):
+    """``top_eigenpairs`` held to its dense ``eigh`` path: the oracle for the ARPACK path."""
+    with mock.patch.object(solver, "_lanczos_top", lambda matrix, c: None):
+        return solver.top_eigenpairs(matrix, c)
+
+
+def smi_score(kernel, alpha, c) -> float:
+    """Estimated squared-loss mutual information of an assignment matrix.
+
+    Computes ``(c / 2n) * sum_y alpha_y' K^2 alpha_y - 1/2`` for a dense
+    symmetric kernel matrix K; the quadratic form is evaluated as
+    ``||K alpha_y||^2``.
+    """
+    k = np.asarray(kernel, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    n = k.shape[0]
+    return float(c / (2.0 * n) * np.sum((k @ alpha) ** 2) - 0.5)
 
 
 def must_link_matrix(cs) -> np.ndarray:
@@ -85,7 +118,9 @@ def labels(path, lines, column):
     n = len(column)
     for lineno, value in zip(lines, column):
         if value != int(value):
-            raise DatasetFormatError(f"{path}: non-integer label {value!r} on line {lineno}")
+            raise DatasetFormatError(
+                f"{path}: non-integer label {float(value)!r} on line {lineno}"
+            )
         if value < 1:
             raise DatasetFormatError(f"{path}: label {int(value)} < 1 on line {lineno}")
         if value > n:

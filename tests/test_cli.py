@@ -221,6 +221,25 @@ class TestAriCommand:
         assert float(capsys.readouterr().out) == pytest.approx(-0.5)
 
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("index,label\n1,1.5\n2,2\n3,2\n", "non-integer label 1.5 on line 2"),
+            ("1\n0\n2\n", "label 0 < 1 on line 2"),
+            ("1\n2\n7\n", "label 7 exceeds the row count 3 on line 3"),
+            ("1\n2\nx\n", "non-numeric cell 'x' on line 3"),
+        ],
+        ids=["fraction", "zero", "above-n", "non-numeric"],
+    )
+    def test_bad_label_exits_2_with_one_line(self, workdir, capsys, text, message):
+        (workdir / "a.csv").write_text(text)
+        (workdir / "b.csv").write_text("1\n1\n2\n")
+        assert main(["ari", "--a", "a.csv", "--b", "b.csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: a.csv: {message}\n"
+
+
 class TestSelectCommand:
     def test_writes_candidate_table(self, workdir, blobs_csv):
         path, _ = blobs_csv
@@ -393,3 +412,25 @@ class TestUpFrontInputChecks:
         assert names in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (workdir / "labels.csv").exists()
+
+
+def test_overflowing_distances_exit_2_naming_normalize(workdir):
+    """Features whose squared distances overflow float64 are refused, not crashed on."""
+    x = make_blobs(20, 2, 2, 3.0, seed=0).features
+    write_features_csv(workdir / "huge.csv", x * 1e155)
+    args = ["cluster", "--input", "huge.csv", "--classes", "2", "--t", "3"]
+    proc = run_cli(args, workdir)
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+    assert "overflow" in proc.stderr and "--normalize" in proc.stderr
+    assert not (workdir / "labels.csv").exists()
+    # The same points at 1e150 still cluster, as the unscaled ones do.
+    write_features_csv(workdir / "plain.csv", x)
+    write_features_csv(workdir / "large.csv", x * 1e150)
+    for name in ("plain", "large"):
+        assert main(["cluster", "--input", f"{name}.csv", "--classes", "2", "--t", "3",
+                     "--labels-out", f"{name}-labels.csv"]) == 0
+    plain, large = (workdir / "plain-labels.csv"), (workdir / "large-labels.csv")
+    assert plain.read_bytes() == large.read_bytes()
+    # The flag the message names brings the refused points into range.
+    assert main(args + ["--normalize", "minmax-symmetric"]) == 0

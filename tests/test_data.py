@@ -155,7 +155,7 @@ class TestLabelBound:
     @pytest.mark.parametrize("text, message", [
         ("1,1\n2,9\n3,0\n", r"label 9 exceeds the row count 3 on line 2$"),
         ("1,1\n2,0\n3,9\n", r"label 0 < 1 on line 2$"),
-        ("1,1\n2,2.5\n3,0\n", r"non-integer label .*2\.5.* on line 2$"),
+        ("1,1\n2,2.5\n3,0\n", r"non-integer label 2\.5 on line 2$"),
     ])
     def test_first_bad_label_in_file_order_is_named(self, tmp_path, text, message):
         with pytest.raises(DatasetFormatError, match=message):
