@@ -23,9 +23,7 @@ import numpy as np
 
 from . import __version__
 from .data import (
-    ConstraintFormatError,
     Dataset,
-    DatasetFormatError,
     empty_constraints,
     load_constraints,
     load_dataset,
@@ -354,13 +352,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (
-        UserInputError,
-        DatasetFormatError,
-        ConstraintFormatError,
-        FileNotFoundError,
-        ValueError,
-    ) as exc:
+    except (ValueError, FileNotFoundError) as exc:  # the input and format errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PredictionError as exc:

@@ -87,37 +87,56 @@ class Dataset:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintSet:
     """Must-link and cannot-link sample pairs over ``n`` samples.
 
-    Pairs are unordered, stored as ``(i, j)`` with ``i < j``, 0-based.  A pair
-    may not appear in both lists and self-pairs are rejected.
+    Each list may be any sequence of integer pairs.  It is held as a read-only
+    ``(k, 2)`` int64 array of 0-based pairs ``(i, j)``, ``i < j``, in the given
+    order.  Self-pairs, indices outside ``0..n-1`` and pairs in both lists are
+    rejected.  Compares by identity, as the other array-holding dataclasses do.
     """
 
-    must_links: tuple[tuple[int, int], ...]
-    cannot_links: tuple[tuple[int, int], ...]
+    must_links: np.ndarray
+    cannot_links: np.ndarray
     n: int
 
     def __post_init__(self):
-        must = tuple(self._check_pair(p) for p in self.must_links)
-        cannot = tuple(self._check_pair(p) for p in self.cannot_links)
-        overlap = set(must) & set(cannot)
-        if overlap:
-            raise ConstraintFormatError(f"pairs present in both link lists: {sorted(overlap)}")
-        object.__setattr__(self, "must_links", must)
-        object.__setattr__(self, "cannot_links", cannot)
-
-    def _check_pair(self, pair) -> tuple[int, int]:
-        i, j = int(pair[0]), int(pair[1])
-        if i == j:
-            raise ConstraintFormatError(f"self-pair ({i}, {i}) is not a valid link")
-        if not (0 <= i < self.n and 0 <= j < self.n):
+        must, cannot = _link_array(self.must_links), _link_array(self.cannot_links)
+        i, j = np.concatenate([must, cannot]).T
+        bad = np.flatnonzero((i == j) | (np.minimum(i, j) < 0) | (np.maximum(i, j) >= self.n))
+        if bad.size:
+            i, j = int(i[bad[0]]), int(j[bad[0]])
+            if i == j:
+                raise ConstraintFormatError(f"self-pair ({i}, {i}) is not a valid link")
             raise ConstraintFormatError(f"pair ({i}, {j}) out of range for n={self.n}")
-        return (i, j) if i < j else (j, i)
+        for name, links in (("must_links", must), ("cannot_links", cannot)):
+            links.sort(axis=1)
+            links.flags.writeable = False
+            object.__setattr__(self, name, links)
+        keys = cannot @ [self.n, 1]  # i * n + j
+        overlap = np.unique(keys[np.isin(keys, must @ [self.n, 1])])
+        if overlap.size:
+            pairs = [divmod(key, self.n) for key in overlap.tolist()]
+            raise ConstraintFormatError(f"pairs present in both link lists: {pairs}")
 
     def __len__(self) -> int:
         return len(self.must_links) + len(self.cannot_links)
+
+
+def _link_array(pairs) -> np.ndarray:
+    """``pairs`` as a new ``(k, 2)`` int64 array; refuses anything but k integer pairs."""
+    try:
+        given = np.asarray(pairs if len(pairs) else np.empty((0, 2), dtype=np.int64))
+    except (TypeError, ValueError):  # not a sized sequence, or a ragged one
+        given = np.asarray(None)
+    if given.ndim != 2 or given.shape[1] != 2 or given.dtype.kind not in "biuf":
+        raise ConstraintFormatError("a link list must be a sequence of (i, j) index pairs")
+    with np.errstate(invalid="ignore"):
+        links = given.astype(np.int64)
+    if not np.array_equal(links, given):
+        raise ConstraintFormatError("link indices must be integers")
+    return links
 
 
 def empty_constraints(n: int) -> ConstraintSet:
@@ -253,7 +272,8 @@ def normalize(ds: Dataset, scheme: str = "minmax-symmetric") -> Dataset:
 
     ``minmax-symmetric`` maps each column affinely onto [-1, 1], ``zscore``
     standardizes to mean 0 / unit variance, ``none`` returns the input
-    unchanged.  Constant columns map to 0 under both schemes.
+    unchanged.  Constant columns map to 0 under both schemes.  ``zscore``
+    refuses features whose column mean or standard deviation overflows.
     """
     if scheme not in NORMALIZE_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {NORMALIZE_SCHEMES}")
@@ -269,8 +289,10 @@ def normalize(ds: Dataset, scheme: str = "minmax-symmetric") -> Dataset:
         x = 2.0 * (x - lo) / span - 1.0
         x[:, constant] = 0.0
     else:
-        mean = x.mean(axis=0)
-        std = x.std(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, std = x.mean(axis=0), x.std(axis=0)
+        if not np.isfinite(std).all():  # an overflowing mean leaves it non-finite too
+            raise ValueError("zscore statistics of a feature column overflow; use minmax-symmetric")
         constant = std == 0
         std[constant] = 1.0
         x = (x - mean) / std
@@ -311,13 +333,12 @@ def make_blobs(n_per_class: int, c: int, d: int, separation: float, seed: int) -
     return Dataset(features=features, labels=labels, c=c, name=f"blobs{c}x{n_per_class}")
 
 
-def _unrank_pairs(n: int, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _unrank_pairs(n: int, ranks: np.ndarray) -> np.ndarray:
     # Pairs (i, j), i < j, in lexicographic order; ranks index into that order.
     ends = np.cumsum(np.arange(n - 1, 0, -1))
     i = np.searchsorted(ends, ranks, side="right")
     starts = np.concatenate(([0], ends[:-1]))
-    j = i + 1 + (ranks - starts[i])
-    return i, j
+    return np.column_stack([i, i + 1 + (ranks - starts[i])])
 
 
 def sample_constraints(labels, n_links: int, seed: int) -> ConstraintSet:
@@ -336,21 +357,17 @@ def sample_constraints(labels, n_links: int, seed: int) -> ConstraintSet:
         return empty_constraints(n)
     rng = np.random.default_rng(seed)
     ranks = np.sort(rng.choice(total, size=n_links, replace=False))
-    ii, jj = _unrank_pairs(n, ranks)
-    same = labels[ii] == labels[jj]
-    must = tuple((int(a), int(b)) for a, b in zip(ii[same], jj[same]))
-    cannot = tuple((int(a), int(b)) for a, b in zip(ii[~same], jj[~same]))
-    return ConstraintSet(must, cannot, n)
+    pairs = _unrank_pairs(n, ranks)
+    same = labels[pairs[:, 0]] == labels[pairs[:, 1]]
+    return ConstraintSet(pairs[same], pairs[~same], n)
 
 
 def save_constraints(cs: ConstraintSet, path) -> None:
     """Write links as ``i j +1`` (must) / ``i j -1`` (cannot), 1-based indices."""
-    lines = ["# i j kind   (1-based indices; +1 must-link, -1 cannot-link)"]
-    for i, j in cs.must_links:
-        lines.append(f"{i + 1} {j + 1} +1")
-    for i, j in cs.cannot_links:
-        lines.append(f"{i + 1} {j + 1} -1")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    parts = ["# i j kind   (1-based indices; +1 must-link, -1 cannot-link)\n"]
+    for pairs, kind in ((cs.must_links, "+1"), (cs.cannot_links, "-1")):
+        parts.append((f"%d %d {kind}\n" * len(pairs)) % tuple((pairs + 1).ravel().tolist()))
+    Path(path).write_text("".join(parts), encoding="utf-8")
 
 
 def load_constraints(path, n: int) -> ConstraintSet:
@@ -361,10 +378,9 @@ def load_constraints(path, n: int) -> ConstraintSet:
     """
     must, cannot = [], []
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != 3:
             raise ConstraintFormatError(
                 f"{path}: line {lineno}: expected 'i j kind', got {raw.strip()!r}"
@@ -382,4 +398,4 @@ def load_constraints(path, n: int) -> ConstraintSet:
         if i == j:
             raise ConstraintFormatError(f"{path}: line {lineno}: self-pair ({i}, {j})")
         (must if kind == 1 else cannot).append((i - 1, j - 1))
-    return ConstraintSet(tuple(must), tuple(cannot), n)
+    return ConstraintSet(must, cannot, n)

@@ -39,6 +39,11 @@ from .data import ConstraintSet
 
 # Tied rows are settled on at most this many (row, point) ball pairs at a time, or one row.
 _TIE_BLOCK = 1 << 20
+_RESCALE = "; rescale the features (cluster and select take --normalize minmax-symmetric)"
+
+
+class FeatureScaleError(ValueError):
+    """Squared distances between the features overflow or underflow float64."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,12 +127,12 @@ def _tree_nearest(points: np.ndarray, queries: np.ndarray | None, t: int):
     tree = cKDTree(points)
     cand = tree.query(queries, k=k)[1].reshape(m, k)
     if (cand == n).any():  # the tree reports no point where a squared distance overflows
-        raise ValueError(
-            "squared distances between points overflow float64; rescale the features "
-            "(cluster and select take --normalize minmax-symmetric)"
-        )
+        raise FeatureScaleError("squared distances between points overflow float64" + _RESCALE)
     dist = _pair_distances(queries, np.repeat(np.arange(m), k), points, cand.ravel())
     dist = dist.reshape(m, k)
+    rows, cols = np.nonzero(dist == 0)  # distinct points at 0 have underflowing squares
+    if (queries[rows] != points[cand[rows, cols]]).any():
+        raise FeatureScaleError("squared distances between distinct points underflow" + _RESCALE)
     if own:
         # The point itself sorts last and is dropped; a point missing from its
         # own candidates has k duplicates, so its row ties at 0 and is settled
@@ -209,13 +214,13 @@ def _union_keys(*parts: np.ndarray) -> np.ndarray:
     return keys[new]
 
 
-def _pair_keys(pairs, n: int) -> np.ndarray:
-    """Keys ``i * n + j`` of both orientations of every pair."""
-    i, j = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+def _pair_keys(pairs: np.ndarray, n: int) -> np.ndarray:
+    """Keys ``i * n + j`` of both orientations of every row ``(i, j)`` of an int64 array."""
+    i, j = pairs.T
     return np.concatenate([i * n + j, j * n + i])
 
 
-def _link_matrix(pairs, n: int, diagonal: float) -> sparse.csr_matrix:
+def _link_matrix(pairs: np.ndarray, n: int, diagonal: float) -> sparse.csr_matrix:
     """Symmetric sparse 0/1 matrix marking ``pairs``, plus ``diagonal`` on the diagonal."""
     diag = np.arange(n, dtype=np.int64) * (n + 1)
     keys = _union_keys(_pair_keys(pairs, n), diag)

@@ -217,27 +217,15 @@ def _class_columns(y, classes) -> tuple[np.ndarray, list[int]]:
     return counts, [index[v] for v in y]
 
 
-def _ratio_sums(ratios, counts, columns) -> tuple[float, float]:
-    """The cross sum ``sum_{i,j} r(x_i, y_j)^2`` and the matched sum ``sum_i r(x_i, y_i)``.
-
-    ``ratios[i, k]`` is ``r(x_i, classes[k])``; ``counts`` and ``columns``
-    come from :func:`_class_columns`.
-    """
-    ratios = np.asarray(ratios, dtype=float)
-    cross = float((ratios**2 @ counts).sum())
-    matched = float(ratios[np.arange(ratios.shape[0]), columns].sum())
-    return cross, matched
-
-
 def lsmi_from_ratios(ratios, y, classes) -> float:
     """LSMI from precomputed ratio values ``ratios[i, k] = r(x_i, classes[k])``.
 
     ``-(1/2n^2) sum_{i,j} r(x_i, y_j)^2 + (1/n) sum_i r(x_i, y_i) - 1/2``;
-    note the first sum pairs every sample with every label occurrence.
+    note the first sum pairs every sample with every label occurrence.  This
+    is the hold-out error of :func:`cv_error` over all n samples, negated,
+    minus 1/2: ``fl(b - a) = -fl(a - b)``, so the two agree bit for bit.
     """
-    cross, matched = _ratio_sums(ratios, *_class_columns(y, classes))
-    n = len(y)
-    return -cross / (2.0 * n**2) + matched / n - 0.5
+    return -_hold_error(ratios, *_class_columns(y, classes)) - 0.5
 
 
 def lsmi_value(model: RatioModel, x, y) -> float:
@@ -255,7 +243,10 @@ def cv_error(model: RatioModel, x_hold, y_hold) -> float:
 
 
 def _hold_error(ratios, counts, columns) -> float:
-    cross, matched = _ratio_sums(ratios, counts, columns)
+    """:func:`cv_error` from ``ratios[i, k] = r(x_i, classes[k])`` and :func:`_class_columns`."""
+    ratios = np.asarray(ratios, dtype=float)
+    cross = float((ratios**2 @ counts).sum())
+    matched = float(ratios[np.arange(ratios.shape[0]), columns].sum())
     m = len(columns)
     return cross / (2.0 * m**2) - matched / m
 

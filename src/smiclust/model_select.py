@@ -16,7 +16,6 @@ labeling and shared by the candidates that produced it.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 import warnings
@@ -28,6 +27,7 @@ import numpy as np
 from . import lsmi as lsmi_mod
 from . import solver
 from .data import ConstraintSet, Dataset
+from .kernel import FeatureScaleError
 
 DEFAULT_T_GRID = tuple(range(1, 11))
 DEFAULT_GAMMA_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
@@ -83,17 +83,10 @@ def count_violations(labels, cs: ConstraintSet) -> int:
     labels = np.asarray(labels)
     if labels.shape[0] != cs.n:
         raise ValueError(f"labels length {labels.shape[0]} does not match cs.n={cs.n}")
-    i, j = _pair_ends(cs.must_links)
-    violated = np.count_nonzero(labels[i] != labels[j])
-    i, j = _pair_ends(cs.cannot_links)
-    violated += np.count_nonzero(labels[i] == labels[j])
+    must, cannot = labels[cs.must_links], labels[cs.cannot_links]
+    violated = np.count_nonzero(must[:, 0] != must[:, 1])
+    violated += np.count_nonzero(cannot[:, 0] == cannot[:, 1])
     return int(violated)
-
-
-def _pair_ends(pairs) -> tuple[np.ndarray, np.ndarray]:
-    """The first and the second indices of ``pairs`` as two integer arrays."""
-    flat = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.intp, count=2 * len(pairs))
-    return flat[0::2], flat[1::2]
 
 
 def score_candidates(candidates: list[Candidate]) -> list[Candidate]:
@@ -132,6 +125,8 @@ def _cluster_job(job):
     labels, error = None, None
     try:
         labels, _ = solver.cluster(ds, cs, t, gamma, eta, c)
+    except FeatureScaleError:  # the features fail every candidate alike
+        raise
     except Exception as exc:  # candidate failure is data, not a crash
         error = f"{type(exc).__name__}: {exc}"
     return labels, error, time.perf_counter() - start

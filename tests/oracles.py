@@ -12,7 +12,12 @@ import numpy as np
 from scipy import sparse
 
 from smiclust import solver
-from smiclust.data import DATASET_FORMATS, DatasetFormatError, EmptyDatasetError
+from smiclust.data import (
+    DATASET_FORMATS,
+    ConstraintFormatError,
+    DatasetFormatError,
+    EmptyDatasetError,
+)
 
 
 class Dense:
@@ -60,6 +65,30 @@ def cannot_link_matrix(cs) -> np.ndarray:
     for i, j in cs.cannot_links:
         m[i, j] = m[j, i] = 1.0
     return m
+
+
+def constraint_pairs(must_links, cannot_links, n: int):
+    """Link lists checked and ordered one pair at a time, as ``(must, cannot)`` tuples.
+
+    The first self-pair or out-of-range pair, must-links first, is refused;
+    then pairs in both lists, named in sorted order.  Each pair becomes
+    ``(i, j)`` with ``i < j``.
+    """
+
+    def check(pair):
+        i, j = int(pair[0]), int(pair[1])
+        if i == j:
+            raise ConstraintFormatError(f"self-pair ({i}, {i}) is not a valid link")
+        if not (0 <= i < n and 0 <= j < n):
+            raise ConstraintFormatError(f"pair ({i}, {j}) out of range for n={n}")
+        return (i, j) if i < j else (j, i)
+
+    must = tuple(check(p) for p in must_links)
+    cannot = tuple(check(p) for p in cannot_links)
+    overlap = set(must) & set(cannot)
+    if overlap:
+        raise ConstraintFormatError(f"pairs present in both link lists: {sorted(overlap)}")
+    return must, cannot
 
 
 def link_matrix(pairs, n: int, diagonal: float) -> sparse.csr_matrix:

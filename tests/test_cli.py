@@ -434,3 +434,66 @@ def test_overflowing_distances_exit_2_naming_normalize(workdir):
     assert plain.read_bytes() == large.read_bytes()
     # The flag the message names brings the refused points into range.
     assert main(args + ["--normalize", "minmax-symmetric"]) == 0
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", [["select"], ["cluster", "--auto"]], ids=["select", "auto"])
+def test_grid_search_refuses_overflowing_features_once(workdir, command, jobs):
+    """The overflow refusal ends the search with exit 2, not one error per candidate."""
+    x = make_blobs(20, 2, 2, 3.0, seed=0).features
+    write_features_csv(workdir / "huge.csv", x * 1e155)
+    proc = run_cli(
+        [*command, "--input", "huge.csv", "--classes", "2", "--t-grid", "3,4",
+         "--gamma-grid", "0", "--eta-grid", "0", "--jobs", jobs],
+        workdir,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: squared distances")
+    assert not (workdir / "labels.csv").exists()
+
+
+def test_underflowing_distances_exit_2_naming_normalize(workdir):
+    """Distinct points whose squared distances underflow to 0 are refused, not merged."""
+    x = make_blobs(20, 2, 2, 3.0, seed=0).features
+    write_features_csv(workdir / "tiny.csv", x * 1e-200)
+    args = ["cluster", "--input", "tiny.csv", "--classes", "2", "--t", "3"]
+    proc = run_cli(args, workdir)
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: squared distances")
+    assert "underflow" in proc.stderr and "--normalize minmax-symmetric" in proc.stderr
+    assert not (workdir / "labels.csv").exists()
+    # At 1e-160 the squares are subnormal, not 0: the labels are the unscaled ones.
+    write_features_csv(workdir / "plain.csv", x)
+    write_features_csv(workdir / "small.csv", x * 1e-160)
+    for name in ("plain", "small"):
+        assert main(["cluster", "--input", f"{name}.csv", "--classes", "2", "--t", "3",
+                     "--labels-out", f"{name}-labels.csv"]) == 0
+    plain, small = (workdir / "plain-labels.csv"), (workdir / "small-labels.csv")
+    assert plain.read_bytes() == small.read_bytes()
+    # Equal points lie at distance 0 by right: doubled points still cluster, copies together.
+    write_features_csv(workdir / "doubled.csv", np.repeat(x * 1e-160, 2, axis=0))
+    assert main(["cluster", "--input", "doubled.csv", "--classes", "2", "--t", "3",
+                 "--labels-out", "doubled-labels.csv"]) == 0
+    doubled = np.loadtxt(workdir / "doubled-labels.csv", delimiter=",", skiprows=1)[:, 1]
+    assert np.array_equal(doubled[0::2], doubled[1::2])
+    assert main(args + ["--normalize", "minmax-symmetric"]) == 0
+
+
+def test_zscore_refuses_overflowing_statistics(workdir):
+    """zscore exits 2 with one line where a column's std overflows; minmax-symmetric works."""
+    x = make_blobs(20, 2, 2, 3.0, seed=0).features
+    for name, scale in [("plain", 1.0), ("large", 1e150), ("huge", 1e155)]:
+        write_features_csv(workdir / f"{name}.csv", x * scale)
+    args = ["cluster", "--input", "huge.csv", "--classes", "2", "--t", "3"]
+    proc = run_cli(args + ["--normalize", "zscore"], workdir)
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+    assert "zscore" in proc.stderr and "minmax-symmetric" in proc.stderr
+    assert "Warning" not in proc.stderr
+    assert not (workdir / "labels.csv").exists()
+    for name in ("plain", "large"):
+        assert main(["cluster", "--input", f"{name}.csv", "--classes", "2", "--t", "3",
+                     "--normalize", "zscore", "--labels-out", f"{name}-labels.csv"]) == 0
+    plain, large = (workdir / "plain-labels.csv"), (workdir / "large-labels.csv")
+    assert plain.read_bytes() == large.read_bytes()
+    assert main(args + ["--normalize", "minmax-symmetric"]) == 0

@@ -25,6 +25,14 @@ from smiclust.data import (
 from smiclust.kernel import _link_matrix
 
 
+def assert_same_links(a, b):
+    """``a`` and ``b`` hold the same links, in the same order, over the same n."""
+    assert a.n == b.n
+    assert a.must_links.dtype == b.must_links.dtype == np.int64
+    assert np.array_equal(a.must_links, b.must_links)
+    assert np.array_equal(a.cannot_links, b.cannot_links)
+
+
 def _csv(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -294,18 +302,18 @@ class TestMakeBlobs:
 class TestSampleConstraints:
     def test_zero_links(self):
         cs = sample_constraints([1, 1, 2, 2], 0, seed=0)
-        assert cs.must_links == () and cs.cannot_links == ()
+        assert cs.must_links.shape == cs.cannot_links.shape == (0, 2)
 
     def test_all_pairs_enumerated(self):
         cs = sample_constraints([1, 1, 2, 2], 6, seed=0)
-        assert set(cs.must_links) == {(0, 1), (2, 3)}
-        assert set(cs.cannot_links) == {(0, 2), (0, 3), (1, 2), (1, 3)}
+        assert set(map(tuple, cs.must_links.tolist())) == {(0, 1), (2, 3)}
+        assert set(map(tuple, cs.cannot_links.tolist())) == {(0, 2), (0, 3), (1, 2), (1, 3)}
 
     def test_deterministic(self):
         labels = [1, 2, 1, 2, 1, 2, 2, 1]
         a = sample_constraints(labels, 5, seed=9)
         b = sample_constraints(labels, 5, seed=9)
-        assert a == b
+        assert_same_links(a, b)
 
     def test_too_many_links(self):
         with pytest.raises(ValueError):
@@ -327,8 +335,8 @@ class TestSampleConstraints:
             assert labels[i] == labels[j]
         for i, j in cs.cannot_links:
             assert labels[i] != labels[j]
-        pairs = cs.must_links + cs.cannot_links
-        assert len(set(pairs)) == len(pairs)  # sampled without replacement
+        pairs = np.concatenate([cs.must_links, cs.cannot_links])
+        assert len(np.unique(pairs, axis=0)) == len(pairs)  # sampled without replacement
 
     def test_matrix_invariants(self):
         cs = sample_constraints([1, 1, 2, 2, 3], 7, seed=4)
@@ -358,8 +366,53 @@ class TestConstraintSet:
 
     def test_pairs_canonicalized(self):
         cs = ConstraintSet(((2, 0),), ((3, 1),), 4)
-        assert cs.must_links == ((0, 2),)
-        assert cs.cannot_links == ((1, 3),)
+        assert cs.must_links.tolist() == [[0, 2]]
+        assert cs.cannot_links.tolist() == [[1, 3]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_pair_oracle(self, data):
+        # Indices reach past both ends of 0..n-1; pairs repeat, come in both
+        # orientations and may sit in both lists.
+        n = data.draw(st.integers(1, 6), label="n")
+        index = st.integers(-2, n + 1)
+        pairs = st.lists(st.tuples(index, index), max_size=6)
+        must, cannot = data.draw(pairs, label="must"), data.draw(pairs, label="cannot")
+        shared = data.draw(st.lists(st.sampled_from(must), max_size=3) if must else st.just([]))
+        cannot = data.draw(st.permutations(cannot + [(j, i) for i, j in shared]), label="cannot")
+        form = data.draw(st.sampled_from([tuple, list, np.array]), label="form")
+        try:
+            want = oracles.constraint_pairs(must, cannot, n)
+        except ConstraintFormatError as exc:
+            with pytest.raises(ConstraintFormatError) as got:
+                ConstraintSet(form(must), form(cannot), n)
+            assert str(got.value) == str(exc)
+            return
+        cs = ConstraintSet(form(must), form(cannot), n)
+        for held, pairs in zip((cs.must_links, cs.cannot_links), want):
+            assert held.dtype == np.int64 and held.shape == (len(pairs), 2)
+            assert not held.flags.writeable
+            assert list(map(tuple, held.tolist())) == list(pairs)
+
+    def test_non_integral_index_rejected(self):
+        with pytest.raises(ConstraintFormatError, match="integers"):
+            ConstraintSet(((0.5, 2),), (), 3)
+        with pytest.raises(ConstraintFormatError, match="integers"):
+            ConstraintSet((), ((0, float("nan")),), 3)
+        assert ConstraintSet(((2.0, 0.0),), (), 3).must_links.tolist() == [[0, 2]]
+
+    @pytest.mark.parametrize("links", [((0, 1, 2),), ((0, 1), (2,)), ((),), (("0", "1"),)])
+    def test_list_not_of_pairs_rejected(self, links):
+        with pytest.raises(ConstraintFormatError, match="pairs"):
+            ConstraintSet(links, (), 3)
+
+    def test_holds_its_own_copy(self):
+        given = np.array([[1, 0]])
+        cs = ConstraintSet(given, (), 2)
+        given[0] = [0, 0]
+        assert cs.must_links.tolist() == [[0, 1]]
+        with pytest.raises(ValueError):
+            cs.must_links[0, 0] = 1
 
 
 class TestConstraintFiles:
@@ -367,7 +420,7 @@ class TestConstraintFiles:
         cs = sample_constraints([1, 1, 2, 2, 1, 2], 6, seed=1)
         path = tmp_path / "links.txt"
         save_constraints(cs, path)
-        assert load_constraints(path, 6) == cs
+        assert_same_links(load_constraints(path, 6), cs)
 
     def test_file_is_one_based(self, tmp_path):
         path = tmp_path / "links.txt"
@@ -379,8 +432,8 @@ class TestConstraintFiles:
         path = tmp_path / "links.txt"
         path.write_text("# a comment\n1 2 +1  # trailing\n\n2 3 -1\n")
         cs = load_constraints(path, 3)
-        assert cs.must_links == ((0, 1),)
-        assert cs.cannot_links == ((1, 2),)
+        assert cs.must_links.tolist() == [[0, 1]]
+        assert cs.cannot_links.tolist() == [[1, 2]]
 
     def test_out_of_range_names_line(self, tmp_path):
         path = tmp_path / "links.txt"

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
+from smiclust import lsmi
 from smiclust.data import make_blobs
 from smiclust.lsmi import (
     DEFAULT_DELTA_GRID,
     CvRecord,
     RatioModel,
+    _class_columns,
     _class_systems,
     _fold_assignment,
     _stratified_centers,
@@ -270,6 +273,24 @@ class TestLsmiValue:
     def test_constant_ratio_is_exactly_zero(self):
         y = np.array([1, 1, 2, 2, 2, 1, 2])
         assert lsmi_from_ratios(np.ones((7, 2)), y, (1, 2)) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_is_negated_hold_error_bit_for_bit(self, data):
+        # fl(b - a) = -fl(a - b), so LSMI is the one hold-out error formula, negated, exactly.
+        n, c = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 3))
+        values = st.floats(-1e3, 1e3, allow_subnormal=True)
+        ratios = np.array(data.draw(st.lists(values, min_size=n * c, max_size=n * c)))
+        ratios = ratios.reshape(n, c)
+        y = np.array(data.draw(st.lists(st.integers(1, c), min_size=n, max_size=n)))
+        counts, columns = _class_columns(y, tuple(range(1, c + 1)))
+        cross = float((ratios**2 @ counts).sum())
+        matched = float(ratios[np.arange(n), columns].sum())
+        direct = -cross / (2.0 * n**2) + matched / n - 0.5
+        with mock.patch.object(lsmi, "_hold_error", wraps=lsmi._hold_error) as hold_error:
+            got = lsmi_from_ratios(ratios, y, tuple(range(1, c + 1)))
+        hold_error.assert_called_once()
+        assert np.float64(got).tobytes() == np.float64(direct).tobytes()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_brute_force(self, seed):

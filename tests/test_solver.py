@@ -509,6 +509,7 @@ def test_array_dataclasses_compare_by_identity():
     _, model = cluster(ds, None, 3, 0.0, 0.0, 2)
     for make in (
         lambda: KernelMatrix(np.eye(3), 1),
+        lambda: ConstraintSet(((0, 1),), (), 3),
         lambda: objective_matrix(kernel, empty_constraints(ds.n), 1.0, 0.0, 2),
         lambda: replace(model),
         lambda: fit_ratio_model(ds.features, ds.labels, 1.0, 0.1, seed=0),
@@ -525,7 +526,7 @@ class TestModelScales:
         ds = make_blobs(30, 2, 2, 3.0, seed=6)
         sigma = nearest_neighbors(ds.features, 4)[1]
         cs = sample_constraints(ds.labels, 40, seed=2)
-        assert cs.must_links
+        assert len(cs.must_links) > 0
         for _, model in (
             cluster(ds, None, 4, 0.0, 0.0, 2),
             cluster(ds, cs, 4, 1.0, 0.5, 2),
