@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -87,8 +88,10 @@ def _write_manifest(args, command: str, inputs, outputs, started: float, **extra
 
 
 def _write_labels_csv(path, labels) -> None:
-    rows = [f"{i},{label}\n" for i, label in enumerate(np.asarray(labels, dtype=int).tolist(), 1)]
-    Path(path).write_text("".join(["index,label\n", *rows]), encoding="utf-8")
+    labels = np.asarray(labels, dtype=int)
+    pairs = np.column_stack([np.arange(1, labels.size + 1), labels]).ravel().tolist()
+    text = "index,label\n" + "%d,%d\n" * labels.size % tuple(pairs)
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def _write_kernel_csv(path, matrix) -> None:
@@ -236,11 +239,7 @@ def cmd_predict(args) -> int:
     started = time.perf_counter()
     model = load_model(args.model)
     ds = load_dataset(args.input, "csv", allow_empty=True)
-    if ds is None:
-        Path(args.output).write_text("index,label\n", encoding="utf-8")
-    else:
-        labels = predict(model, ds.features)
-        _write_labels_csv(args.output, labels)
+    _write_labels_csv(args.output, [] if ds is None else predict(model, ds.features))
     _write_manifest(args, "predict", [args.model, args.input], [args.output], started)
     return 0
 
@@ -348,19 +347,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a warning as one ``warning:`` line on stderr, without its source line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:  # the input and format errors are ValueErrors
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PredictionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        except (ValueError, FileNotFoundError) as exc:  # input and format errors are ValueErrors
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except PredictionError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except Exception as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

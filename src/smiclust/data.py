@@ -9,14 +9,17 @@ A dataset CSV holds one sample per row.  Blank and whitespace-only rows are
 skipped anywhere, rows before the first numeric row are skipped as a header,
 and every other row must be numeric, as wide as the first and finite.  With
 ``labeled-csv`` the last column holds whole-number labels in ``1..n``, n the
-number of data rows, so the class count never exceeds n.  The file is read
-by ``csv.reader`` once and converted and checked as one matrix; only after a
-check fails are the rows walked one by one, to name the first bad line.
+number of data rows, so the class count never exceeds n.  The file is UTF-8,
+with or without a byte-order mark.  It is converted by ``np.loadtxt`` in one
+call; a file that call refuses is read by ``csv.reader`` and converted and
+checked as one matrix, and only after a check fails are the rows walked one
+by one, to name the first bad line.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, replace
 from itertools import chain, compress
@@ -147,15 +150,61 @@ def _parse_rows(path, fmt, allow_empty):
     """The data rows of a CSV file as ``(line numbers, matrix)``, or ``None`` if empty.
 
     Blank and whitespace-only rows are dropped, and rows before the first row
-    that parses are skipped as headers.  The remaining rows are checked and
-    converted all at once; only when that fails does :func:`_raise_first_defect`
-    walk them row by row to name the line.
+    that parses are skipped as headers.  The text is decoded as UTF-8 with an
+    optional byte-order mark.  :func:`_loadtxt_rows` converts it in C; what
+    that route refuses goes to :func:`_csv_rows`, which decides every file.
     """
     if fmt not in DATASET_FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {DATASET_FORMATS}")
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        text = fh.read()
+    return _loadtxt_rows(text) or _csv_rows(path, text, allow_empty)
+
+
+def _loadtxt_rows(text):
+    """``(line numbers, matrix)`` by ``np.loadtxt``, or ``None`` to leave the file to csv.
+
+    Without quotes a ``csv.reader`` record is a line and its cells are the
+    line split at commas, and ``np.loadtxt`` gives ``float``'s bits for every
+    cell it accepts.  It skips only empty lines; any other blank row, a
+    ragged or non-finite row, a cell ``float`` reads and ``np.loadtxt`` does
+    not (``1_0``, non-ASCII digits), a file without data rows or a line
+    longer than csv's field limit returns ``None``.
+    """
+    if '"' in text:
+        return None
+    if "\r" in text:  # csv.reader ends a line at CR LF, LF or CR alike
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    records = text.split("\n")
+    if records[-1] == "":  # the text ends in a newline, or is empty
+        records.pop()
+    if not records or max(map(len, records)) > csv.field_size_limit():
+        return None
+    # A blank row never parses: each of its cells is empty or whitespace.
+    first = next((k for k, line in enumerate(records) if _is_numeric(line.split(","))), None)
+    if first is None:
+        return None
+    rows = records[first:]
+    try:
+        matrix = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    lines = np.arange(first + 1, len(records) + 1)
+    if matrix.shape[0] < len(rows):  # np.loadtxt skipped empty lines
+        lines = lines[np.fromiter(map(bool, rows), bool, len(rows))]
+    if lines.size != matrix.shape[0] or not np.isfinite(matrix).all():
+        return None
+    return lines, matrix
+
+
+def _csv_rows(path, text, allow_empty):
+    """``(line numbers, matrix)`` of ``text`` read by ``csv.reader``, or ``None`` if empty.
+
+    The rows are checked and converted all at once; only when that fails does
+    :func:`_raise_first_defect` walk them row by row to name the line.
+    """
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     kept = np.fromiter(map(bool, map(str.strip, map("".join, rows))), bool, len(rows))
     lines = np.flatnonzero(kept) + 1
     if lines.size < len(rows):
@@ -283,10 +332,13 @@ def normalize(ds: Dataset, scheme: str = "minmax-symmetric") -> Dataset:
     if scheme == "minmax-symmetric":
         lo = x.min(axis=0)
         hi = x.max(axis=0)
-        span = hi - lo
+        # A column whose doubled span overflows is mapped from halved values.
+        # Halving and doubling commute with rounding, so the others keep their bits.
+        half = np.where(hi / 2 - lo / 2 > np.finfo(float).max / 4, 0.5, 1.0)
+        span = hi * half - lo * half
         constant = span == 0
         span[constant] = 1.0
-        x = 2.0 * (x - lo) / span - 1.0
+        x = 2.0 * ((x * half - lo * half) / span) - 1.0
         x[:, constant] = 0.0
     else:
         with np.errstate(over="ignore", invalid="ignore"):

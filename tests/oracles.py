@@ -6,6 +6,7 @@ can compare the fast path with it exactly.
 """
 
 import csv
+from itertools import chain, compress
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,8 @@ from smiclust.data import (
     ConstraintFormatError,
     DatasetFormatError,
     EmptyDatasetError,
+    _is_numeric,
+    _raise_first_defect,
 )
 
 
@@ -98,6 +101,40 @@ def link_matrix(pairs, n: int, diagonal: float) -> sparse.csr_matrix:
     return (links + links.T + diagonal * sparse.identity(n)).tocsr()
 
 
+def csv_parse_rows(path, fmt, allow_empty):
+    """CSV data rows as ``(line numbers, matrix)``, every file read by ``csv.reader``.
+
+    The form ``_parse_rows`` had before its ``np.loadtxt`` route: the rows are
+    converted and checked as one matrix, and walked one by one only to name a
+    defect.  ``None`` for a file without data rows when ``allow_empty`` is set.
+    """
+    if fmt not in DATASET_FORMATS:
+        raise ValueError(f"unknown format {fmt!r}; expected one of {DATASET_FORMATS}")
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = list(csv.reader(fh))
+    kept = np.fromiter(map(bool, map(str.strip, map("".join, rows))), bool, len(rows))
+    lines = np.flatnonzero(kept) + 1
+    if lines.size < len(rows):
+        rows = list(compress(rows, kept))
+    first = next((k for k, cells in enumerate(rows) if _is_numeric(cells)), len(rows))
+    rows, lines = rows[first:], lines[first:]
+    if not rows:
+        if allow_empty:
+            return None
+        raise EmptyDatasetError(f"{path}: file contains no data rows")
+    width = len(rows[0])
+    matrix = None
+    if (np.fromiter(map(len, rows), np.intp, len(rows)) == width).all():
+        try:
+            cells = map(float, chain.from_iterable(rows))
+            matrix = np.fromiter(cells, float, len(rows) * width).reshape(len(rows), width)
+        except ValueError:
+            pass
+    if matrix is None or not np.isfinite(matrix).all():
+        _raise_first_defect(path, rows, lines.tolist())
+    return lines, matrix
+
+
 def parse_rows(path, fmt, allow_empty):
     """CSV data rows as ``(line numbers, matrix)``, parsed one cell and one check at a time.
 
@@ -106,7 +143,7 @@ def parse_rows(path, fmt, allow_empty):
     if fmt not in DATASET_FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {DATASET_FORMATS}")
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         first_data_line = None
         for lineno, cells in enumerate(reader, start=1):
@@ -157,3 +194,15 @@ def labels(path, lines, column):
                 f"{path}: label {int(value)} exceeds the row count {n} on line {lineno}"
             )
     return column.astype(int)
+
+
+def minmax_symmetric(x):
+    """``2 (x - lo) / (hi - lo) - 1`` per column, constant columns 0: inf where it overflows."""
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = hi - lo
+        constant = span == 0
+        span[constant] = 1.0
+        out = 2.0 * (x - lo) / span - 1.0
+    out[:, constant] = 0.0
+    return out

@@ -372,6 +372,8 @@ class TestClusterBuildsTheKernelOnce:
 def test_labels_csv_is_index_then_label(workdir):
     _write_labels_csv(workdir / "labels.csv", np.array([2, 1, 2, 10]))
     assert (workdir / "labels.csv").read_bytes() == b"index,label\n1,2\n2,1\n3,2\n4,10\n"
+    _write_labels_csv(workdir / "none.csv", [])
+    assert (workdir / "none.csv").read_bytes() == b"index,label\n"
 
 
 def run_cli(args, cwd):
@@ -497,3 +499,32 @@ def test_zscore_refuses_overflowing_statistics(workdir):
     plain, large = (workdir / "plain-labels.csv"), (workdir / "large-labels.csv")
     assert plain.read_bytes() == large.read_bytes()
     assert main(args + ["--normalize", "minmax-symmetric"]) == 0
+
+
+def test_warnings_print_one_line_each(workdir):
+    """A warning reaches stderr as one ``warning:`` line, without the source line it came from."""
+    ds = make_blobs(10, 3, 2, 8.0, seed=1)
+    write_labeled_csv(workdir / "three.csv", ds)
+    proc = run_cli(
+        ["select", "--input", "three.csv", "--format", "labeled-csv", "--classes", "3",
+         "--t-grid", "3", "--gamma-grid", "0", "--eta-grid", "0,1", "--jobs", "1"],
+        workdir,
+    )
+    assert proc.returncode == 0
+    warning, best = proc.stderr.splitlines()
+    assert warning == (
+        "warning: eta grid forced to {0} because c=3 > 2 (cannot-link squares only encode "
+        "must-links for binary problems)"
+    )
+    assert best.startswith("best: t=3 gamma=0.0 eta=0.0 ")
+
+
+def test_minmax_symmetric_maps_a_column_wider_than_float64(workdir):
+    """A column from -1e308 to 1e308 clusters after --normalize minmax-symmetric, silently."""
+    x = make_blobs(20, 2, 2, 3.0, seed=0).features
+    wide = np.column_stack([np.r_[1e308, -1e308, np.zeros(len(x) - 2)] + x[:, 0], x[:, 1]])
+    write_features_csv(workdir / "wide.csv", wide)
+    proc = run_cli(["cluster", "--input", "wide.csv", "--classes", "2", "--t", "3",
+                    "--normalize", "minmax-symmetric"], workdir)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert len((workdir / "labels.csv").read_text().splitlines()) == len(x) + 1

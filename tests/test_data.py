@@ -95,6 +95,16 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="format"):
             load_dataset(path, "tsv")
 
+    @pytest.mark.parametrize("header", ["", "x,y\n", '"x","y"\n'])
+    @pytest.mark.parametrize("fmt", ["csv", "labeled-csv"])
+    def test_byte_order_mark_keeps_the_first_row(self, tmp_path, fmt, header):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (header + "1.5,2\n0.5,1\n2.5,2\n").encode())
+        ds = load_dataset(path, fmt)
+        assert ds.n == 3 and ds.features[:, 0].tolist() == [1.5, 0.5, 2.5]
+        if fmt == "labeled-csv":
+            assert ds.labels.tolist() == [2, 1, 2]
+
 
 _CELLS = st.one_of(
     st.sampled_from([
@@ -223,6 +233,66 @@ def test_long_files_equal_row_by_row_oracle(tmp_path_factory, lines, newline, tr
     assert got == want
 
 
+_ODD_ROWS = [
+    "", "   ", ",,", " , ", "\t", "x,y", "label", '"1",2', '" 3 ",4', '"x"', '"1\n2",3', "1_0,2",
+    "\uff11,2", "\u0661,1", "nan,1", "1,inf", "-inf,2", "1e999,1", "1,2,3", "a,1", "1,", "\xa01,2",
+]
+
+
+@st.composite
+def _text(draw):
+    """Mostly rows of one width among odd rows, with any line ending and maybe a BOM."""
+    width = draw(st.integers(1, 3))
+    row = st.lists(_NUMBERS, min_size=width, max_size=width).map(",".join)
+    odd = st.one_of(st.just(""), st.sampled_from(_ODD_ROWS))
+    lines = draw(st.lists(st.one_of(row, row, odd), max_size=10))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    end = draw(st.sampled_from(["", newline, newline * 2]))
+    return draw(st.sampled_from(["", "\ufeff"])) + newline.join(lines) + end
+
+
+def _rows_outcome(parse, path, fmt, allow_empty):
+    """What ``parse`` gives: the bytes of its line numbers and matrix, or the exception."""
+    try:
+        parsed = parse(path, fmt, allow_empty)
+    except Exception as exc:  # noqa: BLE001  the type and message are compared
+        return type(exc), str(exc)
+    if parsed is None:
+        return None
+    lines, matrix = parsed
+    return lines.dtype, lines.tobytes(), matrix.dtype, matrix.shape, matrix.tobytes()
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_text(), fmt=st.sampled_from(["csv", "labeled-csv"]), allow_empty=st.booleans())
+def test_parse_equals_csv_reader_oracle(tmp_path_factory, text, fmt, allow_empty):
+    """The np.loadtxt route and its csv.reader fallback give the csv.reader parse bit for bit."""
+    path = tmp_path_factory.mktemp("rows") / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _rows_outcome(data._parse_rows, path, fmt, allow_empty)
+    assert got == _rows_outcome(oracles.csv_parse_rows, path, fmt, allow_empty)
+
+
+class TestParseRoute:
+    def test_plain_file_takes_the_loadtxt_route(self, tmp_path):
+        path = tmp_path / "plain.csv"
+        path.write_bytes(b"\xef\xbb\xbfx,y\r\n1,2\r\n\r\n3,4\r\n\r\n")
+        with mock.patch.object(data, "_csv_rows", side_effect=AssertionError("csv route")):
+            lines, matrix = data._parse_rows(path, "csv", False)
+        assert lines.tolist() == [2, 4] and matrix.tolist() == [[1, 2], [3, 4]]
+
+    @pytest.mark.parametrize("text", [
+        '"1",2\n3,4\n', '"x","y"\n1,2\n', "1_0,2\n", "1,2\n , \n3,4\n", "1,2\n3\n",
+        "1,nan\n", "x,y\n", "", "\n\n",
+    ])
+    def test_refused_files_go_to_csv_reader(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert data._loadtxt_rows(text) is None
+
+
 class TestNormalize:
     def test_minmax_symmetric_endpoints(self):
         ds = Dataset(features=np.array([[0.0], [255.0]]))
@@ -246,6 +316,29 @@ class TestNormalize:
         once = normalize(ds, "minmax-symmetric")
         twice = normalize(once, "minmax-symmetric")
         assert np.allclose(once.features, twice.features, atol=1e-12)
+
+    def test_minmax_symmetric_column_wider_than_float64(self):
+        x = np.array([[1e308, 0.0], [-1e308, 1.0], [0.0, 2.0], [1.7e308, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = normalize(Dataset(features=x), "minmax-symmetric").features
+        assert out[:, 0].tolist() == pytest.approx([4 / 2.7 - 1, -1.0, 2 / 2.7 - 1, 1.0])
+        assert out[[1, 3], 0].tolist() == [-1.0, 1.0]
+        assert out[:, 1].tolist() == pytest.approx([-1.0, -1 / 3, 1 / 3, 1.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8),
+        width=st.integers(1, 3),
+    )
+    def test_minmax_symmetric_keeps_the_bits_of_the_direct_formula(self, values, width):
+        x = np.resize(np.array(values), (len(values), width))
+        x[:, 1:] *= np.linspace(0.25, 1.0, width - 1)  # columns of other spans
+        want = oracles.minmax_symmetric(x)
+        got = normalize(Dataset(features=x), "minmax-symmetric").features
+        finite = np.isfinite(want).all(axis=0)
+        assert got[:, finite].tobytes() == want[:, finite].tobytes()
+        assert np.isfinite(got).all() and (np.abs(got) <= 1).all()
 
     def test_none_is_identity(self):
         ds = Dataset(features=np.array([[1.0, 2.0]]))
