@@ -138,14 +138,9 @@ def _tree_nearest(points: np.ndarray, queries: np.ndarray | None, t: int):
         # own candidates has k duplicates, so its row ties at 0 and is settled
         # on its ball.
         dist[cand == np.arange(m)[:, None]] = np.inf
-    # The tree lists candidates by its own distances; re-sort unless every row
-    # is already in (exact distance, index) order.
-    ahead, behind = dist[:, :-1], dist[:, 1:]
-    if not ((ahead < behind) | ((ahead == behind) & (cand[:, :-1] < cand[:, 1:]))).all():
-        order = np.lexsort((cand, dist), axis=1)
-        cand = np.take_along_axis(cand, order, axis=1)
-        dist = np.take_along_axis(dist, order, axis=1)
-    cand, dist = cand[:, : k - own], dist[:, : k - own]
+    order = np.lexsort((cand, dist), axis=1)
+    cand = np.take_along_axis(cand, order, axis=1)[:, : k - own]
+    dist = np.take_along_axis(dist, order, axis=1)[:, : k - own]
     neighbors, kth = cand[:, :t].copy(), dist[:, t - 1].copy()
     tied = np.flatnonzero(dist[:, t] <= _widened(kth)) if k - own > t else np.arange(0)
     if not tied.size:
