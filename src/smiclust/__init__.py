@@ -5,6 +5,10 @@ global optimum is available analytically through an eigendecomposition.
 Must-link and cannot-link side information enters both the similarity matrix
 and the objective, and hyperparameters are selected by a least-squares mutual
 information criterion penalized by link violations.
+
+The names below are the API that the README and ``demos/`` use; everything
+else stays importable from its module (``smiclust.kernel``, ``smiclust.solver``,
+...).
 """
 
 __version__ = "0.1.0"
@@ -14,105 +18,37 @@ from .data import (
     ConstraintSet,
     Dataset,
     DatasetFormatError,
-    empty_constraints,
-    load_constraints,
     load_dataset,
     make_blobs,
-    normalize,
     sample_constraints,
-    save_constraints,
 )
-from .evaluation import (
-    BenchmarkConfig,
-    BenchmarkReport,
-    adjusted_rand_index,
-    ari,
-    run_benchmark,
-    write_report_csv,
-    write_report_summary,
-)
-from .kernel import KernelMatrix, apply_constraints, local_scaling_kernel, nearest_neighbors
-from .lsmi import (
-    RatioModel,
-    cross_validate,
-    cv_error,
-    evaluate_ratio,
-    fit_ratio_model,
-    lsmi_from_ratios,
-    lsmi_value,
-    ratio_matrix,
-)
-from .model_select import (
-    Candidate,
-    GridSearchResult,
-    LsmiConfig,
-    count_violations,
-    grid_search,
-    score_candidates,
-)
-from .solver import (
-    ClusterModel,
-    ObjectiveMatrix,
-    PredictionError,
-    assign_clusters,
-    cluster,
-    cluster_unsupervised,
-    fix_signs,
-    load_model,
-    objective_matrix,
-    predict,
-    save_model,
-    top_eigenpairs,
-)
+from .evaluation import BenchmarkConfig, adjusted_rand_index, run_benchmark, write_report_csv
+from .lsmi import cross_validate, fit_ratio_model, lsmi_value
+from .model_select import LsmiConfig, count_violations, grid_search
+from .solver import PredictionError, cluster, load_model, predict, save_model
 
 __all__ = [
     "__version__",
     "adjusted_rand_index",
-    "apply_constraints",
-    "ari",
-    "assign_clusters",
     "BenchmarkConfig",
-    "BenchmarkReport",
-    "Candidate",
     "cluster",
-    "cluster_unsupervised",
-    "ClusterModel",
     "ConstraintFormatError",
     "ConstraintSet",
     "count_violations",
     "cross_validate",
-    "cv_error",
     "Dataset",
     "DatasetFormatError",
-    "empty_constraints",
-    "evaluate_ratio",
     "fit_ratio_model",
-    "fix_signs",
     "grid_search",
-    "GridSearchResult",
-    "KernelMatrix",
-    "load_constraints",
     "load_dataset",
     "load_model",
-    "local_scaling_kernel",
-    "lsmi_from_ratios",
     "lsmi_value",
     "LsmiConfig",
     "make_blobs",
-    "nearest_neighbors",
-    "normalize",
-    "objective_matrix",
-    "ObjectiveMatrix",
     "predict",
     "PredictionError",
-    "ratio_matrix",
-    "RatioModel",
     "run_benchmark",
     "sample_constraints",
-    "save_constraints",
     "save_model",
-    "score_candidates",
-    "top_eigenpairs",
     "write_report_csv",
-    "write_report_summary",
 ]

@@ -10,7 +10,8 @@ skipped anywhere, rows before the first numeric row are skipped as a header,
 and every other row must be numeric, as wide as the first and finite.  With
 ``labeled-csv`` the last column holds whole-number labels in ``1..n``, n the
 number of data rows, so the class count never exceeds n.  The file is UTF-8,
-with or without a byte-order mark.  It is converted by ``np.loadtxt`` in one
+with or without a byte-order mark; a byte that is not UTF-8 is refused on its
+line, in constraint files too.  It is converted by ``np.loadtxt`` in one
 call; a file that call refuses is read by ``csv.reader`` and converted and
 checked as one matrix, and only after a check fails are the rows walked one
 by one, to name the first bad line.
@@ -146,6 +147,20 @@ def empty_constraints(n: int) -> ConstraintSet:
     return ConstraintSet((), (), n)
 
 
+def _read_text(path, error) -> str:
+    """The UTF-8 text of ``path``; a byte that is not UTF-8 raises ``error`` naming its line.
+
+    Lines end at LF, CR LF or CR, as ``csv.reader`` and ``str.splitlines`` count them.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise error(f"{path}: byte 0x{data[exc.start]:02x} on line {line} is not UTF-8") from None
+
+
 def _parse_rows(path, fmt, allow_empty):
     """The data rows of a CSV file as ``(line numbers, matrix)``, or ``None`` if empty.
 
@@ -157,8 +172,7 @@ def _parse_rows(path, fmt, allow_empty):
     if fmt not in DATASET_FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {DATASET_FORMATS}")
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        text = fh.read()
+    text = _read_text(path, DatasetFormatError).removeprefix("\ufeff")
     return _loadtxt_rows(text) or _csv_rows(path, text, allow_empty)
 
 
@@ -429,7 +443,7 @@ def load_constraints(path, n: int) -> ConstraintSet:
     against the sample count ``n``.
     """
     must, cannot = [], []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path, ConstraintFormatError).splitlines(), start=1):
         parts = raw.split("#", 1)[0].split()
         if not parts:
             continue

@@ -18,25 +18,12 @@ from .data import Dataset, load_dataset, make_blobs, normalize, sample_constrain
 from .model_select import LsmiConfig, grid_search
 
 
-def _canonical_partition(labels: np.ndarray) -> np.ndarray:
-    _, inverse = np.unique(labels, return_inverse=True)
-    # Renumber by first occurrence so the encoding ignores label names.
-    order = {}
-    out = np.empty_like(inverse)
-    for pos, code in enumerate(inverse):
-        if code not in order:
-            order[code] = len(order)
-        out[pos] = order[code]
-    return out
-
-
 def adjusted_rand_index(labels_a, labels_b) -> float:
     """Chance-corrected agreement between two labelings, in [-1, 1].
 
-    Computed from the pair-counting contingency table.  In the degenerate
-    case where the maximum index equals its expectation (for example both
-    labelings are a single cluster) the value is defined as 1 for identical
-    partitions and 0 otherwise.
+    Computed from the pair-counting contingency table.  The maximum index
+    equals its expectation only when both labelings are one cluster or both
+    are all singletons; the partitions are then identical and the value is 1.
     """
     a = np.asarray(labels_a).ravel()
     b = np.asarray(labels_b).ravel()
@@ -60,11 +47,8 @@ def adjusted_rand_index(labels_a, labels_b) -> float:
     expected = pairs_a * pairs_b / total
     max_index = (pairs_a + pairs_b) / 2.0
     if max_index == expected:
-        return 1.0 if np.array_equal(_canonical_partition(a), _canonical_partition(b)) else 0.0
+        return 1.0
     return float((index - expected) / (max_index - expected))
-
-
-ari = adjusted_rand_index
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ Must-links overwrite entries with 1, cannot-links with 0.
 
 The kernel is built sparse and held as canonical CSR (sorted indices, no
 duplicates, no explicit zeros); no n x n array is formed.  One neighbour rule
-(:func:`_tree_nearest`) and one entry rule (:func:`_pair_values`) serve both
+(:func:`_tree_nearest`) and one entry rule (:func:`_kernel_csr`) serve both
 the training kernel built here and the query kernel that labels new points in
-:mod:`smiclust.solver`.  The neighbour rule queries a ``cKDTree`` for one
+:mod:`smiclust.solver`: a training point's t neighbours are its t + 1 nearest
+points with itself dropped.  The neighbour rule queries a ``cKDTree`` for one
 candidate more than it needs, recomputes the candidates' distances exactly
 (bit for bit as ``cdist`` gives them) and orders them by (distance, index).
 A row whose next candidate lies within a relative 1e-9 of its t-th distance
@@ -58,7 +59,6 @@ class KernelMatrix:
 
     csr: sparse.csr_matrix
     t: int
-    modified: bool = False
     sigma: np.ndarray | None = None
 
     def __post_init__(self):
@@ -112,18 +112,13 @@ def _ball_pairs(tree: cKDTree, centers: np.ndarray, radii: np.ndarray):
     return np.repeat(np.arange(len(balls)), counts), points
 
 
-def _tree_nearest(points: np.ndarray, queries: np.ndarray | None, t: int):
+def _tree_nearest(points: np.ndarray, queries: np.ndarray, t: int):
     """The t nearest points of every query by (distance, index) and the t-th distance.
 
-    ``queries=None`` asks for every point's neighbours among the other points.
+    ``t`` is at most the number of points.
     """
-    n = points.shape[0]
-    if not 1 <= t <= n - 1:
-        raise ValueError(f"t must be in 1..{n - 1}, got {t}")
-    own = queries is None
-    queries = points if own else queries
-    m = queries.shape[0]
-    k = min(t + 1 + own, n)
+    n, m = points.shape[0], queries.shape[0]
+    k = min(t + 1, n)
     tree = cKDTree(points)
     cand = tree.query(queries, k=k)[1].reshape(m, k)
     if (cand == n).any():  # the tree reports no point where a squared distance overflows
@@ -133,16 +128,11 @@ def _tree_nearest(points: np.ndarray, queries: np.ndarray | None, t: int):
     rows, cols = np.nonzero(dist == 0)  # distinct points at 0 have underflowing squares
     if (queries[rows] != points[cand[rows, cols]]).any():
         raise FeatureScaleError("squared distances between distinct points underflow" + _RESCALE)
-    if own:
-        # The point itself sorts last and is dropped; a point missing from its
-        # own candidates has k duplicates, so its row ties at 0 and is settled
-        # on its ball.
-        dist[cand == np.arange(m)[:, None]] = np.inf
     order = np.lexsort((cand, dist), axis=1)
-    cand = np.take_along_axis(cand, order, axis=1)[:, : k - own]
-    dist = np.take_along_axis(dist, order, axis=1)[:, : k - own]
+    cand = np.take_along_axis(cand, order, axis=1)
+    dist = np.take_along_axis(dist, order, axis=1)
     neighbors, kth = cand[:, :t].copy(), dist[:, t - 1].copy()
-    tied = np.flatnonzero(dist[:, t] <= _widened(kth)) if k - own > t else np.arange(0)
+    tied = np.flatnonzero(dist[:, t] <= _widened(kth)) if k > t else np.arange(0)
     if not tied.size:
         return neighbors, kth
     # The ball at the widened t-th distance holds the true t nearest and every tie.
@@ -155,10 +145,9 @@ def _tree_nearest(points: np.ndarray, queries: np.ndarray | None, t: int):
     head = np.r_[True, (key[1:] != key[:-1]).any(axis=1)]
     group = np.cumsum(head) - 1
     heads, radii = tied[head], radii[by_key][head]
-    width = t + own  # a row of the own case drops itself from its ball's first t + 1
     offsets = np.cumsum(np.r_[0, tree.query_ball_point(queries[heads], radii, return_length=True)])
-    first_cols = np.empty((heads.size, width), dtype=neighbors.dtype)
-    first_dist = np.empty((heads.size, width))
+    first_cols = np.empty((heads.size, t), dtype=neighbors.dtype)
+    first_dist = np.empty((heads.size, t))
     start = 0
     while start < heads.size:
         stop = max(start + 1, np.searchsorted(offsets, offsets[start] + _TIE_BLOCK, "right") - 1)
@@ -167,27 +156,25 @@ def _tree_nearest(points: np.ndarray, queries: np.ndarray | None, t: int):
         dist = _pair_distances(queries, block[rows], points, cols)
         # Balls list points by index and the sort is stable: (row, distance, index) order.
         order = np.lexsort((dist, rows))
-        first = order[(offsets[start:stop] - offsets[start])[:, None] + np.arange(width)]
+        first = order[(offsets[start:stop] - offsets[start])[:, None] + np.arange(t)]
         first_cols[start:stop], first_dist[start:stop] = cols[first], dist[first]
         start = stop
-    cols, dist = first_cols[group], first_dist[group]
-    if own:
-        # Drop the row itself, or the (t + 1)-th point when the row is not among the first.
-        keep = cols != tied[:, None]
-        keep[keep.all(axis=1), t] = False
-        cols, dist = cols[keep].reshape(-1, t), dist[keep].reshape(-1, t)
-    neighbors[tied], kth[tied] = cols, dist[:, -1]
+    neighbors[tied], kth[tied] = first_cols[group], first_dist[group, -1]
     return neighbors, kth
 
 
-def _pair_values(dist, row_sigma, col_sigma) -> np.ndarray:
-    """``exp(-d^2 / (2 s_row s_col))`` per pair, or 1 where ``d == 0``.
+def _kernel_csr(keys: np.ndarray, a: np.ndarray, a_sigma, b: np.ndarray, b_sigma):
+    """Canonical CSR of the kernel between ``a`` (rows) and ``b`` at the keys ``row * len(b) + col``.
 
-    A zero scale at a positive distance divides to ``-inf`` and so gives 0.
+    Each entry is ``exp(-d^2 / (2 a_sigma[row] b_sigma[col]))``, or 1 where the
+    distance ``d`` is 0; a zero scale at a positive distance divides to
+    ``-inf`` and so gives 0, which is left out.
     """
+    rows, cols = np.divmod(keys, b.shape[0])
+    dist = _pair_distances(a, rows, b, cols)
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.exp(-(dist**2) / (2.0 * (row_sigma * col_sigma)))
-    return np.where(dist == 0, 1.0, values)
+        values = np.exp(-(dist**2) / (2.0 * (a_sigma[rows] * b_sigma[cols])))
+    return _pairs_csr(keys, np.where(dist == 0, 1.0, values), (a.shape[0], b.shape[0]))
 
 
 def _pairs_csr(keys: np.ndarray, values: np.ndarray, shape) -> sparse.csr_matrix:
@@ -242,7 +229,17 @@ def nearest_neighbors(features, t: int) -> tuple[np.ndarray, np.ndarray]:
     neighbors : int ndarray of shape (n, t)
     sigma : float ndarray of shape (n,)
     """
-    return _tree_nearest(np.asarray(features, dtype=float), None, t)
+    x = np.asarray(features, dtype=float)
+    n = x.shape[0]
+    if not 1 <= t <= n - 1:
+        raise ValueError(f"t must be in 1..{n - 1}, got {t}")
+    # Each point's t + 1 nearest hold the point itself unless t + 1 copies of
+    # it come first by index; drop the point, or else the (t + 1)-th, whose
+    # distance is then 0 like the t-th.
+    cols, sigma = _tree_nearest(x, x, t + 1)
+    keep = cols != np.arange(n)[:, None]
+    keep[keep.all(axis=1), t] = False
+    return cols[keep].reshape(n, t), sigma
 
 
 def local_scaling_kernel(features, t: int) -> KernelMatrix:
@@ -254,13 +251,11 @@ def local_scaling_kernel(features, t: int) -> KernelMatrix:
     regardless of their scales, so zero scales from duplicates never divide.
     """
     x = np.asarray(features, dtype=float)
-    neighbors, sigma = _tree_nearest(x, None, t)
+    neighbors, sigma = nearest_neighbors(x, t)
     n = x.shape[0]
     pairs = np.column_stack([np.repeat(np.arange(n), t), neighbors.ravel()])
     keys = _union_keys(_pair_keys(pairs, n), np.arange(n) * (n + 1))
-    rows, cols = np.divmod(keys, n)
-    values = _pair_values(_pair_distances(x, rows, x, cols), sigma[rows], sigma[cols])
-    return KernelMatrix(_pairs_csr(keys, values, (n, n)), t=t, sigma=sigma)
+    return KernelMatrix(_kernel_csr(keys, x, sigma, x, sigma), t=t, sigma=sigma)
 
 
 def query_kernel(features, sigma, t: int, queries) -> sparse.csr_matrix:
@@ -278,9 +273,7 @@ def query_kernel(features, sigma, t: int, queries) -> sparse.csr_matrix:
     inside = _pair_distances(queries, rows, features, cols) <= sigma[cols]
     near = np.repeat(np.arange(m, dtype=np.int64), t) * n + nearest.ravel()
     keys = _union_keys(near, rows[inside].astype(np.int64) * n + cols[inside])
-    rows, cols = np.divmod(keys, n)
-    dist = _pair_distances(queries, rows, features, cols)
-    return _pairs_csr(keys, _pair_values(dist, query_sigma[rows], sigma[cols]), (m, n))
+    return _kernel_csr(keys, queries, query_sigma, features, sigma)
 
 
 def apply_constraints(kernel: KernelMatrix, cs: ConstraintSet) -> KernelMatrix:
@@ -298,4 +291,4 @@ def apply_constraints(kernel: KernelMatrix, cs: ConstraintSet) -> KernelMatrix:
     values[np.searchsorted(keys, must)] = 1.0
     values[np.searchsorted(keys, cannot)] = 0.0
     edited = _pairs_csr(keys, values, (n, n))
-    return KernelMatrix(edited, kernel.t, modified=True, sigma=kernel.sigma)
+    return KernelMatrix(edited, kernel.t, sigma=kernel.sigma)

@@ -105,6 +105,14 @@ class TestLoadDataset:
         if fmt == "labeled-csv":
             assert ds.labels.tolist() == [2, 1, 2]
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, newline):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"\xef\xbb\xbfx,y" + newline + b"1,2" + newline + "3,\u00e9".encode("latin-1"))
+        with pytest.raises(DatasetFormatError) as err:
+            load_dataset(path)
+        assert str(err.value) == f"{path}: byte 0xe9 on line 3 is not UTF-8"
+
 
 _CELLS = st.one_of(
     st.sampled_from([
@@ -182,6 +190,13 @@ class TestLabelBound:
     def test_label_equal_to_row_count_accepted(self, tmp_path):
         ds = load_dataset(_csv(tmp_path, "1,1\n2,2\n"), "labeled-csv")
         assert ds.c == 2 and np.array_equal(ds.labels, [1, 2])
+
+    def test_non_utf8_label_file_names_file_and_line(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_bytes("index,label\n1,1\n2,\u00e9\n".encode("latin-1"))
+        with pytest.raises(DatasetFormatError) as err:
+            data.load_labels(path)
+        assert str(err.value) == f"{path}: byte 0xe9 on line 3 is not UTF-8"
 
 
 _VALUES = ["1", "-2.5", " 3 ", "4e2", "2.0", "0.1", "-0", "1e-300"]
@@ -539,6 +554,13 @@ class TestConstraintFiles:
         path.write_text("1 2 5\n")
         with pytest.raises(ConstraintFormatError, match="line 1"):
             load_constraints(path, 4)
+
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path):
+        path = tmp_path / "links.txt"
+        path.write_bytes("1 2 +1\n# caf\u00e9\n".encode("latin-1"))
+        with pytest.raises(ConstraintFormatError) as err:
+            load_constraints(path, 4)
+        assert str(err.value) == f"{path}: byte 0xe9 on line 2 is not UTF-8"
 
 
 class TestDatasetValidation:

@@ -90,6 +90,7 @@ class TestAdjustedRandIndex:
     def test_degenerate_single_cluster(self):
         assert adjusted_rand_index([1, 1, 1], [4, 4, 4]) == 1.0
         assert adjusted_rand_index([1, 1, 1], [1, 2, 3]) == 0.0
+        assert adjusted_rand_index([1, 2, 3], [5, 6, 7]) == 1.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -67,7 +67,10 @@ class TestNearestNeighbors:
 
 
 class TestNearestPartialSort:
-    """``_tree_nearest`` against a stable full sort, byte for byte, on tie-heavy distances."""
+    """The kNN against a stable full sort, byte for byte, on tie-heavy distances.
+
+    The self case runs ``nearest_neighbors``, the query case ``_tree_nearest``.
+    """
 
     @pytest.mark.parametrize("decimals", [0, 1, 2])
     @pytest.mark.parametrize("shape", ["self", "query"])
@@ -86,7 +89,10 @@ class TestNearestPartialSort:
                 queries = np.round(rng.uniform(0, 3, (m, 2)), decimals)
                 dist = cdist(queries, x)
             for t in sorted({1, int(rng.integers(1, n)), n - 1}):
-                neighbors, kth = _tree_nearest(x, queries, t)
+                if queries is None:
+                    neighbors, kth = nearest_neighbors(x, t)
+                else:
+                    neighbors, kth = _tree_nearest(x, queries, t)
                 want = np.argsort(dist, axis=1, kind="stable")[:, :t]
                 assert neighbors.dtype == want.dtype
                 assert neighbors.tobytes() == want.tobytes()
@@ -145,7 +151,6 @@ class TestApplyConstraints:
         k = local_scaling_kernel(x, 2)
         edited = apply_constraints(k, empty_constraints(10))
         assert np.array_equal(edited.entries, k.entries)
-        assert edited.modified
 
     def test_must_link_densifies_zero_entry(self):
         x = np.array([[0.0], [1.0], [50.0], [51.0]])
