@@ -174,7 +174,8 @@ def _kernel_csr(keys: np.ndarray, a: np.ndarray, a_sigma, b: np.ndarray, b_sigma
     dist = _pair_distances(a, rows, b, cols)
     with np.errstate(divide="ignore", invalid="ignore"):
         values = np.exp(-(dist**2) / (2.0 * (a_sigma[rows] * b_sigma[cols])))
-    return _pairs_csr(keys, np.where(dist == 0, 1.0, values), (a.shape[0], b.shape[0]))
+    values[dist == 0] = 1.0
+    return _pairs_csr(keys, values, (a.shape[0], b.shape[0]))
 
 
 def _pairs_csr(keys: np.ndarray, values: np.ndarray, shape) -> sparse.csr_matrix:
@@ -273,6 +274,7 @@ def query_kernel(features, sigma, t: int, queries) -> sparse.csr_matrix:
     inside = _pair_distances(queries, rows, features, cols) <= sigma[cols]
     near = np.repeat(np.arange(m, dtype=np.int64), t) * n + nearest.ravel()
     keys = _union_keys(near, rows[inside].astype(np.int64) * n + cols[inside])
+    del rows, cols  # the ball pairs would otherwise stay alive while the entries are built
     return _kernel_csr(keys, queries, query_sigma, features, sigma)
 
 
