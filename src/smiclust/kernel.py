@@ -164,7 +164,7 @@ def _tree_nearest(points: np.ndarray, queries: np.ndarray, t: int):
 
 
 def _kernel_csr(keys: np.ndarray, a: np.ndarray, a_sigma, b: np.ndarray, b_sigma):
-    """Canonical CSR of the kernel between ``a`` (rows) and ``b`` at the keys ``row * len(b) + col``.
+    """Canonical CSR of the kernel between ``a`` (rows) and ``b`` at keys ``row * len(b) + col``.
 
     Each entry is ``exp(-d^2 / (2 a_sigma[row] b_sigma[col]))``, or 1 where the
     distance ``d`` is 0; a zero scale at a positive distance divides to

@@ -108,7 +108,7 @@ class TestLoadDataset:
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
     def test_non_utf8_byte_names_file_and_line(self, tmp_path, newline):
         path = tmp_path / "latin1.csv"
-        path.write_bytes(b"\xef\xbb\xbfx,y" + newline + b"1,2" + newline + "3,\u00e9".encode("latin-1"))
+        path.write_bytes(newline.join([b"\xef\xbb\xbfx,y", b"1,2", "3,\u00e9".encode("latin-1")]))
         with pytest.raises(DatasetFormatError) as err:
             load_dataset(path)
         assert str(err.value) == f"{path}: byte 0xe9 on line 3 is not UTF-8"
