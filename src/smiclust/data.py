@@ -150,11 +150,12 @@ def empty_constraints(n: int) -> ConstraintSet:
 def _read_text(path, error) -> str:
     """The UTF-8 text of ``path``; a byte that is not UTF-8 raises ``error`` naming its line.
 
-    Lines end at LF, CR LF or CR, as ``csv.reader`` and ``str.splitlines`` count them.
+    A leading byte-order mark is dropped.  Lines end at LF, CR LF or CR, as
+    ``csv.reader`` and ``str.splitlines`` count them.
     """
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         head = data[: exc.start]
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
@@ -172,7 +173,7 @@ def _parse_rows(path, fmt, allow_empty):
     if fmt not in DATASET_FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {DATASET_FORMATS}")
     path = Path(path)
-    text = _read_text(path, DatasetFormatError).removeprefix("\ufeff")
+    text = _read_text(path, DatasetFormatError)
     return _loadtxt_rows(text) or _csv_rows(path, text, allow_empty)
 
 

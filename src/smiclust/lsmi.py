@@ -279,6 +279,21 @@ def _fold_assignment(y: np.ndarray, folds: int, rng) -> np.ndarray:
     return fold_of
 
 
+def checked_grids(kappa_grid, delta_grid):
+    """The (kappa, delta) grids sorted, ``None`` kept; refuses an empty grid or a bad value."""
+    kappa_grid = None if kappa_grid is None else sorted(float(k) for k in kappa_grid)
+    delta_grid = None if delta_grid is None else sorted(float(d) for d in delta_grid)
+    if kappa_grid == [] or delta_grid == []:
+        raise ValueError("kappa and delta grids must be nonempty")
+    for kappa in kappa_grid or ():
+        if not (math.isfinite(kappa) and kappa > 0):
+            raise ValueError(f"kappa grid values must be finite and positive, got {kappa}")
+    for delta in delta_grid or ():
+        if not (math.isfinite(delta) and delta >= 0):
+            raise ValueError(f"delta grid values must be finite and non-negative, got {delta}")
+    return kappa_grid, delta_grid
+
+
 def cross_validate(
     x,
     y,
@@ -292,24 +307,17 @@ def cross_validate(
 
     Returns the pair minimizing the mean hold-out error (ties to the smaller
     kappa, then the smaller delta) together with the full CV table.  Raises
-    on a kappa that is not finite and positive or a delta that is not finite
-    and non-negative, and when some class of a hold-out fold never occurs in
-    its training part.
+    on a bad grid (see :func:`checked_grids`) and when some class of a
+    hold-out fold never occurs in its training part.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=int)
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
-    kappa_grid = sorted(float(k) for k in (default_kappa_grid(x) if kappa_grid is None else kappa_grid))
-    delta_grid = sorted(float(d) for d in (DEFAULT_DELTA_GRID if delta_grid is None else delta_grid))
-    if not kappa_grid or not delta_grid:
-        raise ValueError("kappa and delta grids must be nonempty")
-    for kappa in kappa_grid:
-        if not (math.isfinite(kappa) and kappa > 0):
-            raise ValueError(f"kappa grid values must be finite and positive, got {kappa}")
-    for delta in delta_grid:
-        if not (math.isfinite(delta) and delta >= 0):
-            raise ValueError(f"delta grid values must be finite and non-negative, got {delta}")
+    kappa_grid, delta_grid = checked_grids(
+        default_kappa_grid(x) if kappa_grid is None else kappa_grid,
+        DEFAULT_DELTA_GRID if delta_grid is None else delta_grid,
+    )
     rng = np.random.default_rng(seed)
     fold_of = _fold_assignment(y, folds, rng)
     splits = []

@@ -54,7 +54,7 @@ class Candidate:
 
 @dataclass(frozen=True)
 class LsmiConfig:
-    """LSMI settings used when scoring candidates; bad counts are refused when built."""
+    """LSMI settings used when scoring candidates; bad counts and grids are refused when built."""
 
     center_cap: int = lsmi_mod.DEFAULT_CENTER_CAP
     folds: int = 5
@@ -66,6 +66,7 @@ class LsmiConfig:
             raise ValueError(f"folds must be >= 2, got {self.folds}")
         if self.center_cap < 1:
             raise ValueError(f"center cap must be >= 1, got {self.center_cap}")
+        lsmi_mod.checked_grids(self.kappa_grid, self.delta_grid)
 
 
 @dataclass(frozen=True)

@@ -22,15 +22,16 @@ either: :class:`ObjectiveMatrix` keeps K' and the fused inner matrix
 ``B = 2I + 2g M + g^2 M^2 - 2e C + e^2 C^2`` as CSR and applies ``U v`` as
 three sparse products, and :func:`top_eigenpairs` takes the top c + 1 pairs
 from one ARPACK Lanczos call on that operator, deflating for more only on a
-tie or a graph in parts.  The full dense ``eigh`` stays as the oracle and
-the fallback, behind a check that its memory is free.
+tie or a graph in parts.  ``B = (I + g M)^2 + (I - e C)^2``, so U is positive
+semi-definite; a c-th eigenvalue that is not positive means rank(U) < c and
+is refused.  The dense ``eigh`` serves only what ARPACK cannot, n - 1 pairs,
+and only for n <= 64.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,6 +44,8 @@ from .kernel import _link_matrix
 from .kernel import nearest_neighbors  # noqa: F401  re-exported; perfbench/tracer.py wraps it
 
 MODEL_SCHEMA = "smiclust-model-v1"
+# Largest n for the dense eigensolver, which serves only what ARPACK cannot.
+DENSE_MAX_N = 64
 
 
 class PredictionError(RuntimeError):
@@ -191,64 +194,20 @@ def _canonical_top(w: np.ndarray, v: np.ndarray, c: int) -> int:
     return start
 
 
-def _lanczos_top(matrix, c: int):
-    """Top eigenpairs from ARPACK that hold the whole tie group at position c.
+def _group_floor(w: np.ndarray, v: np.ndarray, c: int) -> float:
+    """Canonicalize ``(w, v)`` in place; a further pair above the result joins the group at c.
 
-    One call asks for c + 1 pairs.  Lanczos from one start vector can return
-    fewer copies of a repeated eigenvalue than there are.  The exact copies
-    seen in practice come from parts of ``matrix.graph`` that are not
-    connected to each other, and ARPACK may find only some of them.  So when
-    the graph has more than one part or two of the pairs found tie, each
-    further pair is the top pair of ``U - V diag(w) V'``, the operator with
-    the pairs found so far deflated, until that top eigenvalue lies below the
-    group at c by more than the tie tolerance.  Otherwise the one call stands.  The tolerance scales
-    with the largest eigenvalue found, which is the spectral radius both for
-    the positive semi-definite ``U`` and, by Perron-Frobenius, for the
-    non-negative kernel.
-
-    Returns descending ``(w, v)`` canonicalized by :func:`_canonical_top`, or
-    None where ARPACK cannot serve: ``n - 1`` pairs would be needed, it does
-    not converge, or the group at c is not positive (deflated pairs sit at 0).
+    U is positive semi-definite, so a group at c that is not positive means
+    rank(U) < c: refused.
     """
-    # Imported on first use: the package adds tens of milliseconds to start-up,
-    # and predict and the other commands never solve an eigenproblem.
-    from scipy.sparse.csgraph import connected_components
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
-
-    n = matrix.n
-    if c >= n - 1:
-        return None
-    split = connected_components(matrix.graph, directed=False, return_labels=False) > 1
-    apply = matrix.matvec
-    v0 = np.random.default_rng(0).standard_normal(n)  # fixed start: same pairs every run
-    try:
-        w, v = eigsh(LinearOperator((n, n), matvec=apply, dtype=float), k=c + 1, which="LA", v0=v0)
-        while True:
-            order = np.argsort(-w, kind="stable")
-            w, v = w[order], v[:, order]
-            stop = _canonical_top(w, v, c)
-            tol = _tie_tolerance(w)
-            floor = w[stop - 1] - tol
-            if floor <= 0:
-                return None
-            if not split and np.all(w[:-1] - w[1:] > tol):
-                return w, v
-            if len(w) >= n - 1:
-                return None
-            deflated = LinearOperator(
-                (n, n), matvec=lambda x, w=w, v=v: apply(x) - v @ (w * (v.T @ x)), dtype=float
-            )
-            top, vector = eigsh(deflated, k=1, which="LA", v0=v0)
-            if top[0] < floor:
-                return w, v
-            w, v = np.append(w, top), np.hstack([v, vector])
-    except ArpackError:
-        return None
-
-
-def _available_memory() -> int:
-    """Bytes of physical memory the system reports free."""
-    return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    stop = _canonical_top(w, v, c)
+    floor = w[stop - 1] - _tie_tolerance(w)
+    if floor <= 0:
+        raise RuntimeError(
+            f"U has rank below c={c}: eigenvalue {c} is {w[c - 1]:.3g}, "
+            "not above rounding noise, so there are not c clusters to find"
+        )
+    return floor
 
 
 def top_eigenpairs(matrix, c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -257,29 +216,55 @@ def top_eigenpairs(matrix, c: int) -> tuple[np.ndarray, np.ndarray]:
     ``matrix`` is a symmetric operator with ``n``, ``matvec``, ``entries``
     (its dense array) and ``graph`` (a sparse matrix each of whose edges joins
     two indices the operator connects), such as :class:`ObjectiveMatrix` or
-    :class:`~smiclust.kernel.KernelMatrix`.  The pairs come from ARPACK's
-    Lanczos on ``matvec``; only where ARPACK cannot serve does the full
-    ``eigh`` run on ``entries``.  Before densifying, that path checks that its
-    roughly ``24 n^2`` bytes are free and raises :class:`MemoryError`
-    otherwise.  Within groups of (numerically) repeated eigenvalues the
-    eigenbasis is canonicalized so the result is deterministic.
+    :class:`~smiclust.kernel.KernelMatrix`.  ARPACK's Lanczos on ``matvec``
+    serves every ``c <= n - 2``; an ARPACK failure propagates (a
+    ``RuntimeError``).  One call asks for c + 1 pairs.  One start vector can
+    miss copies of a repeated eigenvalue, and the exact copies seen in practice
+    come from parts of ``matrix.graph`` not connected to each other.  So when
+    the graph has more than one part or two of the pairs found tie, each
+    further pair is the top pair of ``U - V diag(w) V'``, until that lies below
+    the group at c by more than the tie tolerance, which scales with the
+    largest eigenvalue: the spectral radius for U and, by Perron-Frobenius, for
+    the kernel.  Where ``n - 1`` pairs are needed, the dense ``eigh`` runs on
+    ``entries`` for ``n <= DENSE_MAX_N`` and a larger problem is refused.  Tie
+    groups are canonicalized, so the result is deterministic.
     """
+    # Imported on first use: the package adds tens of milliseconds to start-up,
+    # and predict and the other commands never solve an eigenproblem.
+    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
     n = matrix.n
     if not 1 <= c <= n:
         raise ValueError(f"c must be in 1..{n}, got {c}")
-    pairs = _lanczos_top(matrix, c)
-    if pairs is None:
-        # The dense matrix, its eigenvectors and eigh's workspace.
-        need, available = 24 * n * n, _available_memory()
-        if need > available:
-            raise MemoryError(
-                f"the dense eigensolver needs about {need} bytes for n={n}, "
-                f"more than the {available} bytes available"
+    if c < n - 1:
+        split = connected_components(matrix.graph, directed=False, return_labels=False) > 1
+        apply = matrix.matvec
+        v0 = np.random.default_rng(0).standard_normal(n)  # fixed start: same pairs every run
+        w, v = eigsh(LinearOperator((n, n), matvec=apply, dtype=float), k=c + 1, which="LA", v0=v0)
+        while True:
+            order = np.argsort(-w, kind="stable")
+            w, v = w[order], v[:, order]
+            floor = _group_floor(w, v, c)
+            if not split and np.all(w[:-1] - w[1:] > _tie_tolerance(w)):
+                return w[:c], v[:, :c]
+            if len(w) >= n - 1:
+                break
+            deflated = LinearOperator(
+                (n, n), matvec=lambda x, w=w, v=v: apply(x) - v @ (w * (v.T @ x)), dtype=float
             )
-        w, v = np.linalg.eigh(matrix.entries)
-        pairs = w[::-1].copy(), v[:, ::-1].copy()
-        _canonical_top(*pairs, c)
-    w, v = pairs
+            top, vector = eigsh(deflated, k=1, which="LA", v0=v0)
+            if top[0] < floor:
+                return w[:c], v[:, :c]
+            w, v = np.append(w, top), np.hstack([v, vector])
+    if n > DENSE_MAX_N:
+        raise RuntimeError(
+            f"c={c} at n={n} needs {n - 1} eigenpairs, more than ARPACK gives; "
+            f"the dense eigensolver serves only n <= {DENSE_MAX_N}"
+        )
+    w, v = np.linalg.eigh(matrix.entries)
+    w, v = w[::-1].copy(), v[:, ::-1].copy()
+    _group_floor(w, v, c)
     return w[:c], v[:, :c]
 
 
@@ -387,14 +372,13 @@ def predict(model: ClusterModel, x) -> int | np.ndarray:
 
     Scores each cluster as ``max(0, sum_i K(x', x_i) phi_y[i])`` normalized by
     ``lam_y * max(0, phi_y)' 1`` and returns the argmax (ties to the smallest
-    label).  Refuses to predict when any retained eigenvalue is non-positive,
-    since the score normalization is then meaningless.
+    label).  Refuses to predict when any retained eigenvalue is non-positive
+    up to the tie tolerance, since the score normalization is then meaningless.
     """
-    if np.any(model.lam <= 0):
+    if np.any(model.lam <= _tie_tolerance(model.lam)):
         raise PredictionError(
-            "cannot predict: non-positive eigenvalue among the top-c "
-            f"(eigenvalues: {model.lam.tolist()}); the objective matrix is "
-            "indefinite for this constraint set"
+            "cannot predict: non-positive eigenvalue (up to rounding) among the top-c "
+            f"(eigenvalues: {model.lam.tolist()}); U has rank below c, which cluster refuses"
         )
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1

@@ -83,6 +83,15 @@ class TestClusterCommand:
         assert code == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_rank_below_classes_exits_1_with_one_line(self, workdir, capsys):
+        # All points equal and t = n - 1: K' is all ones, so U has rank 1.
+        write_features_csv(workdir / "same.csv", np.ones((30, 2)))
+        assert main(["cluster", "--input", "same.csv", "--classes", "2", "--t", "29"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "U has rank below c=2" in err
+        assert not (workdir / "labels.csv").exists()
+
     def test_rerun_is_byte_identical(self, workdir, blobs_csv):
         path, _ = blobs_csv
         argv = ["cluster", "--input", str(path), "--format", "labeled-csv",

@@ -555,6 +555,13 @@ class TestConstraintFiles:
         with pytest.raises(ConstraintFormatError, match="line 1"):
             load_constraints(path, 4)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        text = b"1 2 +1\n2 3 -1\n"
+        (tmp_path / "plain.txt").write_bytes(text)
+        (tmp_path / "bom.txt").write_bytes(b"\xef\xbb\xbf" + text)
+        assert_same_links(load_constraints(tmp_path / "bom.txt", 3),
+                          load_constraints(tmp_path / "plain.txt", 3))
+
     def test_non_utf8_byte_names_file_and_line(self, tmp_path):
         path = tmp_path / "links.txt"
         path.write_bytes("1 2 +1\n# caf\u00e9\n".encode("latin-1"))

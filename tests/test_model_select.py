@@ -231,6 +231,18 @@ class TestGridSearch:
                     info.value
                 )
 
+    def test_bad_lsmi_grid_is_refused_before_clustering(self, monkeypatch):
+        from smiclust import solver
+
+        monkeypatch.setattr(solver, "cluster", lambda *a, **kw: pytest.fail("clustered"))
+        ds = make_blobs(10, 2, 2, 5.0, seed=6)
+        with pytest.raises(ValueError, match="^kappa grid values must be finite and positive"):
+            grid_search(ds, empty_constraints(20), 2, lsmi_cfg=LsmiConfig(kappa_grid=(-1.0,)))
+        with pytest.raises(ValueError, match="^delta grid values must be finite and non-negative"):
+            LsmiConfig(delta_grid=(0.1, math.nan))
+        with pytest.raises(ValueError, match="^kappa and delta grids must be nonempty$"):
+            LsmiConfig(kappa_grid=())
+
     def test_all_candidates_failing_raises(self):
         ds = make_blobs(5, 2, 1, 5.0, seed=5)  # n=10, so t=20 is invalid
         cs = empty_constraints(10)

@@ -233,29 +233,37 @@ def test_kernel_matrix_keeps_canonical_csr():
         assert np.array_equal(k.matvec(np.ones(3)), dense @ np.ones(3))
 
 
-class TestDenseMemoryGuard:
-    """The dense eigensolver refuses, naming n and the bytes, when its memory is not free."""
+class TestEigensolverRefusals:
+    """Where ARPACK cannot serve, the dense ``eigh`` runs up to n = 64 and no further."""
 
-    def test_fallback_refuses_without_memory(self, monkeypatch):
-        k = local_scaling_kernel(make_blobs(3, 2, 2, 3.0, seed=0).features, 2)
-        monkeypatch.setattr(solver, "_available_memory", lambda: 24 * 6 * 6 - 1)
-        with pytest.raises(MemoryError, match=r"864 bytes for n=6"):
-            solver.top_eigenpairs(k, 5)  # c >= n - 1: ARPACK cannot serve
-        monkeypatch.setattr(solver, "_available_memory", lambda: 24 * 6 * 6)
-        lam, _ = solver.top_eigenpairs(k, 5)
-        assert lam.shape == (5,)
+    def test_dense_serves_n_minus_1_pairs_up_to_the_bound(self):
+        n = solver.DENSE_MAX_N
+        lam, _ = solver.top_eigenpairs(oracles.Dense(np.diag(np.arange(n, 0, -1.0))), n - 1)
+        assert np.allclose(lam, np.arange(n, 1, -1.0), rtol=1e-14, atol=0)
 
-    def test_cli_exits_1_with_one_line(self, tmp_path, monkeypatch, capsys):
+    def test_n65_with_c_n_minus_1_is_refused_without_eigh(self, monkeypatch):
+        n = solver.DENSE_MAX_N + 1
+        matrix = oracles.Dense(np.diag(np.arange(n, 0, -1.0)))
+        monkeypatch.setattr(np.linalg, "eigh", mock.Mock(side_effect=AssertionError("eigh ran")))
+        with pytest.raises(RuntimeError, match=rf"c={n - 1} at n={n} needs {n - 1} eigenpairs"):
+            solver.top_eigenpairs(matrix, n - 1)
+        np.linalg.eigh.assert_not_called()
+
+    def test_arpack_failure_exits_1_with_one_line(self, tmp_path, monkeypatch, capsys):
+        from scipy.sparse import linalg
+
         from smiclust.cli import main
 
+        def no_convergence(*args, **kwargs):
+            raise linalg.ArpackNoConvergence("No convergence (9 iterations)", [], [])
+
         path = tmp_path / "x.csv"
-        path.write_text("0,0\n1,0\n0,1\n5,5\n", encoding="utf-8")
+        np.savetxt(path, make_blobs(10, 2, 2, 3.0, seed=0).features, delimiter=",")
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(solver, "_available_memory", lambda: 0)
-        assert main(["cluster", "--input", str(path), "--classes", "3", "--t", "2"]) == 1
+        monkeypatch.setattr(linalg, "eigsh", no_convergence)
+        assert main(["cluster", "--input", str(path), "--classes", "2", "--t", "3"]) == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: MemoryError:")
-        assert "n=4" in err and "384 bytes" in err
+        assert err == "error: ArpackNoConvergence: ARPACK error -1: No convergence (9 iterations)\n"
 
 
 def test_cluster_at_n20000_fits_in_one_gib(tmp_path):
