@@ -152,8 +152,8 @@ def _add_io_flags(sub, with_constraints=True):
 def _add_search_flags(sub, grid_help=""):
     for name in ("t", "gamma", "eta"):
         sub.add_argument(f"--{name}-grid", help=f"comma-separated {name} values{grid_help}")
-    sub.add_argument("--center-cap", type=int, default=500)
-    sub.add_argument("--folds", type=int, default=5)
+    sub.add_argument("--center-cap", type=int, default=LsmiConfig.center_cap)
+    sub.add_argument("--folds", type=int, default=LsmiConfig.folds)
     sub.add_argument("--jobs", type=int, default=_default_jobs())
 
 

@@ -8,6 +8,7 @@ ARI against the truth as mean and standard deviation per link count.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -121,8 +122,8 @@ class BenchmarkConfig:
             gamma_grid=tuple(grids["gamma"]) if "gamma" in grids else None,
             eta_grid=tuple(grids["eta"]) if "eta" in grids else None,
             lsmi=LsmiConfig(
-                center_cap=int(lsmi_doc.get("center_cap", 500)),
-                folds=int(lsmi_doc.get("folds", 5)),
+                center_cap=int(lsmi_doc.get("center_cap", LsmiConfig.center_cap)),
+                folds=int(lsmi_doc.get("folds", LsmiConfig.folds)),
             ),
             method_name=doc.get("method", "smiclust"),
             jobs=int(doc.get("jobs", 1)),
@@ -157,8 +158,8 @@ def resolve_link_count(value, n: int) -> int:
     """Absolute counts pass through; fractions are taken of the n(n-1)/2 pairs."""
     total = n * (n - 1) // 2
     value = float(value)
-    if value < 0:
-        raise ValueError(f"link count must be non-negative, got {value}")
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"link count must be finite and non-negative, got {value}")
     if 0 < value < 1:
         return int(round(value * total))
     return int(round(value))

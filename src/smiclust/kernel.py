@@ -54,7 +54,8 @@ class KernelMatrix:
     ``csr`` may be passed as a dense array or any sparse matrix; it is stored
     as a canonical CSR copy, the form ``sparse.csr_matrix`` gives a dense
     array.  ``sigma`` holds the local scales the entries were built with,
-    when known.
+    when known.  It is data, not an eigensolver operator: the solver reaches
+    it only through :func:`smiclust.solver.objective_matrix`.
     """
 
     csr: sparse.csr_matrix
@@ -70,14 +71,6 @@ class KernelMatrix:
     @property
     def n(self) -> int:
         return self.csr.shape[0]
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.csr @ v
-
-    @property
-    def graph(self) -> sparse.csr_matrix:
-        """The sparse matrix whose connected components the eigensolver checks."""
-        return self.csr
 
     @property
     def entries(self) -> np.ndarray:

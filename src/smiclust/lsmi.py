@@ -5,7 +5,9 @@ fitting the density ratio r(x, y) = p(x, y) / (p(x) p(y)) with a Gaussian
 kernel model per class.  The ridge-regularized least-squares fit has the
 closed-form solution ``w = (H + delta I)^-1 h``, and hyperparameters
 (Gaussian width kappa, ridge delta) are picked by M-fold cross-validation on
-the hold-out squared error.
+the hold-out squared error.  That error, :func:`_hold_error`, is the one
+formula behind both the CV score and :func:`lsmi_value`, which is its
+negation over all samples, minus 1/2.
 
 :func:`cross_validate` does each exact computation once: one pass of squared
 distances to the centers per fold (training and hold-out rows), one ``exp``
@@ -49,12 +51,6 @@ class RatioModel:
         for cls, ctr, w in zip(self.classes, self.centers, self.weights):
             if ctr.shape[0] != w.shape[0]:
                 raise ValueError(f"class {cls}: {ctr.shape[0]} centers but {w.shape[0]} weights")
-
-    def class_index(self, y: int) -> int:
-        try:
-            return self.classes.index(int(y))
-        except ValueError:
-            raise ValueError(f"class {y} was not fitted (classes: {self.classes})") from None
 
 
 def _kernel(sqdist: np.ndarray, kappa: float) -> np.ndarray:
@@ -154,13 +150,11 @@ def fit_ratio_model(
     delta: float,
     center_cap: int = DEFAULT_CENTER_CAP,
     seed: int = 0,
-    centers: dict[int, np.ndarray] | None = None,
 ) -> RatioModel:
     """Fit the per-class density-ratio model analytically.
 
-    Kernel centers default to a per-class stratified sample of at most
-    ``center_cap`` points (without replacement, proportional to class size);
-    pass ``centers`` to pin them explicitly.
+    Kernel centers are a per-class stratified sample of at most
+    ``center_cap`` points (without replacement, proportional to class size).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -168,33 +162,17 @@ def fit_ratio_model(
         raise ValueError(f"kappa must be positive, got {kappa}")
     if not (math.isfinite(delta) and delta >= 0):
         raise ValueError(f"delta must be finite and non-negative, got {delta}")
-    if centers is None:
-        centers = _stratified_centers(x, y, center_cap, np.random.default_rng(seed))
-    else:
-        missing = set(np.unique(y)) - set(centers)
-        if missing:
-            raise ValueError(f"no centers supplied for class(es) {sorted(missing)}")
+    centers = _stratified_centers(x, y, center_cap, np.random.default_rng(seed))
     classes = tuple(sorted(centers))
     systems = _class_systems(x, y, centers, kappa)
     weights = tuple(_solve_ridge(*systems[cls], delta) for cls in classes)
     return RatioModel(
         classes=classes,
-        centers=tuple(np.asarray(centers[cls], dtype=float) for cls in classes),
+        centers=tuple(centers[cls] for cls in classes),
         weights=weights,
         kappa=float(kappa),
         delta=float(delta),
     )
-
-
-def evaluate_ratio(model: RatioModel, x, y: int):
-    """Estimated density ratio r(x, y) for one class, at one point or a batch."""
-    k = model.class_index(y)
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    values = _gauss(x, model.centers[k], model.kappa) @ model.weights[k]
-    return float(values[0]) if single else values
 
 
 def ratio_matrix(model: RatioModel, x) -> np.ndarray:
@@ -217,33 +195,24 @@ def _class_columns(y, classes) -> tuple[np.ndarray, list[int]]:
     return counts, [index[v] for v in y]
 
 
-def lsmi_from_ratios(ratios, y, classes) -> float:
-    """LSMI from precomputed ratio values ``ratios[i, k] = r(x_i, classes[k])``.
+def lsmi_value(model: RatioModel, x, y) -> float:
+    """The LSMI estimate of squared-loss mutual information between x and y.
 
     ``-(1/2n^2) sum_{i,j} r(x_i, y_j)^2 + (1/n) sum_i r(x_i, y_i) - 1/2``;
     note the first sum pairs every sample with every label occurrence.  This
-    is the hold-out error of :func:`cv_error` over all n samples, negated,
-    minus 1/2: ``fl(b - a) = -fl(a - b)``, so the two agree bit for bit.
+    is :func:`_hold_error` over all n samples, negated, minus 1/2:
+    ``fl(b - a) = -fl(a - b)``, so the negation is exact.
     """
-    return -_hold_error(ratios, *_class_columns(y, classes)) - 0.5
-
-
-def lsmi_value(model: RatioModel, x, y) -> float:
-    """The LSMI estimate of squared-loss mutual information between x and y."""
-    return lsmi_from_ratios(ratio_matrix(model, x), y, model.classes)
-
-
-def cv_error(model: RatioModel, x_hold, y_hold) -> float:
-    """Hold-out squared-error criterion for one fold.
-
-    ``(1/2m^2) sum_{i,j} r(x_i, y_j)^2 - (1/m) sum_i r(x_i, y_i)`` over the
-    ``m`` hold-out samples; the double sum covers all m^2 combinations.
-    """
-    return _hold_error(ratio_matrix(model, x_hold), *_class_columns(y_hold, model.classes))
+    return -_hold_error(ratio_matrix(model, x), *_class_columns(y, model.classes)) - 0.5
 
 
 def _hold_error(ratios, counts, columns) -> float:
-    """:func:`cv_error` from ``ratios[i, k] = r(x_i, classes[k])`` and :func:`_class_columns`."""
+    """Hold-out squared-error criterion of the m samples behind ``ratios``.
+
+    ``(1/2m^2) sum_{i,j} r(x_i, y_j)^2 - (1/m) sum_i r(x_i, y_i)``, where the
+    double sum covers all m^2 combinations, from ``ratios[i, k] = r(x_i,
+    classes[k])`` and the counts and columns of :func:`_class_columns`.
+    """
     ratios = np.asarray(ratios, dtype=float)
     cross = float((ratios**2 @ counts).sum())
     matched = float(ratios[np.arange(ratios.shape[0]), columns].sum())

@@ -9,7 +9,9 @@ where K' is the link-edited kernel, M/C the must-/cannot-link matrices and
 g, e >= 0 the link strengths.  The global maximizer is the matrix of top-c
 eigenvectors of U; assignments come from the sign-fixed, clipped and
 normalized eigenvectors.  Out-of-sample points are labeled through the
-unmodified kernel against the training set.
+unmodified kernel against the training set.  :func:`cluster` is the one
+pipeline; with no links and g = e = 0, U = 2 K^2 and it gives the labels of
+unsupervised SMIC (the top eigenvectors of K), which the tests hold it to.
 
 No n x n array lies between the input and the labels, or between a model
 and its predictions.  The training kernel K and the query kernel are built
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -102,12 +105,20 @@ class ClusterModel:
     train_sigma: np.ndarray
 
     def __post_init__(self):
+        for name in ("c", "t"):
+            value = getattr(self, name)
+            whole = isinstance(value, numbers.Real) and float(value).is_integer()
+            if not whole or isinstance(value, bool):
+                raise ValueError(f"{name} must be a whole number, got {value!r}")
+            object.__setattr__(self, name, int(value))
         phi = np.asarray(self.phi, dtype=float)
         lam = np.asarray(self.lam, dtype=float)
         features = np.asarray(self.train_features, dtype=float)
         sigma = np.asarray(self.train_sigma, dtype=float)
         if phi.ndim != 2 or phi.shape[1] != self.c or lam.shape != (self.c,):
             raise ValueError("phi must be n x c and lam length c")
+        if not np.isfinite(lam).all():
+            raise ValueError(f"lam (the eigenvalues) must be finite, got {lam.tolist()}")
         n = phi.shape[0]
         if features.ndim != 2 or features.shape[0] != n or not np.isfinite(features).all():
             raise ValueError(f"train_features must be finite with {n} rows, got {features.shape}")
@@ -215,19 +226,18 @@ def top_eigenpairs(matrix, c: int) -> tuple[np.ndarray, np.ndarray]:
 
     ``matrix`` is a symmetric operator with ``n``, ``matvec``, ``entries``
     (its dense array) and ``graph`` (a sparse matrix each of whose edges joins
-    two indices the operator connects), such as :class:`ObjectiveMatrix` or
-    :class:`~smiclust.kernel.KernelMatrix`.  ARPACK's Lanczos on ``matvec``
-    serves every ``c <= n - 2``; an ARPACK failure propagates (a
-    ``RuntimeError``).  One call asks for c + 1 pairs.  One start vector can
-    miss copies of a repeated eigenvalue, and the exact copies seen in practice
-    come from parts of ``matrix.graph`` not connected to each other.  So when
-    the graph has more than one part or two of the pairs found tie, each
-    further pair is the top pair of ``U - V diag(w) V'``, until that lies below
-    the group at c by more than the tie tolerance, which scales with the
-    largest eigenvalue: the spectral radius for U and, by Perron-Frobenius, for
-    the kernel.  Where ``n - 1`` pairs are needed, the dense ``eigh`` runs on
-    ``entries`` for ``n <= DENSE_MAX_N`` and a larger problem is refused.  Tie
-    groups are canonicalized, so the result is deterministic.
+    two indices the operator connects); :class:`ObjectiveMatrix` is the one
+    the program passes.  ARPACK's Lanczos on ``matvec`` serves every
+    ``c <= n - 2``; an ARPACK failure propagates (a ``RuntimeError``).  One
+    call asks for c + 1 pairs.  One start vector can miss copies of a repeated
+    eigenvalue, and the exact copies seen in practice come from parts of
+    ``matrix.graph`` not connected to each other.  So when the graph has more
+    than one part or two of the pairs found tie, each further pair is the top
+    pair of ``U - V diag(w) V'``, until that lies below the group at c by more
+    than the tie tolerance, which scales with the largest eigenvalue, U's
+    spectral radius.  Where ``n - 1`` pairs are needed, the dense ``eigh`` runs
+    on ``entries`` for ``n <= DENSE_MAX_N`` and a larger problem is refused.
+    Tie groups are canonicalized, so the result is deterministic.
     """
     # Imported on first use: the package adds tens of milliseconds to start-up,
     # and predict and the other commands never solve an eigenproblem.
@@ -308,24 +318,6 @@ def assign_clusters(phi_tilde: np.ndarray) -> np.ndarray:
     return np.argmax(scores, axis=1) + 1
 
 
-def _fit(matrix, kernel: KernelMatrix, features, c: int, gamma: float, eta: float):
-    """Top-c eigenvectors of ``matrix``, sign-fixed, assigned and packed as a model."""
-    lam, phi = top_eigenpairs(matrix, c)
-    phi_tilde = fix_signs(phi)
-    labels = assign_clusters(phi_tilde)
-    model = ClusterModel(
-        phi=phi_tilde,
-        lam=lam,
-        c=c,
-        t=kernel.t,
-        gamma=float(gamma),
-        eta=float(eta),
-        train_features=features,
-        train_sigma=kernel.sigma,
-    )
-    return labels, model
-
-
 def cluster(
     ds: Dataset,
     cs: ConstraintSet | None,
@@ -349,14 +341,19 @@ def cluster_kernel(
     edited: KernelMatrix, ds: Dataset, cs: ConstraintSet, gamma: float, eta: float, c: int
 ) -> tuple[np.ndarray, ClusterModel]:
     """:func:`cluster` from the kernel ``apply_constraints(K, cs)``, for a caller that keeps it."""
-    u = objective_matrix(edited, cs, gamma, eta, c)
-    return _fit(u, edited, ds.features, c, gamma, eta)
-
-
-def cluster_unsupervised(ds: Dataset, t: int, c: int) -> tuple[np.ndarray, ClusterModel]:
-    """Reference unsupervised path: eigenvectors of the kernel matrix itself."""
-    base = local_scaling_kernel(ds.features, t)
-    return _fit(base, base, ds.features, c, 0.0, 0.0)
+    lam, phi = top_eigenpairs(objective_matrix(edited, cs, gamma, eta, c), c)
+    phi_tilde = fix_signs(phi)
+    model = ClusterModel(
+        phi=phi_tilde,
+        lam=lam,
+        c=c,
+        t=edited.t,
+        gamma=float(gamma),
+        eta=float(eta),
+        train_features=ds.features,
+        train_sigma=edited.sigma,
+    )
+    return assign_clusters(phi_tilde), model
 
 
 def _query_kernel(model: ClusterModel, x: np.ndarray) -> sparse.csr_matrix:
@@ -414,15 +411,21 @@ def save_model(model: ClusterModel, path) -> None:
 
 
 def load_model(path) -> ClusterModel:
+    """Read a model written by :func:`save_model`; a bad document raises ``ValueError``."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError(f"a model must be a JSON object, got {type(doc).__name__}")
     schema = doc.get("schema")
     if schema != MODEL_SCHEMA:
         raise ValueError(f"unsupported model schema {schema!r}, expected {MODEL_SCHEMA!r}")
+    for key in ("c", "t", "gamma", "eta", "eigenvalues", "phi", "train_features", "train_sigma"):
+        if key not in doc:
+            raise ValueError(f"model field {key!r} is missing")
     return ClusterModel(
         phi=np.array(doc["phi"], dtype=float),
         lam=np.array(doc["eigenvalues"], dtype=float),
-        c=int(doc["c"]),
-        t=int(doc["t"]),
+        c=doc["c"],
+        t=doc["t"],
         gamma=float(doc["gamma"]),
         eta=float(doc["eta"]),
         train_features=np.array(doc["train_features"], dtype=float),

@@ -2,7 +2,11 @@
 
 Only tests import this module.  Each function is the form some program code
 once had (or the direct form of what it computes), kept here so property tests
-can compare the fast path with it exactly.
+can compare the fast path with it exactly.  It also holds the references the
+paper's method is checked against: the labels of unsupervised SMIC (Sugiyama
+et al., ICML 2011), to which the linked pipeline reduces without links, the
+LSMI density ratio summed one center at a time, and the LSMI hold-out error
+(Suzuki et al., BMC Bioinformatics 2009).
 """
 
 import csv
@@ -11,7 +15,7 @@ from itertools import chain, compress
 import numpy as np
 from scipy import sparse
 
-from smiclust import solver
+from smiclust import lsmi, solver
 from smiclust.data import (
     DATASET_FORMATS,
     ConstraintFormatError,
@@ -20,6 +24,7 @@ from smiclust.data import (
     _is_numeric,
     _raise_first_defect,
 )
+from smiclust.kernel import local_scaling_kernel
 
 
 class Dense:
@@ -43,6 +48,53 @@ def eigh_top_eigenpairs(matrix, c):
     w, v = w[::-1].copy(), v[:, ::-1].copy()
     solver._canonical_top(w, v, c)
     return w[:c], v[:, :c]
+
+
+def unsupervised_labels(ds, t, c):
+    """Labels of unsupervised SMIC: the top-c eigenvectors of the local-scaling kernel itself.
+
+    Dense ``eigh`` of K with no link edit, then the program's sign rule and
+    assignment.
+    """
+    _, phi = eigh_top_eigenpairs(local_scaling_kernel(ds.features, t), c)
+    return solver.assign_clusters(solver.fix_signs(phi))
+
+
+def evaluate_ratio(model, x, y):
+    """``r(x, y) = sum_l w_l exp(-||x - z_l||^2 / 2 kappa^2)``, summed one center at a time.
+
+    ``x`` is one point (a float comes back) or a batch of rows.
+    """
+    k = model.classes.index(int(y))
+    x = np.asarray(x, dtype=float)
+    points = np.atleast_2d(x)
+    values = np.zeros(points.shape[0])
+    for center, weight in zip(model.centers[k], model.weights[k]):
+        sqdist = np.sum((points - center) ** 2, axis=1)
+        values += weight * np.exp(-sqdist / (2.0 * model.kappa**2))
+    return float(values[0]) if x.ndim == 1 else values
+
+
+def hold_error(model, x, y):
+    """The LSMI hold-out error of ``model`` on ``(x, y)``, by the program's float operations.
+
+    ``(1/2m^2) sum_{i,j} r(x_i, y_j)^2 - (1/m) sum_i r(x_i, y_i)``, computed
+    as ``cross_validate`` computes a fold's score, so the two agree bit for bit.
+    """
+    return lsmi._hold_error(lsmi.ratio_matrix(model, x), *lsmi._class_columns(y, model.classes))
+
+
+def ratio_model(x, y, centers, kappa, delta):
+    """The density-ratio model fitted with its kernel centers pinned to ``centers[class]``."""
+    systems = lsmi._class_systems(x, y, centers, kappa)
+    classes = tuple(sorted(centers))
+    return lsmi.RatioModel(
+        classes=classes,
+        centers=tuple(centers[cls] for cls in classes),
+        weights=tuple(lsmi._solve_ridge(*systems[cls], delta) for cls in classes),
+        kappa=kappa,
+        delta=delta,
+    )
 
 
 def smi_score(kernel, alpha, c) -> float:

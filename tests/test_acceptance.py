@@ -16,25 +16,22 @@ import numpy as np
 import pytest
 
 import smiclust
-from oracles import Dense, cannot_link_matrix, must_link_matrix, smi_score
+from oracles import (
+    Dense,
+    cannot_link_matrix,
+    evaluate_ratio,
+    hold_error,
+    must_link_matrix,
+    ratio_model,
+    smi_score,
+    unsupervised_labels,
+)
 from smiclust.data import ConstraintSet, empty_constraints, make_blobs, sample_constraints
 from smiclust.evaluation import BenchmarkConfig, adjusted_rand_index, run_benchmark
 from smiclust.kernel import KernelMatrix, local_scaling_kernel
-from smiclust.lsmi import (
-    _class_systems,
-    cross_validate,
-    cv_error,
-    evaluate_ratio,
-    fit_ratio_model,
-    lsmi_value,
-)
+from smiclust.lsmi import _class_systems, cross_validate, fit_ratio_model, lsmi_value
 from smiclust.model_select import LsmiConfig, grid_search
-from smiclust.solver import (
-    cluster,
-    cluster_unsupervised,
-    objective_matrix,
-    top_eigenpairs,
-)
+from smiclust.solver import cluster, objective_matrix, top_eigenpairs
 
 
 @contextmanager
@@ -53,7 +50,7 @@ def test_criterion_1_reduction_to_unsupervised():
         for seed in range(20):
             ds = make_blobs(100, 2, 2, 4.0, seed=seed)
             linked, _ = cluster(ds, empty_constraints(ds.n), 5, 0.0, 0.0, 2)
-            plain, _ = cluster_unsupervised(ds, 5, 2)
+            plain = unsupervised_labels(ds, 5, 2)
             assert adjusted_rand_index(linked, plain) == 1.0, f"seed {seed}"
         elapsed = time.perf_counter() - started
         assert elapsed < 30.0, f"took {elapsed:.1f}s"
@@ -149,7 +146,7 @@ def test_criterion_5_lsmi_formula_oracles():
                 assert np.allclose(systems[cls][0], h_mat, atol=1e-10)
                 assert np.allclose(systems[cls][1], h_vec, atol=1e-10)
             # LSMI value
-            model = fit_ratio_model(x, y, kappa, delta, centers=centers)
+            model = ratio_model(x, y, centers, kappa, delta)
             first = sum(
                 evaluate_ratio(model, x[i], y[j]) ** 2 for i in range(n) for j in range(n)
             ) / (2 * n**2)
@@ -165,7 +162,7 @@ def test_criterion_5_lsmi_formula_oracles():
                 for j in range(m_hold)
             ) / (2 * m_hold**2)
             second = sum(evaluate_ratio(model, x_hold[i], y_hold[i]) for i in range(m_hold)) / m_hold
-            assert abs(cv_error(model, x_hold, y_hold) - (first - second)) <= 1e-10
+            assert abs(hold_error(model, x_hold, y_hold) - (first - second)) <= 1e-10
 
 
 def test_criterion_6_ari_oracle():

@@ -162,6 +162,33 @@ class TestPredictCommand:
         assert main(["predict", "--model", "model.json", "--input", "query.csv"]) == 2
         assert capsys.readouterr().err.startswith(f"error: {field} must be ")
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (lambda doc: {k: v for k, v in doc.items() if k != "phi"},
+             "model field 'phi' is missing"),
+            (lambda doc: [doc], "a model must be a JSON object, got list"),
+            (lambda doc: {**doc, "eigenvalues": [float("nan")] * 2},
+             "lam (the eigenvalues) must be finite, got [nan, nan]"),
+            (lambda doc: {**doc, "eigenvalues": [float("inf"), 1.0]},
+             "lam (the eigenvalues) must be finite, got [inf, 1.0]"),
+            (lambda doc: {**doc, "t": 2.7}, "t must be a whole number, got 2.7"),
+            (lambda doc: {**doc, "c": 2.5}, "c must be a whole number, got 2.5"),
+        ],
+        ids=["missing-phi", "list", "nan-eigenvalues", "inf-eigenvalue", "fractional-t",
+             "fractional-c"],
+    )
+    def test_bad_model_document_exits_2_naming_the_field(
+        self, workdir, blobs_csv, capsys, bad, message
+    ):
+        ds = self._fit(workdir, blobs_csv)
+        doc = json.loads((workdir / "model.json").read_text())
+        (workdir / "model.json").write_text(json.dumps(bad(doc)))
+        write_features_csv(workdir / "query.csv", ds.features[:3])
+        capsys.readouterr()
+        assert main(["predict", "--model", "model.json", "--input", "query.csv"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_empty_input_empty_output(self, workdir, blobs_csv):
         self._fit(workdir, blobs_csv)
         (workdir / "query.csv").write_text("")
@@ -205,6 +232,14 @@ class TestConstraintsCommand:
             l for l in (workdir / "links.txt").read_text().splitlines() if not l.startswith("#")
         ]
         assert len(body) == round(0.1 * ds.n * (ds.n - 1) / 2)
+
+    @pytest.mark.parametrize("links", ["inf", "nan"])
+    def test_non_finite_link_count_exits_2(self, workdir, blobs_csv, capsys, links):
+        path, _ = blobs_csv
+        assert main(["constraints", "--input", str(path), "--links", links]) == 2
+        assert capsys.readouterr().err == (
+            f"error: link count must be finite and non-negative, got {float(links)}\n"
+        )
 
     def test_deterministic(self, workdir, blobs_csv):
         path, _ = blobs_csv

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import unsupervised_labels
 from smiclust.data import make_blobs
 from smiclust.evaluation import (
     BenchmarkConfig,
@@ -13,7 +14,6 @@ from smiclust.evaluation import (
     write_report_summary,
 )
 from smiclust.model_select import LsmiConfig
-from smiclust.solver import cluster_unsupervised
 
 
 def ari_pair_counting_oracle(a, b):
@@ -110,6 +110,14 @@ class TestResolveLinkCount:
         with pytest.raises(ValueError):
             resolve_link_count(-1, 10)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_rejected(self, value):
+        message = f"link count must be finite and non-negative, got {value}"
+        with pytest.raises(ValueError, match=message):
+            resolve_link_count(value, 10)
+        with pytest.raises(ValueError, match=message):
+            run_benchmark(small_config(runs=1, link_counts=(value,)))
+
 
 def small_config(runs=3, link_counts=(0, 10), theta=(4, 1.0, 1.0), **kwargs):
     ds = make_blobs(25, 2, 2, 6.0, seed=0)
@@ -153,7 +161,7 @@ class TestRunBenchmark:
     def test_zero_links_reduces_to_unsupervised(self):
         config = small_config(runs=2, link_counts=(0,), theta=(4, 1.0, 1.0))
         report = run_benchmark(config)
-        unsup, _ = cluster_unsupervised(config.dataset, 4, 2)
+        unsup = unsupervised_labels(config.dataset, 4, 2)
         expected = adjusted_rand_index(unsup, config.dataset.labels)
         assert all(row.ari == expected for row in report.rows)
 

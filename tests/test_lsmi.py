@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
+from oracles import evaluate_ratio, hold_error, ratio_model
 from smiclust import lsmi
 from smiclust.data import make_blobs
 from smiclust.lsmi import (
@@ -18,11 +19,8 @@ from smiclust.lsmi import (
     _fold_assignment,
     _stratified_centers,
     cross_validate,
-    cv_error,
     default_kappa_grid,
-    evaluate_ratio,
     fit_ratio_model,
-    lsmi_from_ratios,
     lsmi_value,
     ratio_matrix,
 )
@@ -101,7 +99,7 @@ def cross_validate_oracle(x, y, kappa_grid, delta_grid, folds, center_cap, seed)
                     kappa=kappa,
                     delta=delta,
                 )
-                fold_cv.append(cv_error(model, x[hold], y[hold]))
+                fold_cv.append(hold_error(model, x[hold], y[hold]))
             mean_cv = float(np.mean(fold_cv))
             table.append(CvRecord(kappa, delta, mean_cv, tuple(fold_cv)))
             if best is None or mean_cv < best[2]:
@@ -162,9 +160,7 @@ class TestFit:
         x = rng.standard_normal((8, 2))
         y = np.array([1, 1, 1, 1, 2, 2, 2, 2])
         centers = {1: x[:2], 2: x[4:6]}
-        doubled = fit_ratio_model(
-            np.vstack([x, x]), np.concatenate([y, y]), kappa=1.0, delta=0.1, centers=centers
-        )
+        doubled = ratio_model(np.vstack([x, x]), np.concatenate([y, y]), centers, 1.0, 0.1)
         # weighted oracle on the deduplicated data, every point with weight 2
         w = 2.0
         total = w * 8
@@ -216,7 +212,7 @@ class TestFit:
         y = np.array([1, 1, 1])
         centers = {1: x[:2]}  # identical centers make the system singular
         with pytest.warns(RuntimeWarning, match="singular"):
-            model = fit_ratio_model(x, y, kappa=1.0, delta=0.0, centers=centers)
+            model = ratio_model(x, y, centers, 1.0, 0.0)
         h_mat, h_vec = _class_systems(x, y, centers, 1.0)[1]
         residual = np.linalg.norm(h_mat @ model.weights[0] - h_vec)
         assert residual <= 1e-8 * np.linalg.norm(h_vec)
@@ -247,12 +243,12 @@ class TestFit:
 class TestEvaluateRatio:
     def test_unknown_class_rejected(self):
         model = fit_ratio_model(np.ones((2, 1)), np.array([1, 1]), kappa=1.0, delta=0.1)
-        with pytest.raises(ValueError, match="class"):
-            evaluate_ratio(model, np.ones(1), 2)
+        with pytest.raises(ValueError, match="unfitted class 2"):
+            lsmi_value(model, np.ones((2, 1)), np.array([1, 2]))
 
     def test_gaussian_decay_far_away(self):
         model = fit_ratio_model(np.zeros((3, 2)), np.array([1, 1, 1]), kappa=1.0, delta=0.1)
-        assert abs(evaluate_ratio(model, np.array([50.0, 50.0]), 1)) < 1e-12
+        assert abs(ratio_matrix(model, np.array([[50.0, 50.0]]))[0, 0]) < 1e-12
 
     def test_linearity_in_weights(self):
         base = fit_ratio_model(
@@ -265,14 +261,20 @@ class TestEvaluateRatio:
             kappa=base.kappa,
             delta=base.delta,
         )
-        x = np.array([0.3])
-        assert np.isclose(evaluate_ratio(doubled, x, 1), 2 * evaluate_ratio(base, x, 1))
+        x = np.array([[0.3]])
+        assert np.isclose(ratio_matrix(doubled, x)[0, 0], 2 * ratio_matrix(base, x)[0, 0])
+
+
+def lsmi_of_ratios(ratios, y, classes):
+    """``lsmi_value`` of a model over ``classes`` whose ratio matrix is ``ratios``."""
+    with mock.patch.object(lsmi, "ratio_matrix", return_value=ratios):
+        return lsmi_value(mock.Mock(classes=classes), None, y)
 
 
 class TestLsmiValue:
     def test_constant_ratio_is_exactly_zero(self):
         y = np.array([1, 1, 2, 2, 2, 1, 2])
-        assert lsmi_from_ratios(np.ones((7, 2)), y, (1, 2)) == 0.0
+        assert lsmi_of_ratios(np.ones((7, 2)), y, (1, 2)) == 0.0
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -287,9 +289,9 @@ class TestLsmiValue:
         cross = float((ratios**2 @ counts).sum())
         matched = float(ratios[np.arange(n), columns].sum())
         direct = -cross / (2.0 * n**2) + matched / n - 0.5
-        with mock.patch.object(lsmi, "_hold_error", wraps=lsmi._hold_error) as hold_error:
-            got = lsmi_from_ratios(ratios, y, tuple(range(1, c + 1)))
-        hold_error.assert_called_once()
+        with mock.patch.object(lsmi, "_hold_error", wraps=lsmi._hold_error) as spy:
+            got = lsmi_of_ratios(ratios, y, tuple(range(1, c + 1)))
+        spy.assert_called_once()
         assert np.float64(got).tobytes() == np.float64(direct).tobytes()
 
     @pytest.mark.parametrize("seed", range(3))
@@ -324,7 +326,7 @@ class TestCrossValidate:
         model = fit_ratio_model(x_tr, y_tr, kappa=1.0, delta=0.1, seed=0)
         x_ho = rng.standard_normal((7, 2))
         y_ho = rng.integers(1, 3, size=7)
-        assert np.isclose(cv_error(model, x_ho, y_ho), cv_oracle(model, x_ho, y_ho), atol=1e-10)
+        assert np.isclose(hold_error(model, x_ho, y_ho), cv_oracle(model, x_ho, y_ho), atol=1e-10)
 
     def test_single_grid_point_returned(self):
         ds = make_blobs(20, 2, 2, 5.0, seed=1)

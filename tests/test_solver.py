@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from oracles import (
     eigh_top_eigenpairs,
     must_link_matrix,
     smi_score,
+    unsupervised_labels,
 )
 from smiclust.data import ConstraintSet, Dataset, empty_constraints, make_blobs, sample_constraints
 from smiclust.evaluation import adjusted_rand_index
@@ -22,7 +24,6 @@ from smiclust.solver import (
     _query_kernel,
     assign_clusters,
     cluster,
-    cluster_unsupervised,
     fix_signs,
     load_model,
     objective_matrix,
@@ -183,7 +184,7 @@ class TestArpackCalls:
         # Three exact copies of one group, far apart: the top eigenvalue is threefold.
         base = np.random.default_rng(0).integers(0, 6, size=(10, 2)).astype(float)
         kernel = local_scaling_kernel(np.vstack([base + 1000.0 * k for k in range(3)]), 3)
-        calls, (lam, phi) = self._calls(monkeypatch, kernel, 2)
+        calls, (lam, phi) = self._calls(monkeypatch, Dense(kernel.entries), 2)
         lam_ref, phi_ref = eigh_top_eigenpairs(kernel, 2)
         assert calls[0] == 3 and len(calls) > 1 and calls[1:] == [1] * (len(calls) - 1)
         assert lam[0] - lam[1] <= 1e-9 * lam[0]
@@ -332,7 +333,7 @@ class TestClusterPipeline:
         for seed in range(5):
             ds = make_blobs(40, 2, 2, 8.0, seed=seed)
             supervised, _ = cluster(ds, empty_constraints(ds.n), 5, 0.0, 0.0, 2)
-            unsupervised, _ = cluster_unsupervised(ds, 5, 2)
+            unsupervised = unsupervised_labels(ds, 5, 2)
             assert adjusted_rand_index(supervised, unsupervised) == 1.0
 
     def test_gamma_does_not_change_labels_without_links(self):
@@ -424,7 +425,7 @@ class TestLanczosAgainstDenseOracle:
         cs = random_links(np.random.default_rng(seed + 1), n, links)
         edited = apply_constraints(local_scaling_kernel(x, t), cs)
         if kernel_only:
-            matrix = edited
+            matrix = Dense(edited.entries)
         else:
             matrix = objective_matrix(edited, cs, gamma, eta if c == 2 else 0.0, c)
         dense = matrix.entries
@@ -534,7 +535,6 @@ class TestModelScales:
         for _, model in (
             cluster(ds, None, 4, 0.0, 0.0, 2),
             cluster(ds, cs, 4, 1.0, 0.5, 2),
-            cluster_unsupervised(ds, 4, 2),
         ):
             assert model.train_sigma.dtype == sigma.dtype
             assert model.train_sigma.tobytes() == sigma.tobytes()
@@ -689,6 +689,17 @@ class TestModelPersistence:
         assert np.array_equal(loaded.train_features, model.train_features)
         assert np.array_equal(loaded.train_sigma, model.train_sigma)
         assert (loaded.c, loaded.t, loaded.gamma, loaded.eta) == (2, 3, 0.5, 0.25)
+
+    def test_whole_float_counts_read_as_int(self, tmp_path):
+        ds = make_blobs(20, 2, 2, 8.0, seed=5)
+        _, model = cluster(ds, None, 3, 0.0, 0.0, 2)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "c": 2.0, "t": 3.0}))
+        loaded = load_model(path)
+        assert (loaded.c, loaded.t) == (2, 3)
+        assert type(loaded.c) is int and type(loaded.t) is int
 
     def test_schema_tag_checked(self, tmp_path):
         path = tmp_path / "model.json"

