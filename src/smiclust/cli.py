@@ -43,7 +43,7 @@ from .evaluation import (
 )
 from .kernel import apply_constraints, local_scaling_kernel
 from .model_select import LsmiConfig, grid_search
-from .solver import PredictionError, cluster_kernel, load_model, predict, save_model
+from .solver import PredictionError, cluster, load_model, predict, save_model
 
 
 class UserInputError(ValueError):
@@ -166,7 +166,6 @@ def cmd_cluster(args) -> int:
     ds = _load_input(args)
     cs = _load_links(args, ds.n)
     outputs = [args.labels_out]
-    edited = None
     if args.auto:
         result = _grid_search(args, ds, cs)
         labels, model = result.best.labels, result.model
@@ -176,15 +175,13 @@ def cmd_cluster(args) -> int:
             file=sys.stderr,
         )
     else:
-        edited = apply_constraints(local_scaling_kernel(ds.features, args.t), cs)
-        labels, model = cluster_kernel(edited, ds, cs, args.gamma, args.eta, args.classes)
+        labels, model = cluster(ds, cs, args.t, args.gamma, args.eta, args.classes)
     _write_labels_csv(args.labels_out, labels)
     if args.model_out:
         save_model(model, args.model_out)
         outputs.append(args.model_out)
     if args.dump_kernel:
-        if edited is None:  # the grid search keeps no kernel
-            edited = apply_constraints(local_scaling_kernel(ds.features, model.t), cs)
+        edited = apply_constraints(local_scaling_kernel(ds.features, model.t), cs)
         _write_kernel_csv(args.dump_kernel, edited.csr)
         outputs.append(args.dump_kernel)
     _write_manifest(args, "cluster", [args.input, args.constraints], outputs, started)

@@ -11,8 +11,9 @@ negation over all samples, minus 1/2.
 
 :func:`cross_validate` does each exact computation once: one pass of squared
 distances to the centers per fold (training and hold-out rows), one ``exp``
-of them per (fold, kappa), and one Cholesky factorization per (fold, kappa,
-delta, class).
+of them per (fold, kappa), and one LAPACK ``posv`` (Cholesky factorization
+and solve) per (fold, kappa, delta, class).  Every kappa and delta the stage
+takes passes one rule, :func:`check_kappa_delta`.
 """
 
 from __future__ import annotations
@@ -23,11 +24,24 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dposv
 from scipy.spatial.distance import cdist, pdist
 
 DEFAULT_DELTA_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0)
 DEFAULT_CENTER_CAP = 500
+
+
+def check_kappa_delta(kappas, deltas, what: str = "") -> None:
+    """The LSMI stage's one rule: each width kappa finite and > 0, each ridge delta finite and >= 0.
+
+    ``what`` (" grid values" for a grid) follows the name in the refusal.
+    """
+    for kappa in kappas:
+        if not (math.isfinite(kappa) and kappa > 0):
+            raise ValueError(f"kappa{what} must be finite and positive, got {kappa}")
+    for delta in deltas:
+        if not (math.isfinite(delta) and delta >= 0):
+            raise ValueError(f"delta{what} must be finite and non-negative, got {delta}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,10 +58,7 @@ class RatioModel:
     delta: float
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if self.delta < 0:
-            raise ValueError(f"delta must be non-negative, got {self.delta}")
+        check_kappa_delta([self.kappa], [self.delta])
         for cls, ctr, w in zip(self.classes, self.centers, self.weights):
             if ctr.shape[0] != w.shape[0]:
                 raise ValueError(f"class {cls}: {ctr.shape[0]} centers but {w.shape[0]} weights")
@@ -115,22 +126,15 @@ def _class_systems(x, y, centers, kappa):
 def _solve_ridge(h_mat, h_vec, delta):
     """``(H + delta I)^-1 h`` by Cholesky; a singular delta=0 system gets a pseudo-solution.
 
-    Calls LAPACK potrf/potrs with the arguments and checks of scipy's
-    ``cho_factor``/``cho_solve``, without their per-call wrapper cost.  Delta
-    is added to the diagonal of a copy of H; H's off-diagonal entries are
-    non-negative, so this equals ``H + delta I`` bit for bit.
+    One LAPACK ``posv`` call factors and solves; its wrapper derives every other
+    argument from the arrays, so only a failed factorization (info > 0) comes
+    back.  Delta is added to the diagonal of a copy of H; H's off-diagonal
+    entries are non-negative, so this equals ``H + delta I`` bit for bit.
     """
     system = h_mat.copy()
     system.flat[:: system.shape[0] + 1] += delta
-    factor, info = dpotrf(system, lower=0, clean=0)
-    if info < 0:
-        raise ValueError(
-            f'LAPACK reported an illegal value in {-info}-th argument on entry to "POTRF".'
-        )
+    _, weights, info = dposv(system, h_vec, lower=0)
     if info == 0:
-        weights, info = dpotrs(factor, h_vec, lower=0)
-        if info != 0:
-            raise ValueError(f"illegal value in {-info}th argument of internal potrs")
         return weights
     if delta > 0:
         raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
@@ -158,10 +162,7 @@ def fit_ratio_model(
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=int)
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    if not (math.isfinite(delta) and delta >= 0):
-        raise ValueError(f"delta must be finite and non-negative, got {delta}")
+    check_kappa_delta([kappa], [delta])
     centers = _stratified_centers(x, y, center_cap, np.random.default_rng(seed))
     classes = tuple(sorted(centers))
     systems = _class_systems(x, y, centers, kappa)
@@ -254,12 +255,7 @@ def checked_grids(kappa_grid, delta_grid):
     delta_grid = None if delta_grid is None else sorted(float(d) for d in delta_grid)
     if kappa_grid == [] or delta_grid == []:
         raise ValueError("kappa and delta grids must be nonempty")
-    for kappa in kappa_grid or ():
-        if not (math.isfinite(kappa) and kappa > 0):
-            raise ValueError(f"kappa grid values must be finite and positive, got {kappa}")
-    for delta in delta_grid or ():
-        if not (math.isfinite(delta) and delta >= 0):
-            raise ValueError(f"delta grid values must be finite and non-negative, got {delta}")
+    check_kappa_delta(kappa_grid or (), delta_grid or (), " grid values")
     return kappa_grid, delta_grid
 
 

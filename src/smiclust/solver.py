@@ -334,13 +334,6 @@ def cluster(
     if cs is None:
         cs = empty_constraints(ds.n)
     edited = apply_constraints(local_scaling_kernel(ds.features, t), cs)
-    return cluster_kernel(edited, ds, cs, gamma, eta, c)
-
-
-def cluster_kernel(
-    edited: KernelMatrix, ds: Dataset, cs: ConstraintSet, gamma: float, eta: float, c: int
-) -> tuple[np.ndarray, ClusterModel]:
-    """:func:`cluster` from the kernel ``apply_constraints(K, cs)``, for a caller that keeps it."""
     lam, phi = top_eigenpairs(objective_matrix(edited, cs, gamma, eta, c), c)
     phi_tilde = fix_signs(phi)
     model = ClusterModel(
@@ -422,12 +415,24 @@ def load_model(path) -> ClusterModel:
         if key not in doc:
             raise ValueError(f"model field {key!r} is missing")
     return ClusterModel(
-        phi=np.array(doc["phi"], dtype=float),
-        lam=np.array(doc["eigenvalues"], dtype=float),
+        phi=_numeric_field(doc, "phi"),
+        lam=_numeric_field(doc, "eigenvalues"),
         c=doc["c"],
         t=doc["t"],
-        gamma=float(doc["gamma"]),
-        eta=float(doc["eta"]),
-        train_features=np.array(doc["train_features"], dtype=float),
-        train_sigma=np.array(doc["train_sigma"], dtype=float),
+        gamma=_numeric_field(doc, "gamma", scalar=True),
+        eta=_numeric_field(doc, "eta", scalar=True),
+        train_features=_numeric_field(doc, "train_features"),
+        train_sigma=_numeric_field(doc, "train_sigma"),
     )
+
+
+def _numeric_field(doc: dict, key: str, scalar: bool = False):
+    """Model field ``key`` as a float, or as a float array; refuses a ragged or non-numeric one."""
+    try:
+        value = np.array(doc[key])
+    except ValueError:  # ragged nesting
+        value = np.array(None)
+    if value.dtype.kind not in "iuf" or (scalar and value.ndim):
+        kind = "a number" if scalar else "a rectangular array of numbers"
+        raise ValueError(f"model field {key!r} must be {kind}")
+    return float(value) if scalar else value.astype(float, copy=False)

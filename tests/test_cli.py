@@ -174,9 +174,20 @@ class TestPredictCommand:
              "lam (the eigenvalues) must be finite, got [inf, 1.0]"),
             (lambda doc: {**doc, "t": 2.7}, "t must be a whole number, got 2.7"),
             (lambda doc: {**doc, "c": 2.5}, "c must be a whole number, got 2.5"),
+            (lambda doc: {**doc, "gamma": [1]}, "model field 'gamma' must be a number"),
+            (lambda doc: {**doc, "eta": "0"}, "model field 'eta' must be a number"),
+            (lambda doc: {**doc, "phi": [doc["phi"][0][:1]] + doc["phi"][1:]},
+             "model field 'phi' must be a rectangular array of numbers"),
+            (lambda doc: {**doc, "eigenvalues": ["1", "2"]},
+             "model field 'eigenvalues' must be a rectangular array of numbers"),
+            (lambda doc: {**doc, "train_features": [[1.0, 2.0], [3.0]]},
+             "model field 'train_features' must be a rectangular array of numbers"),
+            (lambda doc: {**doc, "train_sigma": [None] * len(doc["train_sigma"])},
+             "model field 'train_sigma' must be a rectangular array of numbers"),
         ],
         ids=["missing-phi", "list", "nan-eigenvalues", "inf-eigenvalue", "fractional-t",
-             "fractional-c"],
+             "fractional-c", "list-gamma", "text-eta", "ragged-phi", "text-eigenvalues",
+             "ragged-train-features", "null-train-sigma"],
     )
     def test_bad_model_document_exits_2_naming_the_field(
         self, workdir, blobs_csv, capsys, bad, message
@@ -387,18 +398,9 @@ class TestDumpCvReusesTheSearch:
         assert len((workdir / "cv.csv").read_text().splitlines()) == 1 + 10 * 5
 
 
-class TestClusterBuildsTheKernelOnce:
-    def test_dump_kernel_reuses_the_fitted_kernel(self, workdir, blobs_csv, monkeypatch):
+class TestClusterDumpKernel:
+    def test_dump_kernel_writes_the_edited_kernel(self, workdir, blobs_csv):
         path, ds = blobs_csv
-        calls = []
-        original = kernel.local_scaling_kernel
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        for module in ("smiclust.kernel", "smiclust.solver", "smiclust.cli"):
-            monkeypatch.setattr(f"{module}.local_scaling_kernel", counted, raising=False)
         links = workdir / "links.txt"
         links.write_text("1 2 +1\n3 40 -1\n")
         code = main(
@@ -407,8 +409,9 @@ class TestClusterBuildsTheKernelOnce:
              "--dump-kernel", "kernel.csv"]
         )
         assert code == 0
-        assert len(calls) == 1
-        edited = kernel.apply_constraints(original(ds.features, 5), load_constraints(links, ds.n))
+        edited = kernel.apply_constraints(
+            kernel.local_scaling_kernel(ds.features, 5), load_constraints(links, ds.n)
+        )
         expected = "".join(",".join(map(repr, row.tolist())) + "\n" for row in edited.entries)
         assert (workdir / "kernel.csv").read_text() == expected
 

@@ -24,6 +24,7 @@ from smiclust.lsmi import (
     lsmi_value,
     ratio_matrix,
 )
+from smiclust.model_select import LsmiConfig
 
 
 def gauss(a, b, kappa):
@@ -456,3 +457,32 @@ class TestRatioMatrix:
         mat = ratio_matrix(model, ds.features)
         for k, cls in enumerate(model.classes):
             assert np.allclose(mat[:, k], evaluate_ratio(model, ds.features, cls))
+
+
+@pytest.mark.parametrize("caller", ["fit_ratio_model", "RatioModel", "cross_validate",
+                                    "LsmiConfig"])
+@pytest.mark.parametrize(
+    "name, value",
+    [("kappa", 0.0), ("kappa", -1.0), ("kappa", np.inf), ("kappa", np.nan),
+     ("delta", -0.1), ("delta", np.inf), ("delta", np.nan)],
+)
+def test_every_entry_refuses_a_bad_kappa_or_delta(caller, name, value):
+    ds = make_blobs(10, 2, 2, 4.0, seed=0)
+    kappa, delta = (value, 0.1) if name == "kappa" else (1.0, value)
+    rule = "finite and positive" if name == "kappa" else "finite and non-negative"
+    grid = " grid values" if caller in ("cross_validate", "LsmiConfig") else ""
+    calls = {
+        "fit_ratio_model": lambda: fit_ratio_model(ds.features, ds.labels, kappa, delta),
+        "RatioModel": lambda: RatioModel(
+            classes=(1,), centers=(np.zeros((1, 2)),), weights=(np.ones(1),), kappa=kappa,
+            delta=delta,
+        ),
+        "cross_validate": lambda: cross_validate(
+            ds.features, ds.labels, kappa_grid=[kappa], delta_grid=[delta]
+        ),
+        "LsmiConfig": lambda: LsmiConfig(kappa_grid=(kappa,), delta_grid=(delta,)),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any numeric work
+        with pytest.raises(ValueError, match=f"^{name}{grid} must be {rule}, got {value}$"):
+            calls[caller]()
