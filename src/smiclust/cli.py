@@ -103,11 +103,11 @@ def _write_kernel_csv(path, matrix) -> None:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _parse_grid(text, kind=float):
+def _parse_grid(text):
     if not text:
         return None
     try:
-        return tuple(kind(part) for part in text.split(",") if part.strip() != "")
+        return tuple(float(part) for part in text.split(",") if part.strip() != "")
     except ValueError:
         raise UserInputError(f"bad grid value in {text!r}") from None
 
@@ -117,7 +117,7 @@ def _grid_search(args, ds: Dataset, cs):
         ds,
         cs,
         args.classes,
-        t_grid=_parse_grid(args.t_grid, int),
+        t_grid=_parse_grid(args.t_grid),
         gamma_grid=_parse_grid(args.gamma_grid),
         eta_grid=_parse_grid(args.eta_grid),
         lsmi_cfg=LsmiConfig(center_cap=args.center_cap, folds=args.folds),

@@ -84,6 +84,7 @@ class BenchmarkConfig:
         "separation": ..., "seed": ...}``; an optional top-level ``normalize``
         scheme is applied after loading.
         """
+        whole = solver.whole_number
         spec = doc.get("dataset")
         if not isinstance(spec, dict):
             raise ValueError("config needs a 'dataset' object")
@@ -93,40 +94,41 @@ class BenchmarkConfig:
             )
         elif spec.get("generator") == "blobs":
             ds = make_blobs(
-                n_per_class=int(spec["n_per_class"]),
-                c=int(spec["classes"]),
-                d=int(spec.get("dim", 2)),
+                n_per_class=whole("n_per_class", spec["n_per_class"]),
+                c=whole("classes", spec["classes"]),
+                d=whole("dim", spec.get("dim", 2)),
                 separation=float(spec.get("separation", 5.0)),
-                seed=int(spec.get("seed", 0)),
+                seed=whole("seed", spec.get("seed", 0)),
             )
         else:
             raise ValueError("dataset must have a 'path' or be a 'blobs' generator")
         scheme = doc.get("normalize", "none")
         ds = normalize(ds, scheme)
-        if "classes" in doc and ds.c is not None and int(doc["classes"]) != ds.c:
-            raise ValueError(
-                f"config says {doc['classes']} classes but the dataset has {ds.c}"
-            )
+        c, _ = solver.check_hyperparameters(ds.n, doc.get("classes", ds.c))
+        if ds.c is not None and c != ds.c:
+            raise ValueError(f"config says {c} classes but the dataset has {ds.c}")
         theta = doc.get("theta")
         if theta is not None:
-            theta = (int(theta["t"]), float(theta.get("gamma", 0.0)), float(theta.get("eta", 0.0)))
+            t, gamma, eta = theta["t"], theta.get("gamma", 0.0), theta.get("eta", 0.0)
+            _, (t,) = solver.check_hyperparameters(ds.n, c, [t], [gamma], [eta])
+            theta = (t, float(gamma), float(eta))
         grids = doc.get("grids", {})
         lsmi_doc = doc.get("lsmi", {})
         return cls(
             dataset=ds,
             link_counts=tuple(doc["link_counts"]),
-            runs=int(doc["runs"]),
-            seed=int(doc.get("seed", 0)),
+            runs=whole("runs", doc["runs"]),
+            seed=whole("seed", doc.get("seed", 0)),
             theta=theta,
             t_grid=tuple(grids["t"]) if "t" in grids else None,
             gamma_grid=tuple(grids["gamma"]) if "gamma" in grids else None,
             eta_grid=tuple(grids["eta"]) if "eta" in grids else None,
             lsmi=LsmiConfig(
-                center_cap=int(lsmi_doc.get("center_cap", LsmiConfig.center_cap)),
-                folds=int(lsmi_doc.get("folds", LsmiConfig.folds)),
+                center_cap=whole("center_cap", lsmi_doc.get("center_cap", LsmiConfig.center_cap)),
+                folds=whole("folds", lsmi_doc.get("folds", LsmiConfig.folds)),
             ),
             method_name=doc.get("method", "smiclust"),
-            jobs=int(doc.get("jobs", 1)),
+            jobs=whole("jobs", doc.get("jobs", 1)),
             snapshot=doc,
         )
 

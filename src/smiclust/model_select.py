@@ -182,14 +182,16 @@ def grid_search(
 
     Ties on the score are broken by smaller violation count, larger LSMI,
     then smaller t, gamma, eta.  With more than two clusters the eta grid is
-    forced to {0}.  Raises if the LSMI center cap is below c, before any
-    clustering, and if every candidate fails.
+    forced to {0}.  c, every grid value (eta before that forcing) and the LSMI
+    center cap are checked before any clustering; raises if every candidate fails.
     """
-    t_grid = tuple(int(t) for t in (DEFAULT_T_GRID if t_grid is None else t_grid))
-    gamma_grid = tuple(float(g) for g in (DEFAULT_GAMMA_GRID if gamma_grid is None else gamma_grid))
-    eta_grid = tuple(float(e) for e in (DEFAULT_ETA_GRID if eta_grid is None else eta_grid))
+    t_grid = tuple(DEFAULT_T_GRID if t_grid is None else t_grid)
+    gamma_grid = tuple(DEFAULT_GAMMA_GRID if gamma_grid is None else gamma_grid)
+    eta_grid = tuple(DEFAULT_ETA_GRID if eta_grid is None else eta_grid)
     if not t_grid or not gamma_grid or not eta_grid:
         raise ValueError("grids must be nonempty")
+    solver.check_hyperparameters(ds.n, None, etas=eta_grid)
+    c, t_grid = solver.check_hyperparameters(ds.n, c, t_grid, gamma_grid)
     if c > 2 and any(e != 0 for e in eta_grid):
         warnings.warn(
             f"eta grid forced to {{0}} because c={c} > 2 (cannot-link squares "
@@ -203,7 +205,7 @@ def grid_search(
         raise ValueError(f"center cap {cfg.center_cap} is smaller than the number of classes {c}")
     jobs = max(1, int(jobs))
     candidates = [
-        Candidate(t=t, gamma=gamma, eta=eta)
+        Candidate(t=t, gamma=float(gamma), eta=float(eta))
         for t in t_grid
         for gamma in gamma_grid
         for eta in eta_grid

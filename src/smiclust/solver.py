@@ -55,6 +55,31 @@ class PredictionError(RuntimeError):
     """Out-of-sample prediction was refused (non-positive leading eigenvalue)."""
 
 
+def whole_number(name: str, value, top: int | None = None) -> int:
+    """``value`` as an int in ``1..top`` (if given); ``2.0`` reads as 2, ``2.7`` or a bool fails."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and value % 1 == 0):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if top is not None and not 1 <= value <= top:
+        raise ValueError(f"{name} must be in 1..{top}, got {int(value)}")
+    return int(value)
+
+
+def check_hyperparameters(n: int, c, ts=(), gammas=(), etas=()) -> tuple[int | None, tuple]:
+    """The one rule for the clustering hyperparameters; returns c and the t values as ints.
+
+    c in ``1..n`` (``None``: not checked) and t in ``1..n - 1`` are whole numbers, gamma and
+    eta finite and >= 0, and eta 0 when c > 2: C^2 encodes must-links only for two clusters.
+    """
+    c = None if c is None else whole_number("c", c, n)
+    ts = tuple(whole_number("t", t, n - 1) for t in ts)
+    for name, value in [("gamma", gamma) for gamma in gammas] + [("eta", eta) for eta in etas]:
+        if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+    if c is not None and c > 2 and any(etas):
+        raise ValueError(f"eta must be 0 when c > 2 (got eta={max(etas)}, c={c})")
+    return c, ts
+
+
 @dataclass(frozen=True, eq=False)
 class ObjectiveMatrix:
     """The clustering objective's quadratic form ``U = K' B K'``, held by its sparse factors.
@@ -105,36 +130,28 @@ class ClusterModel:
     train_sigma: np.ndarray
 
     def __post_init__(self):
-        for name in ("c", "t"):
-            value = getattr(self, name)
-            whole = isinstance(value, numbers.Real) and float(value).is_integer()
-            if not whole or isinstance(value, bool):
-                raise ValueError(f"{name} must be a whole number, got {value!r}")
-            object.__setattr__(self, name, int(value))
         phi = np.asarray(self.phi, dtype=float)
         lam = np.asarray(self.lam, dtype=float)
         features = np.asarray(self.train_features, dtype=float)
         sigma = np.asarray(self.train_sigma, dtype=float)
-        if phi.ndim != 2 or phi.shape[1] != self.c or lam.shape != (self.c,):
+        n = len(phi) if phi.ndim else 0
+        c, (t,) = check_hyperparameters(n, self.c, [self.t], [self.gamma], [self.eta])
+        if phi.shape[1:] != (c,) or lam.shape != (c,):
             raise ValueError("phi must be n x c and lam length c")
         if not np.isfinite(lam).all():
             raise ValueError(f"lam (the eigenvalues) must be finite, got {lam.tolist()}")
-        n = phi.shape[0]
         if features.ndim != 2 or features.shape[0] != n or not np.isfinite(features).all():
             raise ValueError(f"train_features must be finite with {n} rows, got {features.shape}")
         if sigma.shape != (n,) or not np.isfinite(sigma).all() or np.any(sigma < 0):
             raise ValueError(f"train_sigma must be {n} finite scales >= 0, got {sigma.shape}")
-        if not 1 <= self.t <= n - 1:
-            raise ValueError(f"t must be in 1..{n - 1}, got {self.t}")
         gram = phi.T @ phi
-        if not np.allclose(gram, np.eye(self.c), atol=1e-8):
+        if not np.allclose(gram, np.eye(c), atol=1e-8):
             raise ValueError("phi columns must be orthonormal")
         if np.any(np.diff(lam) > 1e-10):
             raise ValueError("lam must be sorted in descending order")
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "train_features", features)
-        object.__setattr__(self, "train_sigma", sigma)
+        names = ("phi", "lam", "c", "t", "train_features", "train_sigma")
+        for name, value in zip(names, (phi, lam, c, t, features, sigma)):
+            object.__setattr__(self, name, value)
 
 
 def objective_matrix(
@@ -143,13 +160,9 @@ def objective_matrix(
     """U = K' B K' with ``B = 2I + 2g M + g^2 M^2 - 2e C + e^2 C^2``, as a matrix-free operator.
 
     B is built once as canonical CSR; the cannot-link terms are left out when
-    ``eta`` is 0.  ``eta`` must be 0 for more than two clusters: the
-    enemy-of-my-enemy squared term in C^2 only encodes a must-link when c = 2.
+    ``eta`` is 0.  The arguments are held to :func:`check_hyperparameters`.
     """
-    if not (math.isfinite(gamma) and math.isfinite(eta) and gamma >= 0 and eta >= 0):
-        raise ValueError(f"gamma and eta must be finite and non-negative, got {gamma} and {eta}")
-    if c > 2 and eta != 0:
-        raise ValueError(f"eta must be 0 when c > 2 (got eta={eta}, c={c})")
+    check_hyperparameters(kernel.n, c, (), [gamma], [eta])
     if cs.n != kernel.n:
         raise ValueError(f"constraint set n={cs.n} does not match kernel n={kernel.n}")
     must = _link_matrix(cs.must_links, cs.n, 1.0)
@@ -245,8 +258,7 @@ def top_eigenpairs(matrix, c: int) -> tuple[np.ndarray, np.ndarray]:
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     n = matrix.n
-    if not 1 <= c <= n:
-        raise ValueError(f"c must be in 1..{n}, got {c}")
+    c, _ = check_hyperparameters(n, c)
     if c < n - 1:
         split = connected_components(matrix.graph, directed=False, return_labels=False) > 1
         apply = matrix.matvec
@@ -331,6 +343,7 @@ def cluster(
     Returns the label vector (values ``1..c``) and a :class:`ClusterModel`
     carrying everything needed for out-of-sample prediction.
     """
+    c, (t,) = check_hyperparameters(ds.n, c, [t], [gamma], [eta])
     if cs is None:
         cs = empty_constraints(ds.n)
     edited = apply_constraints(local_scaling_kernel(ds.features, t), cs)

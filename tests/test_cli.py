@@ -463,6 +463,35 @@ class TestUpFrontInputChecks:
         assert not (workdir / "labels.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["select", "--classes", "61"], "c must be in 1..60, got 61"),
+        (["select", "--classes", "2", "--t-grid", "0,3"], "t must be in 1..59, got 0"),
+        (["select", "--classes", "2", "--t-grid", "3,2.7"], "t must be a whole number, got 2.7"),
+        (["select", "--classes", "2", "--gamma-grid", "nan,1"],
+         "gamma must be finite and non-negative, got nan"),
+        (["predict", "--model", "nan-gamma.json"],
+         "gamma must be finite and non-negative, got nan"),
+    ],
+    ids=["select-classes-61", "select-t-grid-0", "select-t-grid-2.7", "select-gamma-grid-nan",
+         "predict-nan-gamma"],
+)
+def test_bad_hyperparameter_exits_2_before_clustering(workdir, args, message):
+    """A bad c or grid value, or a model's NaN gamma, is refused with one line, not per candidate."""
+    ds = make_blobs(30, 2, 2, 3.0, seed=0)
+    write_features_csv(workdir / "points.csv", ds.features)
+    assert main(["cluster", "--input", "points.csv", "--classes", "2", "--t", "5",
+                 "--labels-out", "fit.csv", "--model-out", "model.json"]) == 0
+    doc = json.loads((workdir / "model.json").read_text())
+    (workdir / "nan-gamma.json").write_text(json.dumps({**doc, "gamma": float("nan")}))
+    proc = run_cli([*args, "--input", "points.csv"], workdir)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {message}\n"
+    assert not (workdir / "candidates.csv").exists()
+    assert not (workdir / "labels.csv").exists() and not (workdir / "predictions.csv").exists()
+
+
 def test_overflowing_distances_exit_2_naming_normalize(workdir):
     """Features whose squared distances overflow float64 are refused, not crashed on."""
     x = make_blobs(20, 2, 2, 3.0, seed=0).features

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,3 +226,21 @@ class TestReportWriters:
         assert config.dataset.n == 20
         assert config.theta == (3, 1.0, 0.0)
         assert config.snapshot == doc
+
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [(None, "runs", 2.7), (None, "seed", 1.5), (None, "jobs", True),
+         ("dataset", "n_per_class", 30.9), ("dataset", "classes", 2.5), ("dataset", "dim", "2"),
+         ("dataset", "seed", 0.5), ("lsmi", "center_cap", 50.5), ("lsmi", "folds", 3.9)],
+    )
+    def test_from_dict_refuses_a_fractional_count(self, section, field, value):
+        doc = {
+            "dataset": {"generator": "blobs", "n_per_class": 10, "classes": 2},
+            "link_counts": [0],
+            "runs": 2,
+            "lsmi": {},
+        }
+        (doc if section is None else doc[section])[field] = value
+        message = f"{field} must be a whole number, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BenchmarkConfig.from_dict(doc)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from smiclust import lsmi
-from smiclust.data import ConstraintSet, empty_constraints, make_blobs, sample_constraints
+from smiclust.data import ConstraintSet, Dataset, empty_constraints, make_blobs, sample_constraints
 from smiclust.evaluation import adjusted_rand_index
 from smiclust.model_select import (
     Candidate,
@@ -244,10 +244,12 @@ class TestGridSearch:
             LsmiConfig(kappa_grid=())
 
     def test_all_candidates_failing_raises(self):
-        ds = make_blobs(5, 2, 1, 5.0, seed=5)  # n=10, so t=20 is invalid
-        cs = empty_constraints(10)
-        with pytest.raises(RuntimeError, match="failed"):
-            grid_search(ds, cs, 2, t_grid=(20,), gamma_grid=(0.0,), eta_grid=(0.0,))
+        # 30 equal points with t = 29 make K' all ones: U has rank 1, below c = 2,
+        # a numeric failure that only clustering finds.
+        ds = Dataset(np.ones((30, 2)))
+        cs = empty_constraints(30)
+        with pytest.raises(RuntimeError, match="failed: .*U has rank below c=2"):
+            grid_search(ds, cs, 2, t_grid=(29,), gamma_grid=(0.0, 1.0), eta_grid=(0.0,))
 
     def test_empty_grid_rejected(self):
         ds = make_blobs(10, 2, 2, 5.0, seed=6)

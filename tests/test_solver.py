@@ -1,4 +1,6 @@
 import json
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,10 +16,12 @@ from oracles import (
     smi_score,
     unsupervised_labels,
 )
+from smiclust import solver
 from smiclust.data import ConstraintSet, Dataset, empty_constraints, make_blobs, sample_constraints
-from smiclust.evaluation import adjusted_rand_index
+from smiclust.evaluation import BenchmarkConfig, adjusted_rand_index
 from smiclust.kernel import KernelMatrix, apply_constraints, local_scaling_kernel, nearest_neighbors
 from smiclust.lsmi import fit_ratio_model
+from smiclust.model_select import grid_search
 from smiclust.solver import (
     ClusterModel,
     PredictionError,
@@ -706,3 +710,64 @@ class TestModelPersistence:
         path.write_text('{"schema": "other-v9"}')
         with pytest.raises(ValueError, match="schema"):
             load_model(path)
+
+
+N_RULE = 30  # 2 x 15 blobs; the bench config with c = 3 makes them 3 x 10
+RULE_CASES = [
+    ("t", 0, "t must be in 1..29, got 0"),
+    ("t", 2.7, "t must be a whole number, got 2.7"),
+    ("t", N_RULE, "t must be in 1..29, got 30"),
+    ("t", True, "t must be a whole number, got True"),
+    *[(name, value, f"{name} must be finite and non-negative, got {value!r}")
+      for name in ("gamma", "eta") for value in (-1.0, np.nan, np.inf)],
+    ("c", 0, "c must be in 1..30, got 0"),
+    ("c", N_RULE + 1, "c must be in 1..30, got 31"),
+    ("c", 2.5, "c must be a whole number, got 2.5"),
+    ("eta-with-c", 3, "eta must be 0 when c > 2 (got eta=1.0, c=3)"),
+]
+# objective_matrix takes no t, and grid_search forces its eta grid to {0} for
+# c > 2 with a warning (tests/test_model_select.py) rather than refusing it.
+RULE_CALLS = [
+    (caller, *case)
+    for caller in ("cluster", "objective_matrix", "ClusterModel", "grid_search", "from_dict")
+    for case in RULE_CASES
+    if (caller, case[0]) not in {("objective_matrix", "t"), ("grid_search", "eta-with-c")}
+]
+
+
+@pytest.mark.parametrize(
+    "caller, name, value, message", RULE_CALLS,
+    ids=[f"{caller}-{name}={value}" for caller, name, value, _ in RULE_CALLS],
+)
+def test_every_entry_refuses_a_bad_hyperparameter(monkeypatch, caller, name, value, message):
+    """Each entry refuses a bad t, gamma, eta or c with the rule's message, before any kernel."""
+    theta = {"t": 3, "gamma": 0.5, "eta": 0.0, "c": 2}
+    theta.update({"eta": 1.0, "c": value} if name == "eta-with-c" else {name: value})
+    t, gamma, eta, c = theta["t"], theta["gamma"], theta["eta"], theta["c"]
+    ds = make_blobs(15, 2, 2, 4.0, seed=0)
+    kernel = local_scaling_kernel(ds.features, 3)
+    links = empty_constraints(N_RULE)
+    basis = np.linalg.qr(np.random.default_rng(0).standard_normal((N_RULE, 2)))[0]
+    blobs = {"generator": "blobs", "n_per_class": 15, "classes": 2}
+    if c == 3:
+        blobs = {**blobs, "n_per_class": 10, "classes": 3}
+    calls = {
+        "cluster": lambda: cluster(ds, links, t, gamma, eta, c),
+        "objective_matrix": lambda: objective_matrix(kernel, links, gamma, eta, c),
+        "ClusterModel": lambda: ClusterModel(
+            phi=basis, lam=np.array([2.0, 1.0]), c=c, t=t, gamma=gamma, eta=eta,
+            train_features=ds.features, train_sigma=kernel.sigma,
+        ),
+        "grid_search": lambda: grid_search(
+            ds, links, c, t_grid=[t], gamma_grid=[gamma], eta_grid=[eta]
+        ),
+        "from_dict": lambda: BenchmarkConfig.from_dict({
+            "dataset": blobs, "classes": c, "theta": {"t": t, "gamma": gamma, "eta": eta},
+            "link_counts": [0], "runs": 1,
+        }),
+    }
+    monkeypatch.setattr(solver, "local_scaling_kernel", lambda *a: pytest.fail("kernel built"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any numeric work
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            calls[caller]()
