@@ -16,6 +16,7 @@ import numpy as np
 
 from . import solver
 from .data import Dataset, load_dataset, make_blobs, normalize, sample_constraints
+from .kernel import whole_number
 from .model_select import LsmiConfig, grid_search
 
 
@@ -84,7 +85,6 @@ class BenchmarkConfig:
         "separation": ..., "seed": ...}``; an optional top-level ``normalize``
         scheme is applied after loading.
         """
-        whole = solver.whole_number
         spec = doc.get("dataset")
         if not isinstance(spec, dict):
             raise ValueError("config needs a 'dataset' object")
@@ -94,11 +94,11 @@ class BenchmarkConfig:
             )
         elif spec.get("generator") == "blobs":
             ds = make_blobs(
-                n_per_class=whole("n_per_class", spec["n_per_class"]),
-                c=whole("classes", spec["classes"]),
-                d=whole("dim", spec.get("dim", 2)),
+                n_per_class=whole_number("n_per_class", spec["n_per_class"]),
+                c=whole_number("classes", spec["classes"]),
+                d=whole_number("dim", spec.get("dim", 2)),
                 separation=float(spec.get("separation", 5.0)),
-                seed=whole("seed", spec.get("seed", 0)),
+                seed=whole_number("seed", spec.get("seed", 0)),
             )
         else:
             raise ValueError("dataset must have a 'path' or be a 'blobs' generator")
@@ -117,18 +117,18 @@ class BenchmarkConfig:
         return cls(
             dataset=ds,
             link_counts=tuple(doc["link_counts"]),
-            runs=whole("runs", doc["runs"]),
-            seed=whole("seed", doc.get("seed", 0)),
+            runs=whole_number("runs", doc["runs"]),
+            seed=whole_number("seed", doc.get("seed", 0)),
             theta=theta,
             t_grid=tuple(grids["t"]) if "t" in grids else None,
             gamma_grid=tuple(grids["gamma"]) if "gamma" in grids else None,
             eta_grid=tuple(grids["eta"]) if "eta" in grids else None,
             lsmi=LsmiConfig(
-                center_cap=whole("center_cap", lsmi_doc.get("center_cap", LsmiConfig.center_cap)),
-                folds=whole("folds", lsmi_doc.get("folds", LsmiConfig.folds)),
+                center_cap=lsmi_doc.get("center_cap", LsmiConfig.center_cap),
+                folds=lsmi_doc.get("folds", LsmiConfig.folds),
             ),
             method_name=doc.get("method", "smiclust"),
-            jobs=whole("jobs", doc.get("jobs", 1)),
+            jobs=whole_number("jobs", doc.get("jobs", 1)),
             snapshot=doc,
         )
 

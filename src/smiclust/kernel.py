@@ -30,6 +30,8 @@ repeats, and each value is written at its key's ``searchsorted`` position.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +47,31 @@ _RESCALE = "; rescale the features (cluster and select take --normalize minmax-s
 
 class FeatureScaleError(ValueError):
     """Squared distances between the features overflow or underflow float64."""
+
+
+def whole_number(name: str, value, top: int | None = None) -> int:
+    """``value`` as an int in ``1..top`` (if given); ``2.0`` reads as 2, ``2.7`` or a bool fails."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and value % 1 == 0):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if top is not None and not 1 <= value <= top:
+        raise ValueError(f"{name} must be in 1..{top}, got {int(value)}")
+    return int(value)
+
+
+def check_hyperparameters(n: int, c, ts=(), gammas=(), etas=()) -> tuple[int | None, tuple]:
+    """The one rule for the clustering hyperparameters; returns c and the t values as ints.
+
+    c in ``1..n`` (``None``: not checked) and t in ``1..n - 1`` are whole numbers, gamma and
+    eta finite and >= 0, and eta 0 when c > 2: C^2 encodes must-links only for two clusters.
+    """
+    c = None if c is None else whole_number("c", c, n)
+    ts = tuple(whole_number("t", t, n - 1) for t in ts)
+    for name, value in [("gamma", gamma) for gamma in gammas] + [("eta", eta) for eta in etas]:
+        if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+    if c is not None and c > 2 and any(etas):
+        raise ValueError(f"eta must be 0 when c > 2 (got eta={max(etas)}, c={c})")
+    return c, ts
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,8 +252,7 @@ def nearest_neighbors(features, t: int) -> tuple[np.ndarray, np.ndarray]:
     """
     x = np.asarray(features, dtype=float)
     n = x.shape[0]
-    if not 1 <= t <= n - 1:
-        raise ValueError(f"t must be in 1..{n - 1}, got {t}")
+    _, (t,) = check_hyperparameters(n, None, [t])
     # Each point's t + 1 nearest hold the point itself unless t + 1 copies of
     # it come first by index; drop the point, or else the (t + 1)-th, whose
     # distance is then 0 like the t-th.

@@ -27,7 +27,7 @@ import numpy as np
 from . import lsmi as lsmi_mod
 from . import solver
 from .data import ConstraintSet, Dataset
-from .kernel import FeatureScaleError
+from .kernel import FeatureScaleError, whole_number
 
 DEFAULT_T_GRID = tuple(range(1, 11))
 DEFAULT_GAMMA_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
@@ -62,6 +62,8 @@ class LsmiConfig:
     delta_grid: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "folds", whole_number("folds", self.folds))
+        object.__setattr__(self, "center_cap", whole_number("center_cap", self.center_cap))
         if self.folds < 2:
             raise ValueError(f"folds must be >= 2, got {self.folds}")
         if self.center_cap < 1:
@@ -182,10 +184,13 @@ def grid_search(
 
     Ties on the score are broken by smaller violation count, larger LSMI,
     then smaller t, gamma, eta.  With more than two clusters the eta grid is
-    forced to {0}.  c, every grid value (eta before that forcing) and the LSMI
-    center cap are checked before any clustering; raises if every candidate fails.
+    forced to {0}.  The default t grid keeps its values below n.  c, every grid
+    value (eta before that forcing) and the LSMI center cap are checked before
+    any clustering; raises if every candidate fails.
     """
-    t_grid = tuple(DEFAULT_T_GRID if t_grid is None else t_grid)
+    if t_grid is None:  # the default t values the rule allows at this n (at n <= 1, none is)
+        t_grid = [t for t in DEFAULT_T_GRID if t < ds.n] or DEFAULT_T_GRID
+    t_grid = tuple(t_grid)
     gamma_grid = tuple(DEFAULT_GAMMA_GRID if gamma_grid is None else gamma_grid)
     eta_grid = tuple(DEFAULT_ETA_GRID if eta_grid is None else eta_grid)
     if not t_grid or not gamma_grid or not eta_grid:

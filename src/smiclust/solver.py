@@ -33,8 +33,6 @@ and only for n <= 64.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,7 +41,7 @@ from scipy import sparse
 
 from .data import ConstraintSet, Dataset, empty_constraints
 from .kernel import KernelMatrix, apply_constraints, local_scaling_kernel, query_kernel
-from .kernel import _link_matrix
+from .kernel import _link_matrix, check_hyperparameters
 from .kernel import nearest_neighbors  # noqa: F401  re-exported; perfbench/tracer.py wraps it
 
 MODEL_SCHEMA = "smiclust-model-v1"
@@ -53,31 +51,6 @@ DENSE_MAX_N = 64
 
 class PredictionError(RuntimeError):
     """Out-of-sample prediction was refused (non-positive leading eigenvalue)."""
-
-
-def whole_number(name: str, value, top: int | None = None) -> int:
-    """``value`` as an int in ``1..top`` (if given); ``2.0`` reads as 2, ``2.7`` or a bool fails."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and value % 1 == 0):
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    if top is not None and not 1 <= value <= top:
-        raise ValueError(f"{name} must be in 1..{top}, got {int(value)}")
-    return int(value)
-
-
-def check_hyperparameters(n: int, c, ts=(), gammas=(), etas=()) -> tuple[int | None, tuple]:
-    """The one rule for the clustering hyperparameters; returns c and the t values as ints.
-
-    c in ``1..n`` (``None``: not checked) and t in ``1..n - 1`` are whole numbers, gamma and
-    eta finite and >= 0, and eta 0 when c > 2: C^2 encodes must-links only for two clusters.
-    """
-    c = None if c is None else whole_number("c", c, n)
-    ts = tuple(whole_number("t", t, n - 1) for t in ts)
-    for name, value in [("gamma", gamma) for gamma in gammas] + [("eta", eta) for eta in etas]:
-        if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
-            raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
-    if c is not None and c > 2 and any(etas):
-        raise ValueError(f"eta must be 0 when c > 2 (got eta={max(etas)}, c={c})")
-    return c, ts
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,9 +122,12 @@ class ClusterModel:
             raise ValueError("phi columns must be orthonormal")
         if np.any(np.diff(lam) > 1e-10):
             raise ValueError("lam must be sorted in descending order")
-        names = ("phi", "lam", "c", "t", "train_features", "train_sigma")
-        for name, value in zip(names, (phi, lam, c, t, features, sigma)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "train_features", features)
+        object.__setattr__(self, "train_sigma", sigma)
 
 
 def objective_matrix(

@@ -7,6 +7,7 @@ from smiclust import lsmi
 from smiclust.data import ConstraintSet, Dataset, empty_constraints, make_blobs, sample_constraints
 from smiclust.evaluation import adjusted_rand_index
 from smiclust.model_select import (
+    DEFAULT_T_GRID,
     Candidate,
     LsmiConfig,
     count_violations,
@@ -243,6 +244,15 @@ class TestGridSearch:
         with pytest.raises(ValueError, match="^kappa and delta grids must be nonempty$"):
             LsmiConfig(kappa_grid=())
 
+    def test_lsmi_config_counts_are_whole_numbers(self):
+        """folds = 3.9 is refused, not truncated or carried into the fold split; 3.0 reads as 3."""
+        with pytest.raises(ValueError, match=r"^folds must be a whole number, got 3\.9$"):
+            LsmiConfig(folds=3.9)
+        with pytest.raises(ValueError, match=r"^center_cap must be a whole number, got 50\.5$"):
+            LsmiConfig(center_cap=50.5)
+        cfg = LsmiConfig(folds=3.0, center_cap=np.int64(40))
+        assert (cfg.folds, cfg.center_cap) == (3, 40) and type(cfg.folds) is int
+
     def test_all_candidates_failing_raises(self):
         # 30 equal points with t = 29 make K' all ones: U has rank 1, below c = 2,
         # a numeric failure that only clustering finds.
@@ -250,6 +260,15 @@ class TestGridSearch:
         cs = empty_constraints(30)
         with pytest.raises(RuntimeError, match="failed: .*U has rank below c=2"):
             grid_search(ds, cs, 2, t_grid=(29,), gamma_grid=(0.0, 1.0), eta_grid=(0.0,))
+
+    def test_default_t_grid_keeps_the_values_below_n(self):
+        """On ten points the default t grid (1..10) is cut to 1..9, not refused at t = 10."""
+        ds = make_blobs(5, 2, 2, 6.0, seed=0)
+        result = grid_search(ds, empty_constraints(10), 2)
+        assert sorted({cand.t for cand in result.candidates}) == list(range(1, 10))
+        assert result.best.error is None
+        with pytest.raises(ValueError, match=r"^t must be in 1\.\.9, got 10$"):
+            grid_search(ds, empty_constraints(10), 2, t_grid=DEFAULT_T_GRID)
 
     def test_empty_grid_rejected(self):
         ds = make_blobs(10, 2, 2, 5.0, seed=6)

@@ -725,13 +725,16 @@ RULE_CASES = [
     ("c", 2.5, "c must be a whole number, got 2.5"),
     ("eta-with-c", 3, "eta must be 0 when c > 2 (got eta=1.0, c=3)"),
 ]
-# objective_matrix takes no t, and grid_search forces its eta grid to {0} for
-# c > 2 with a warning (tests/test_model_select.py) rather than refusing it.
+# objective_matrix takes no t, nearest_neighbors only t, and grid_search forces its
+# eta grid to {0} for c > 2 with a warning (tests/test_model_select.py) rather than
+# refusing it.
 RULE_CALLS = [
     (caller, *case)
-    for caller in ("cluster", "objective_matrix", "ClusterModel", "grid_search", "from_dict")
+    for caller in ("cluster", "objective_matrix", "ClusterModel", "grid_search", "from_dict",
+                   "nearest_neighbors")
     for case in RULE_CASES
     if (caller, case[0]) not in {("objective_matrix", "t"), ("grid_search", "eta-with-c")}
+    and (caller != "nearest_neighbors" or case[0] == "t")
 ]
 
 
@@ -765,6 +768,7 @@ def test_every_entry_refuses_a_bad_hyperparameter(monkeypatch, caller, name, val
             "dataset": blobs, "classes": c, "theta": {"t": t, "gamma": gamma, "eta": eta},
             "link_counts": [0], "runs": 1,
         }),
+        "nearest_neighbors": lambda: nearest_neighbors(ds.features, t),
     }
     monkeypatch.setattr(solver, "local_scaling_kernel", lambda *a: pytest.fail("kernel built"))
     with warnings.catch_warnings():
