@@ -23,8 +23,8 @@ from .data import (
     sample_constraints,
 )
 from .evaluation import BenchmarkConfig, adjusted_rand_index, run_benchmark, write_report_csv
-from .lsmi import cross_validate, fit_ratio_model, lsmi_value
-from .model_select import LsmiConfig, count_violations, grid_search
+from .lsmi import LsmiConfig, cross_validate, fit_ratio_model, lsmi_value
+from .model_select import count_violations, grid_search
 from .solver import PredictionError, cluster, load_model, predict, save_model
 
 __all__ = [

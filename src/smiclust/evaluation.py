@@ -60,7 +60,8 @@ class BenchmarkConfig:
     ``link_counts`` entries that are fractions (floats below 1) are resolved
     against the n(n-1)/2 possible pairs.  When ``theta = (t, gamma, eta)`` is
     given every run uses those hyperparameters; otherwise each run performs a
-    grid search over the supplied (or default) grids.
+    grid search over the supplied (or default) grids.  Bad counts or theta are
+    refused when built.
     """
 
     dataset: Dataset
@@ -75,6 +76,16 @@ class BenchmarkConfig:
     method_name: str = "smiclust"
     jobs: int = 1
     snapshot: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("runs", "seed", "jobs"):
+            object.__setattr__(self, name, whole_number(name, getattr(self, name)))
+        if self.runs < 1:
+            raise ValueError(f"runs must be >= 1, got {self.runs}")
+        if self.theta is not None:
+            (t, gamma, eta), ds = self.theta, self.dataset
+            _, (t,) = solver.check_hyperparameters(ds.n, ds.c, [t], [gamma], [eta])
+            object.__setattr__(self, "theta", (t, float(gamma), float(eta)))
 
     @classmethod
     def from_dict(cls, doc: dict, base_dir=".") -> "BenchmarkConfig":
@@ -109,16 +120,14 @@ class BenchmarkConfig:
             raise ValueError(f"config says {c} classes but the dataset has {ds.c}")
         theta = doc.get("theta")
         if theta is not None:
-            t, gamma, eta = theta["t"], theta.get("gamma", 0.0), theta.get("eta", 0.0)
-            _, (t,) = solver.check_hyperparameters(ds.n, c, [t], [gamma], [eta])
-            theta = (t, float(gamma), float(eta))
+            theta = (theta["t"], theta.get("gamma", 0.0), theta.get("eta", 0.0))
         grids = doc.get("grids", {})
         lsmi_doc = doc.get("lsmi", {})
         return cls(
             dataset=ds,
             link_counts=tuple(doc["link_counts"]),
-            runs=whole_number("runs", doc["runs"]),
-            seed=whole_number("seed", doc.get("seed", 0)),
+            runs=doc["runs"],
+            seed=doc.get("seed", 0),
             theta=theta,
             t_grid=tuple(grids["t"]) if "t" in grids else None,
             gamma_grid=tuple(grids["gamma"]) if "gamma" in grids else None,
@@ -128,7 +137,7 @@ class BenchmarkConfig:
                 folds=lsmi_doc.get("folds", LsmiConfig.folds),
             ),
             method_name=doc.get("method", "smiclust"),
-            jobs=whole_number("jobs", doc.get("jobs", 1)),
+            jobs=doc.get("jobs", 1),
             snapshot=doc,
         )
 
@@ -176,8 +185,6 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
     ds = config.dataset
     if ds.labels is None:
         raise ValueError("benchmark needs a dataset with ground-truth labels")
-    if config.runs < 1:
-        raise ValueError(f"runs must be >= 1, got {config.runs}")
     counts = tuple(resolve_link_count(v, ds.n) for v in config.link_counts)
     seeds = tuple(config.seed + r for r in range(config.runs))
     rows = []

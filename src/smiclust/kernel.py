@@ -43,6 +43,7 @@ from .data import ConstraintSet
 # Tied rows are settled on at most this many (row, point) ball pairs at a time, or one row.
 _TIE_BLOCK = 1 << 20
 _RESCALE = "; rescale the features (cluster and select take --normalize minmax-symmetric)"
+_OVERFLOW = "squared distances between points overflow float64" + _RESCALE
 
 
 class FeatureScaleError(ValueError):
@@ -121,12 +122,20 @@ def _pair_distances(a: np.ndarray, rows: np.ndarray, b: np.ndarray, cols: np.nda
     return np.sqrt(total)
 
 
+def _balls(tree: cKDTree, centers: np.ndarray, radii: np.ndarray, **kwargs):
+    """``tree.query_ball_point``, whose refusal of overflowing box distances becomes ours."""
+    try:
+        return tree.query_ball_point(centers, radii, **kwargs)
+    except ValueError as exc:
+        raise FeatureScaleError(_OVERFLOW) if "overflow" in str(exc) else exc
+
+
 def _ball_pairs(tree: cKDTree, centers: np.ndarray, radii: np.ndarray):
     """(row, point) arrays of every tree point within ``radii[row]`` of ``centers[row]``.
 
     Pairs come by row, and within a row by ascending point index.
     """
-    balls = tree.query_ball_point(centers, radii, return_sorted=True)
+    balls = _balls(tree, centers, radii, return_sorted=True)
     counts = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
     points = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp, count=counts.sum())
     return np.repeat(np.arange(len(balls)), counts), points
@@ -142,7 +151,7 @@ def _tree_nearest(points: np.ndarray, queries: np.ndarray, t: int):
     tree = cKDTree(points)
     cand = tree.query(queries, k=k)[1].reshape(m, k)
     if (cand == n).any():  # the tree reports no point where a squared distance overflows
-        raise FeatureScaleError("squared distances between points overflow float64" + _RESCALE)
+        raise FeatureScaleError(_OVERFLOW)
     dist = _pair_distances(queries, np.repeat(np.arange(m), k), points, cand.ravel())
     dist = dist.reshape(m, k)
     rows, cols = np.nonzero(dist == 0)  # distinct points at 0 have underflowing squares
@@ -165,7 +174,7 @@ def _tree_nearest(points: np.ndarray, queries: np.ndarray, t: int):
     head = np.r_[True, (key[1:] != key[:-1]).any(axis=1)]
     group = np.cumsum(head) - 1
     heads, radii = tied[head], radii[by_key][head]
-    offsets = np.cumsum(np.r_[0, tree.query_ball_point(queries[heads], radii, return_length=True)])
+    offsets = np.cumsum(np.r_[0, _balls(tree, queries[heads], radii, return_length=True)])
     first_cols = np.empty((heads.size, t), dtype=neighbors.dtype)
     first_dist = np.empty((heads.size, t))
     start = 0

@@ -13,22 +13,24 @@ negation over all samples, minus 1/2.
 distances to the centers per fold (training and hold-out rows), one ``exp``
 of them per (fold, kappa), and one LAPACK ``posv`` (Cholesky factorization
 and solve) per (fold, kappa, delta, class).  Every kappa and delta the stage
-takes passes one rule, :func:`check_kappa_delta`.
+takes passes one rule, :func:`check_kappa_delta`; its settings are one
+record, :class:`LsmiConfig`, checked when built and passed whole.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dposv
 from scipy.spatial.distance import cdist, pdist
 
+from .kernel import whole_number
+
 DEFAULT_DELTA_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0)
-DEFAULT_CENTER_CAP = 500
 
 
 def check_kappa_delta(kappas, deltas, what: str = "") -> None:
@@ -42,6 +44,35 @@ def check_kappa_delta(kappas, deltas, what: str = "") -> None:
     for delta in deltas:
         if not (math.isfinite(delta) and delta >= 0):
             raise ValueError(f"delta{what} must be finite and non-negative, got {delta}")
+
+
+@dataclass(frozen=True)
+class LsmiConfig:
+    """The LSMI stage's settings; bad counts and grids are refused when built, grids kept sorted."""
+
+    center_cap: int = 500
+    folds: int = 5
+    kappa_grid: tuple[float, ...] | None = None
+    delta_grid: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "folds", whole_number("folds", self.folds))
+        object.__setattr__(self, "center_cap", whole_number("center_cap", self.center_cap))
+        if self.folds < 2:
+            raise ValueError(f"folds must be >= 2, got {self.folds}")
+        if self.center_cap < 1:
+            raise ValueError(f"center cap must be >= 1, got {self.center_cap}")
+        deltas = DEFAULT_DELTA_GRID if self.delta_grid is None else self.delta_grid
+        kappas = None if self.kappa_grid is None else tuple(sorted(map(float, self.kappa_grid)))
+        object.__setattr__(self, "kappa_grid", kappas)
+        object.__setattr__(self, "delta_grid", tuple(sorted(map(float, deltas))))
+        if kappas == () or self.delta_grid == ():
+            raise ValueError("kappa and delta grids must be nonempty")
+        check_kappa_delta(kappas or (), self.delta_grid, " grid values")
+
+    def resolve(self, x) -> LsmiConfig:
+        """This config, a ``None`` kappa grid set to ``default_kappa_grid(x)`` by the same rule."""
+        return self if self.kappa_grid else replace(self, kappa_grid=default_kappa_grid(x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,22 +179,18 @@ def _solve_ridge(h_mat, h_vec, delta):
 
 
 def fit_ratio_model(
-    x,
-    y,
-    kappa: float,
-    delta: float,
-    center_cap: int = DEFAULT_CENTER_CAP,
-    seed: int = 0,
+    x, y, kappa: float, delta: float, cfg: LsmiConfig | None = None, seed: int = 0
 ) -> RatioModel:
     """Fit the per-class density-ratio model analytically.
 
     Kernel centers are a per-class stratified sample of at most
-    ``center_cap`` points (without replacement, proportional to class size).
+    ``cfg.center_cap`` points (without replacement, proportional to class size).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=int)
     check_kappa_delta([kappa], [delta])
-    centers = _stratified_centers(x, y, center_cap, np.random.default_rng(seed))
+    cap = (cfg or LsmiConfig()).center_cap
+    centers = _stratified_centers(x, y, cap, np.random.default_rng(seed))
     classes = tuple(sorted(centers))
     systems = _class_systems(x, y, centers, kappa)
     weights = tuple(_solve_ridge(*systems[cls], delta) for cls in classes)
@@ -249,55 +276,36 @@ def _fold_assignment(y: np.ndarray, folds: int, rng) -> np.ndarray:
     return fold_of
 
 
-def checked_grids(kappa_grid, delta_grid):
-    """The (kappa, delta) grids sorted, ``None`` kept; refuses an empty grid or a bad value."""
-    kappa_grid = None if kappa_grid is None else sorted(float(k) for k in kappa_grid)
-    delta_grid = None if delta_grid is None else sorted(float(d) for d in delta_grid)
-    if kappa_grid == [] or delta_grid == []:
-        raise ValueError("kappa and delta grids must be nonempty")
-    check_kappa_delta(kappa_grid or (), delta_grid or (), " grid values")
-    return kappa_grid, delta_grid
-
-
 def cross_validate(
-    x,
-    y,
-    kappa_grid=None,
-    delta_grid=None,
-    folds: int = 5,
-    center_cap: int = DEFAULT_CENTER_CAP,
-    seed: int = 0,
+    x, y, cfg: LsmiConfig | None = None, seed: int = 0
 ) -> tuple[float, float, list[CvRecord]]:
-    """Grid search (kappa, delta) by M-fold cross-validation.
+    """Grid search (kappa, delta) over ``cfg``'s grids by ``cfg.folds``-fold cross-validation.
 
     Returns the pair minimizing the mean hold-out error (ties to the smaller
     kappa, then the smaller delta) together with the full CV table.  Raises
-    on a bad grid (see :func:`checked_grids`) and when some class of a
+    before any solve when a fold holds out no point, or when some class of a
     hold-out fold never occurs in its training part.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=int)
-    if folds < 2:
-        raise ValueError(f"folds must be >= 2, got {folds}")
-    kappa_grid, delta_grid = checked_grids(
-        default_kappa_grid(x) if kappa_grid is None else kappa_grid,
-        DEFAULT_DELTA_GRID if delta_grid is None else delta_grid,
-    )
+    cfg = (cfg or LsmiConfig()).resolve(x)
     rng = np.random.default_rng(seed)
-    fold_of = _fold_assignment(y, folds, rng)
+    fold_of = _fold_assignment(y, cfg.folds, rng)
     splits = []
-    for m in range(folds):
+    for m in range(cfg.folds):
         hold = fold_of == m
         train = ~hold
+        if not hold.any():
+            raise ValueError(f"fold {m} is empty: every class has fewer than {cfg.folds} points")
         missing = set(np.unique(y[hold])) - set(np.unique(y[train]))
         if missing:
             raise ValueError(
                 f"class(es) {sorted(missing)} of fold {m} are absent from every training fold"
             )
-        centers = _stratified_centers(x[train], y[train], center_cap, rng)
+        centers = _stratified_centers(x[train], y[train], cfg.center_cap, rng)
         splits.append((train, hold, centers))
 
-    # fold_errors[m][a][b] is fold m's hold-out error at (kappa_grid[a], delta_grid[b]).
+    # fold_errors[m][a][b] is fold m's hold-out error at (cfg.kappa_grid[a], cfg.delta_grid[b]).
     fold_errors = []
     for train, hold, centers in splits:
         classes = tuple(sorted(centers))
@@ -307,11 +315,11 @@ def cross_validate(
         hold_sq = [cdist(x[hold], centers[cls], "sqeuclidean") for cls in classes]
         counts, columns = _class_columns(y[hold], classes)
         errors = []
-        for kappa in kappa_grid:
+        for kappa in cfg.kappa_grid:
             systems = [_normal_system(_kernel(d, kappa), mask, n) for d, mask in zip(train_sq, own)]
             hold_kernels = [_kernel(d, kappa) for d in hold_sq]
             row = []
-            for delta in delta_grid:
+            for delta in cfg.delta_grid:
                 weights = [_solve_ridge(*system, delta) for system in systems]
                 ratios = np.column_stack([lmat @ w for lmat, w in zip(hold_kernels, weights)])
                 row.append(_hold_error(ratios, counts, columns))
@@ -320,8 +328,8 @@ def cross_validate(
 
     table = []
     best = None
-    for a, kappa in enumerate(kappa_grid):
-        for b, delta in enumerate(delta_grid):
+    for a, kappa in enumerate(cfg.kappa_grid):
+        for b, delta in enumerate(cfg.delta_grid):
             fold_cv = tuple(errors[a][b] for errors in fold_errors)
             mean_cv = float(np.mean(fold_cv))
             table.append(CvRecord(kappa, delta, mean_cv, fold_cv))

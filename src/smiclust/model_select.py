@@ -11,7 +11,8 @@ wins.
 
 The search runs in two phases: every candidate is clustered, then LSMI (its
 cross-validation, fit and value) and n_v are computed once per distinct
-labeling and shared by the candidates that produced it.
+labeling and shared by the candidates that produced it.  One ``LsmiConfig``
+serves every labeling; its default kappa grid is set once, between the phases.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ import numpy as np
 from . import lsmi as lsmi_mod
 from . import solver
 from .data import ConstraintSet, Dataset
-from .kernel import FeatureScaleError, whole_number
+from .kernel import FeatureScaleError
+from .lsmi import LsmiConfig
 
 DEFAULT_T_GRID = tuple(range(1, 11))
 DEFAULT_GAMMA_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
@@ -50,25 +52,6 @@ class Candidate:
     # first occurrence's LSMI and n_v, so its seconds cover clustering only.
     seconds: float = 0.0
     error: str | None = None
-
-
-@dataclass(frozen=True)
-class LsmiConfig:
-    """LSMI settings used when scoring candidates; bad counts and grids are refused when built."""
-
-    center_cap: int = lsmi_mod.DEFAULT_CENTER_CAP
-    folds: int = 5
-    kappa_grid: tuple[float, ...] | None = None
-    delta_grid: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "folds", whole_number("folds", self.folds))
-        object.__setattr__(self, "center_cap", whole_number("center_cap", self.center_cap))
-        if self.folds < 2:
-            raise ValueError(f"folds must be >= 2, got {self.folds}")
-        if self.center_cap < 1:
-            raise ValueError(f"center cap must be >= 1, got {self.center_cap}")
-        lsmi_mod.checked_grids(self.kappa_grid, self.delta_grid)
 
 
 @dataclass(frozen=True)
@@ -141,18 +124,8 @@ def _score_job(job):
     start = time.perf_counter()
     scores, error = None, None
     try:
-        kappa, delta, table = lsmi_mod.cross_validate(
-            features,
-            labels,
-            kappa_grid=cfg.kappa_grid,
-            delta_grid=cfg.delta_grid,
-            folds=cfg.folds,
-            center_cap=cfg.center_cap,
-            seed=seed,
-        )
-        model = lsmi_mod.fit_ratio_model(
-            features, labels, kappa, delta, center_cap=cfg.center_cap, seed=seed
-        )
+        kappa, delta, table = lsmi_mod.cross_validate(features, labels, cfg=cfg, seed=seed)
+        model = lsmi_mod.fit_ratio_model(features, labels, kappa, delta, cfg=cfg, seed=seed)
         scores = (
             lsmi_mod.lsmi_value(model, features, labels), count_violations(labels, cs), table
         )
@@ -186,7 +159,8 @@ def grid_search(
     then smaller t, gamma, eta.  With more than two clusters the eta grid is
     forced to {0}.  The default t grid keeps its values below n.  c, every grid
     value (eta before that forcing) and the LSMI center cap are checked before
-    any clustering; raises if every candidate fails.
+    any clustering; a ``None`` kappa grid is set once, if some labeling is left
+    to score.  Raises if every candidate fails.
     """
     if t_grid is None:  # the default t values the rule allows at this n (at n <= 1, none is)
         t_grid = [t for t in DEFAULT_T_GRID if t < ds.n] or DEFAULT_T_GRID
@@ -222,6 +196,7 @@ def grid_search(
     for i, (labels, _, _) in enumerate(clustered):
         if labels is not None:
             first.setdefault(labels.tobytes(), i)
+    cfg = cfg.resolve(ds.features) if first else cfg
     score_work = [(ds.features, cs, clustered[i][0], cfg, seed) for i in first.values()]
     scored = dict(zip(first, _map(_score_job, score_work, jobs)))
     for i, (cand, (labels, error, seconds)) in enumerate(zip(candidates, clustered)):

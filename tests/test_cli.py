@@ -530,6 +530,35 @@ def test_grid_search_refuses_overflowing_features_once(workdir, command, jobs):
     assert not (workdir / "labels.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["cluster", "--t", "3"],
+     ["select", "--t-grid", "3", "--gamma-grid", "0,1", "--eta-grid", "0"]],
+    ids=["cluster", "select"],
+)
+def test_overflow_inside_the_tree_exits_2_naming_normalize(workdir, command):
+    """Blobs at +-1e154 overflow only in the k-d tree's ball query: one refusal line, no table."""
+    ds = make_blobs(10, 2, 2, 3.0, seed=0)
+    far = ds.features + np.where(ds.labels == 1, 1e154, -1e154)[:, None]
+    write_features_csv(workdir / "far.csv", far)
+    proc = run_cli([*command, "--input", "far.csv", "--classes", "2", "--jobs", "1"], workdir)
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: squared distances")
+    assert "--normalize minmax-symmetric" in proc.stderr
+    assert not (workdir / "candidates.csv").exists() and not (workdir / "labels.csv").exists()
+
+
+def test_select_names_an_empty_hold_out_fold(workdir):
+    """Six points, 3 a class, leave two of the default 5 folds empty: exit 1, one line."""
+    write_features_csv(workdir / "six.csv", make_blobs(3, 2, 2, 8.0, seed=0).features)
+    proc = run_cli(["select", "--input", "six.csv", "--classes", "2", "--jobs", "1"], workdir)
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: RuntimeError: ")
+    assert "fold 3 is empty: every class has fewer than 5 points" in proc.stderr
+    assert "ZeroDivisionError" not in proc.stderr
+    assert not (workdir / "candidates.csv").exists()
+
+
 def test_underflowing_distances_exit_2_naming_normalize(workdir):
     """Distinct points whose squared distances underflow to 0 are refused, not merged."""
     x = make_blobs(20, 2, 2, 3.0, seed=0).features

@@ -139,6 +139,28 @@ class TestRunBenchmark:
         with pytest.raises(ValueError):
             run_benchmark(small_config(runs=0))
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("runs", 2.7, "runs must be a whole number, got 2.7"),
+         ("runs", 0, "runs must be >= 1, got 0"),
+         ("seed", 1.5, "seed must be a whole number, got 1.5"),
+         ("jobs", True, "jobs must be a whole number, got True"),
+         ("theta", (2.5, 1.0, 0.0), "t must be a whole number, got 2.5"),
+         ("theta", (4, -1.0, 0.0), "gamma must be finite and non-negative, got -1.0"),
+         ("theta", (4, 1.0, float("nan")), "eta must be finite and non-negative, got nan")],
+    )
+    def test_bad_field_refused_when_built(self, field, value, message):
+        fields = dict(dataset=make_blobs(25, 2, 2, 6.0, seed=0), link_counts=(0,), runs=1,
+                      theta=(4, 1.0, 1.0))
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BenchmarkConfig(**fields)
+
+    def test_whole_counts_and_theta_are_normalized_when_built(self):
+        config = small_config(runs=2.0, theta=(4.0, 1, 0))
+        assert (config.runs, config.theta) == (2, (4, 1.0, 0.0))
+        assert type(config.runs) is int and type(config.theta[0]) is int
+
     def test_unlabeled_dataset_rejected(self):
         from smiclust.data import Dataset
 

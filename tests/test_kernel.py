@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from smiclust.data import ConstraintSet, empty_constraints, sample_constraints
+from smiclust.data import ConstraintSet, empty_constraints, make_blobs, sample_constraints
 from smiclust.kernel import (
+    FeatureScaleError,
     _tree_nearest,
     apply_constraints,
     local_scaling_kernel,
     nearest_neighbors,
+    query_kernel,
 )
 
 
@@ -181,3 +183,17 @@ class TestApplyConstraints:
         assert np.array_equal(edited, edited.T)
         assert edited.min() >= 0.0 and edited.max() <= 1.0
         assert np.array_equal(np.diag(edited), np.ones(20))
+
+
+def test_ball_query_overflow_is_a_feature_scale_error():
+    """Groups at +-1e154 have finite kNN distances, but the k-d tree's ball queries overflow
+    on the far pairs: both kernels refuse with the rescale hint, not scipy's message."""
+    ds = make_blobs(10, 2, 2, 3.0, seed=0)
+    hint = "^squared distances between points overflow float64; rescale the features"
+    far = ds.features + np.where(ds.labels == 1, 1e154, -1e154)[:, None]
+    with pytest.raises(FeatureScaleError, match=hint):
+        local_scaling_kernel(far, 3)
+    _, sigma = nearest_neighbors(ds.features, 3)
+    queries = np.array([[1.2e154, 0.0], [-1.2e154, 0.0], [0.0, 1.2e154]])
+    with pytest.raises(FeatureScaleError, match=hint):
+        query_kernel(ds.features, sigma, 3, queries)

@@ -1,3 +1,4 @@
+import re
 import warnings
 from unittest import mock
 
@@ -9,10 +10,12 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from oracles import evaluate_ratio, hold_error, ratio_model
 from smiclust import lsmi
-from smiclust.data import make_blobs
+from smiclust.data import empty_constraints, make_blobs
+from smiclust.evaluation import BenchmarkConfig
 from smiclust.lsmi import (
     DEFAULT_DELTA_GRID,
     CvRecord,
+    LsmiConfig,
     RatioModel,
     _class_columns,
     _class_systems,
@@ -24,7 +27,7 @@ from smiclust.lsmi import (
     lsmi_value,
     ratio_matrix,
 )
-from smiclust.model_select import LsmiConfig
+from smiclust.model_select import grid_search
 
 
 def gauss(a, b, kappa):
@@ -235,7 +238,8 @@ class TestFit:
 
     def test_center_cap_respected(self):
         ds = make_blobs(300, 2, 2, 5.0, seed=0)
-        model = fit_ratio_model(ds.features, ds.labels, kappa=1.0, delta=0.1, center_cap=50)
+        cfg = LsmiConfig(center_cap=50)
+        model = fit_ratio_model(ds.features, ds.labels, kappa=1.0, delta=0.1, cfg=cfg)
         assert sum(ctr.shape[0] for ctr in model.centers) == 50
         for ctr in model.centers:
             assert ctr.shape[0] >= 1
@@ -332,7 +336,7 @@ class TestCrossValidate:
     def test_single_grid_point_returned(self):
         ds = make_blobs(20, 2, 2, 5.0, seed=1)
         kappa, delta, table = cross_validate(
-            ds.features, ds.labels, kappa_grid=[0.7], delta_grid=[0.2], seed=0
+            ds.features, ds.labels, LsmiConfig(kappa_grid=[0.7], delta_grid=[0.2]), seed=0
         )
         assert (kappa, delta) == (0.7, 0.2)
         assert len(table) == 1
@@ -346,22 +350,19 @@ class TestCrossValidate:
 
     def test_table_covers_grid(self):
         ds = make_blobs(20, 2, 2, 4.0, seed=3)
-        _, _, table = cross_validate(
-            ds.features, ds.labels, kappa_grid=[0.5, 1.0], delta_grid=[0.1, 1.0], folds=3, seed=0
-        )
+        cfg = LsmiConfig(kappa_grid=[0.5, 1.0], delta_grid=[0.1, 1.0], folds=3)
+        _, _, table = cross_validate(ds.features, ds.labels, cfg, seed=0)
         assert len(table) == 4
         assert all(len(rec.fold_cv) == 3 for rec in table)
         best = min(table, key=lambda rec: rec.mean_cv)
-        kappa, delta, _ = cross_validate(
-            ds.features, ds.labels, kappa_grid=[0.5, 1.0], delta_grid=[0.1, 1.0], folds=3, seed=0
-        )
+        kappa, delta, _ = cross_validate(ds.features, ds.labels, cfg, seed=0)
         assert (kappa, delta) == (best.kappa, best.delta)
 
     def test_singleton_class_raises(self):
         x = np.random.default_rng(0).standard_normal((10, 2))
         y = np.array([1] * 9 + [2])
         with pytest.raises(ValueError, match="absent"):
-            cross_validate(x, y, kappa_grid=[1.0], delta_grid=[0.1], seed=0)
+            cross_validate(x, y, LsmiConfig(kappa_grid=[1.0], delta_grid=[0.1]), seed=0)
 
     def test_selected_model_close_to_heldout_best(self):
         train = make_blobs(40, 2, 2, 8.0, seed=4)
@@ -374,15 +375,26 @@ class TestCrossValidate:
                 model = fit_ratio_model(train.features, train.labels, kappa, delta, seed=0)
                 test_scores[(kappa, delta)] = lsmi_value(model, test.features, test.labels)
         best_heldout = max(test_scores.values())
-        kappa, delta, _ = cross_validate(
-            train.features, train.labels, kappa_grid=kappa_grid, delta_grid=delta_grid, seed=0
-        )
+        cfg = LsmiConfig(kappa_grid=kappa_grid, delta_grid=delta_grid)
+        kappa, delta, _ = cross_validate(train.features, train.labels, cfg, seed=0)
         assert test_scores[(kappa, delta)] >= best_heldout - 0.05
+
+    def test_empty_hold_out_fold_is_refused_before_any_solve(self):
+        # 3 points a class split into 5 stratified folds: folds 3 and 4 hold out nothing.
+        ds = make_blobs(3, 2, 2, 8.0, seed=0)
+        with mock.patch.object(lsmi, "_solve_ridge", side_effect=AssertionError("solved")):
+            with pytest.raises(
+                ValueError, match="^fold 3 is empty: every class has fewer than 5 points$"
+            ):
+                cross_validate(ds.features, ds.labels, seed=0)
+        # With as many points a class as folds, every fold holds one out.
+        _, _, table = cross_validate(ds.features, ds.labels, LsmiConfig(folds=3), seed=0)
+        assert all(len(rec.fold_cv) == 3 for rec in table)
 
     def test_bad_folds_rejected(self):
         ds = make_blobs(10, 2, 2, 4.0, seed=0)
         with pytest.raises(ValueError):
-            cross_validate(ds.features, ds.labels, folds=1)
+            cross_validate(ds.features, ds.labels, LsmiConfig(folds=1))
 
     @pytest.mark.parametrize(
         "grid, value, match",
@@ -403,7 +415,7 @@ class TestCrossValidate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no singular-system warning on the way
             with pytest.raises(ValueError, match=match):
-                cross_validate(ds.features, ds.labels, **grids, seed=0)
+                cross_validate(ds.features, ds.labels, LsmiConfig(**grids), seed=0)
 
     def test_underflowing_kappa_names_non_finite_system(self):
         # kappa**2 underflows to 0, so a center's zero distance to itself gives 0/0.
@@ -411,7 +423,7 @@ class TestCrossValidate:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
-                cross_validate(ds.features, ds.labels, kappa_grid=[1e-200], seed=0)
+                cross_validate(ds.features, ds.labels, LsmiConfig(kappa_grid=[1e-200]), seed=0)
             with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
                 fit_ratio_model(ds.features, ds.labels, kappa=1e-200, delta=0.1)
 
@@ -446,7 +458,7 @@ class TestCrossValidate:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             expected = cross_validate_oracle(*args)
-            got = cross_validate(*args)
+            got = cross_validate(x, y, LsmiConfig(center_cap, folds, kappa_grid, delta_grid), seed)
         assert repr(got) == repr(expected)  # float reprs round-trip: bit for bit
 
 
@@ -478,7 +490,7 @@ def test_every_entry_refuses_a_bad_kappa_or_delta(caller, name, value):
             delta=delta,
         ),
         "cross_validate": lambda: cross_validate(
-            ds.features, ds.labels, kappa_grid=[kappa], delta_grid=[delta]
+            ds.features, ds.labels, LsmiConfig(kappa_grid=[kappa], delta_grid=[delta])
         ),
         "LsmiConfig": lambda: LsmiConfig(kappa_grid=(kappa,), delta_grid=(delta,)),
     }
@@ -486,3 +498,39 @@ def test_every_entry_refuses_a_bad_kappa_or_delta(caller, name, value):
         warnings.simplefilter("error")  # refused before any numeric work
         with pytest.raises(ValueError, match=f"^{name}{grid} must be {rule}, got {value}$"):
             calls[caller]()
+
+
+@pytest.mark.parametrize(
+    "entry", ["LsmiConfig", "cross_validate", "fit_ratio_model", "grid_search", "from_dict"]
+)
+@pytest.mark.parametrize(
+    "name, value, message",
+    [("folds", 1, "folds must be >= 2, got 1"),
+     ("folds", 2.5, "folds must be a whole number, got 2.5"),
+     ("folds", True, "folds must be a whole number, got True"),
+     ("center_cap", 0, "center cap must be >= 1, got 0"),
+     ("center_cap", 3.5, "center_cap must be a whole number, got 3.5"),
+     ("center_cap", True, "center_cap must be a whole number, got True")],
+)
+def test_every_lsmi_entry_refuses_a_bad_count(entry, name, value, message):
+    """Each entry takes its LSMI settings as one ``LsmiConfig``, refused by its one rule."""
+    ds = make_blobs(10, 2, 2, 4.0, seed=0)
+    doc = {"dataset": {"generator": "blobs", "n_per_class": 10, "classes": 2},
+           "link_counts": [0], "runs": 1, "lsmi": {name: value}}
+    calls = {
+        "LsmiConfig": lambda: LsmiConfig(**{name: value}),
+        "cross_validate": lambda: cross_validate(
+            ds.features, ds.labels, LsmiConfig(**{name: value})
+        ),
+        "fit_ratio_model": lambda: fit_ratio_model(
+            ds.features, ds.labels, 1.0, 0.1, LsmiConfig(**{name: value})
+        ),
+        "grid_search": lambda: grid_search(
+            ds, empty_constraints(ds.n), 2, lsmi_cfg=LsmiConfig(**{name: value})
+        ),
+        "from_dict": lambda: BenchmarkConfig.from_dict(doc),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any numeric work
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            calls[entry]()

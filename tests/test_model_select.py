@@ -216,6 +216,42 @@ class TestGridSearch:
             assert [getattr(a, k) for k in columns] == [getattr(b, k) for k in columns]
             assert a.labels.tobytes() == b.labels.tobytes()
 
+    def test_default_kappa_grid_is_computed_once_per_search(self, monkeypatch):
+        ds = make_blobs(25, 2, 2, 6.0, seed=4)
+        cs = sample_constraints(ds.labels, 15, seed=4)
+        cfg = LsmiConfig(delta_grid=(0.01, 0.1), folds=3)
+        kwargs = dict(t_grid=(2, 3, 5), gamma_grid=(0.0, 1.0), eta_grid=(0.0, 1.0), jobs=1)
+        calls = []
+        original = lsmi.default_kappa_grid
+
+        def counted(x, *args, **kw):
+            calls.append(np.asarray(x).tobytes())
+            return original(x, *args, **kw)
+
+        monkeypatch.setattr(lsmi, "default_kappa_grid", counted)
+        result = grid_search(ds, cs, 2, lsmi_cfg=cfg, **kwargs)
+        assert len({cand.labels.tobytes() for cand in result.candidates}) >= 2
+        assert calls == [ds.features.tobytes()]
+        # The search scores exactly as with that grid given explicitly.
+        explicit = LsmiConfig(kappa_grid=tuple(original(ds.features)), delta_grid=(0.01, 0.1),
+                              folds=3)
+        given = grid_search(ds, cs, 2, lsmi_cfg=explicit, **kwargs)
+        columns = ("t", "gamma", "eta", "lsmi", "n_v", "score", "error")
+        for a, b in zip(result.candidates, given.candidates):
+            assert [getattr(a, k) for k in columns] == [getattr(b, k) for k in columns]
+        assert result.best_cv == given.best_cv
+
+    def test_empty_hold_out_fold_fails_each_candidate_by_name(self):
+        # Six points, 3 a class: with the default 5 folds, folds 3 and 4 hold out nothing.
+        ds = make_blobs(3, 2, 2, 8.0, seed=0)
+        with pytest.raises(RuntimeError, match="^all 180 grid candidates failed: ") as info:
+            grid_search(ds, empty_constraints(ds.n), 2)
+        message = str(info.value)
+        assert message.count(
+            "): ValueError: fold 3 is empty: every class has fewer than 5 points"
+        ) == 180
+        assert "ZeroDivisionError" not in message
+
     def test_scoring_failure_is_recorded_per_candidate(self, monkeypatch):
         ds = make_blobs(25, 2, 2, 6.0, seed=4)
         cs = sample_constraints(ds.labels, 15, seed=4)
