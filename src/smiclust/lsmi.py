@@ -28,7 +28,7 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dposv
 from scipy.spatial.distance import cdist, pdist
 
-from .kernel import whole_number
+from .kernel import _OVERFLOW, FeatureScaleError, whole_number
 
 DEFAULT_DELTA_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0)
 
@@ -260,6 +260,8 @@ def default_kappa_grid(x, size: int = 10) -> np.ndarray:
     """Log-spaced widths spanning 0.1x to 10x the median pairwise distance."""
     x = np.asarray(x, dtype=float)
     med = float(np.median(pdist(x))) if x.shape[0] > 1 else 0.0
+    if not math.isfinite(med * 10.0):  # the widest width overflows float64
+        raise FeatureScaleError(_OVERFLOW)
     if med == 0.0:
         med = 1.0
     return med * np.logspace(-1.0, 1.0, size)

@@ -23,11 +23,11 @@ that distance, keeping the lower-index neighbours.  U is never formed
 either: :class:`ObjectiveMatrix` keeps K' and the fused inner matrix
 ``B = 2I + 2g M + g^2 M^2 - 2e C + e^2 C^2`` as CSR and applies ``U v`` as
 three sparse products, and :func:`top_eigenpairs` takes the top c + 1 pairs
-from one ARPACK Lanczos call on that operator, deflating for more only on a
-tie or a graph in parts.  ``B = (I + g M)^2 + (I - e C)^2``, so U is positive
-semi-definite; a c-th eigenvalue that is not positive means rank(U) < c and
-is refused.  The dense ``eigh`` serves only what ARPACK cannot, n - 1 pairs,
-and only for n <= 64.
+(at most n - 1) from one ARPACK Lanczos call on that operator, deflating for
+more only on a tie, a graph in parts or c >= n - 1; the n-th pair is the
+orthogonal complement of the other n - 1.  ``B = (I + g M)^2 + (I - e C)^2``,
+so U is positive semi-definite; a c-th eigenvalue that is not positive means
+rank(U) < c and is refused.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ from .kernel import _link_matrix, check_hyperparameters
 from .kernel import nearest_neighbors  # noqa: F401  re-exported; perfbench/tracer.py wraps it
 
 MODEL_SCHEMA = "smiclust-model-v1"
-# Largest n for the dense eigensolver, which serves only what ARPACK cannot.
-DENSE_MAX_N = 64
 
 
 class PredictionError(RuntimeError):
@@ -58,8 +56,7 @@ class ObjectiveMatrix:
     """The clustering objective's quadratic form ``U = K' B K'``, held by its sparse factors.
 
     ``inner`` is ``B = 2I + 2g M + g^2 M^2 - 2e C + e^2 C^2``.  :meth:`matvec`
-    applies U as three sparse products and never forms it; :attr:`entries`
-    densifies it on demand.
+    applies U as three sparse products and never forms it.
     """
 
     kernel: sparse.csr_matrix
@@ -71,18 +68,6 @@ class ObjectiveMatrix:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.kernel @ (self.inner @ (self.kernel @ v))
-
-    @property
-    def graph(self) -> sparse.csr_matrix:
-        """K', whose every edge joins two indices that U connects too."""
-        return self.kernel
-
-    @property
-    def entries(self) -> np.ndarray:
-        """Dense ``U``, symmetrized; O(n^3), for tests and inspection."""
-        k = self.kernel.toarray()
-        u = k @ (self.inner @ k)
-        return (u + u.T) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,22 +196,20 @@ def _group_floor(w: np.ndarray, v: np.ndarray, c: int) -> float:
 
 
 def top_eigenpairs(matrix, c: int) -> tuple[np.ndarray, np.ndarray]:
-    """Largest-c eigenvalues (algebraic order, descending) and eigenvectors.
+    """Largest-c eigenvalues (algebraic order, descending) and eigenvectors, any c <= n.
 
-    ``matrix`` is a symmetric operator with ``n``, ``matvec``, ``entries``
-    (its dense array) and ``graph`` (a sparse matrix each of whose edges joins
-    two indices the operator connects); :class:`ObjectiveMatrix` is the one
-    the program passes.  ARPACK's Lanczos on ``matvec`` serves every
-    ``c <= n - 2``; an ARPACK failure propagates (a ``RuntimeError``).  One
-    call asks for c + 1 pairs.  One start vector can miss copies of a repeated
-    eigenvalue, and the exact copies seen in practice come from parts of
-    ``matrix.graph`` not connected to each other.  So when the graph has more
-    than one part or two of the pairs found tie, each further pair is the top
-    pair of ``U - V diag(w) V'``, until that lies below the group at c by more
-    than the tie tolerance, which scales with the largest eigenvalue, U's
-    spectral radius.  Where ``n - 1`` pairs are needed, the dense ``eigh`` runs
-    on ``entries`` for ``n <= DENSE_MAX_N`` and a larger problem is refused.
-    Tie groups are canonicalized, so the result is deterministic.
+    ``matrix`` is a symmetric operator with ``n``, ``matvec`` and ``kernel`` (a
+    sparse matrix whose edges join indices the operator connects), such as
+    :class:`ObjectiveMatrix`.  One ARPACK Lanczos call on ``matvec`` asks for
+    c + 1 pairs, at most n - 1; an ARPACK failure propagates (a ``RuntimeError``).
+    One start vector can miss copies of a repeated eigenvalue, which in practice
+    come from parts of ``matrix.kernel`` not connected to each other.  So on a
+    graph in parts, a tie among the pairs found or fewer than c + 1 of them,
+    each further pair is the top pair of ``U - V diag(w) V'``, until that lies
+    below the group at c by more than the tie tolerance (relative to the largest
+    eigenvalue) or all n are found.  The n-th pair is the start vector projected
+    off the other n - 1, with its Rayleigh quotient.  Tie groups are
+    canonicalized, so the result is deterministic.
     """
     # Imported on first use: the package adds tens of milliseconds to start-up,
     # and predict and the other commands never solve an eigenproblem.
@@ -235,35 +218,33 @@ def top_eigenpairs(matrix, c: int) -> tuple[np.ndarray, np.ndarray]:
 
     n = matrix.n
     c, _ = check_hyperparameters(n, c)
-    if c < n - 1:
-        split = connected_components(matrix.graph, directed=False, return_labels=False) > 1
-        apply = matrix.matvec
-        v0 = np.random.default_rng(0).standard_normal(n)  # fixed start: same pairs every run
-        w, v = eigsh(LinearOperator((n, n), matvec=apply, dtype=float), k=c + 1, which="LA", v0=v0)
-        while True:
-            order = np.argsort(-w, kind="stable")
-            w, v = w[order], v[:, order]
-            floor = _group_floor(w, v, c)
-            if not split and np.all(w[:-1] - w[1:] > _tie_tolerance(w)):
-                return w[:c], v[:, :c]
-            if len(w) >= n - 1:
-                break
+    split = connected_components(matrix.kernel, directed=False, return_labels=False) > 1
+    apply = matrix.matvec
+    v0 = np.random.default_rng(0).standard_normal(n)  # fixed start: same pairs every run
+    w, v = np.zeros(0), np.zeros((n, 0))  # n = 1: the one pair is the last pair below
+    if n > 1:
+        operator = LinearOperator((n, n), matvec=apply, dtype=float)
+        w, v = eigsh(operator, k=min(c + 1, n - 1), which="LA", v0=v0)
+    while True:
+        order = np.argsort(-w, kind="stable")
+        w, v = w[order], v[:, order]
+        floor = _group_floor(w, v, c) if len(w) >= c else -np.inf  # c = n: one pair to go
+        untied = len(w) > c and not split and np.all(w[:-1] - w[1:] > _tie_tolerance(w))
+        if len(w) == n or untied:
+            return w[:c], v[:, :c]
+        if len(w) == n - 1:
+            x = v0 - v @ (v.T @ v0)
+            x -= v @ (v.T @ x)  # projected twice, to orthogonality at rounding level
+            x /= np.linalg.norm(x)
+            top, vector = np.array([x @ apply(x)]), x[:, None]
+        else:
             deflated = LinearOperator(
                 (n, n), matvec=lambda x, w=w, v=v: apply(x) - v @ (w * (v.T @ x)), dtype=float
             )
             top, vector = eigsh(deflated, k=1, which="LA", v0=v0)
-            if top[0] < floor:
-                return w[:c], v[:, :c]
-            w, v = np.append(w, top), np.hstack([v, vector])
-    if n > DENSE_MAX_N:
-        raise RuntimeError(
-            f"c={c} at n={n} needs {n - 1} eigenpairs, more than ARPACK gives; "
-            f"the dense eigensolver serves only n <= {DENSE_MAX_N}"
-        )
-    w, v = np.linalg.eigh(matrix.entries)
-    w, v = w[::-1].copy(), v[:, ::-1].copy()
-    _group_floor(w, v, c)
-    return w[:c], v[:, :c]
+        if top[0] < floor:
+            return w[:c], v[:, :c]
+        w, v = np.append(w, top), np.hstack([v, vector])
 
 
 def fix_signs(phi: np.ndarray) -> np.ndarray:

@@ -28,23 +28,35 @@ from smiclust.kernel import local_scaling_kernel
 
 
 class Dense:
-    """A dense symmetric array behind the operator protocol of ``top_eigenpairs``."""
+    """A dense symmetric array behind the operator protocol of ``top_eigenpairs``.
+
+    ``kernel`` is the array's sparse pattern, which ``top_eigenpairs`` reads
+    for the parts of the graph.
+    """
 
     def __init__(self, array):
         self.entries = np.asarray(array, dtype=float)
         self.n = self.entries.shape[0]
-        self.graph = sparse.csr_matrix(self.entries)
+        self.kernel = sparse.csr_matrix(self.entries)
 
     def matvec(self, v):
         return self.entries @ v
 
 
-def eigh_top_eigenpairs(matrix, c):
-    """Top-c eigenpairs of ``matrix.entries`` by dense ``eigh``, tie groups canonicalized.
+def objective_entries(u):
+    """Dense ``U = K' B K'`` of a ``solver.ObjectiveMatrix``, symmetrized; O(n^3)."""
+    k = u.kernel.toarray()
+    dense = k @ (u.inner @ k)
+    return (dense + dense.T) / 2.0
 
-    The oracle for the ARPACK path of ``top_eigenpairs``; it refuses nothing.
+
+def eigh_top_eigenpairs(array, c):
+    """Top-c eigenpairs of a dense symmetric ``array`` by ``eigh``, tie groups canonicalized.
+
+    The oracle for ``top_eigenpairs``, which never runs a dense eigensolver;
+    it refuses nothing.
     """
-    w, v = np.linalg.eigh(matrix.entries)
+    w, v = np.linalg.eigh(array)
     w, v = w[::-1].copy(), v[:, ::-1].copy()
     solver._canonical_top(w, v, c)
     return w[:c], v[:, :c]
@@ -56,7 +68,7 @@ def unsupervised_labels(ds, t, c):
     Dense ``eigh`` of K with no link edit, then the program's sign rule and
     assignment.
     """
-    _, phi = eigh_top_eigenpairs(local_scaling_kernel(ds.features, t), c)
+    _, phi = eigh_top_eigenpairs(local_scaling_kernel(ds.features, t).entries, c)
     return solver.assign_clusters(solver.fix_signs(phi))
 
 

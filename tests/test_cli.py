@@ -548,6 +548,23 @@ def test_overflow_inside_the_tree_exits_2_naming_normalize(workdir, command):
     assert not (workdir / "candidates.csv").exists() and not (workdir / "labels.csv").exists()
 
 
+def test_overflowing_median_distance_exits_2_naming_normalize(workdir, capsys):
+    """Blobs scaled by 1e150 at +-1e154 cluster, as their kNN distances are finite, but the
+    median pairwise distance behind select's default kappa grid overflows: exit 2, one line."""
+    ds = make_blobs(10, 2, 2, 3.0, seed=0)
+    far = ds.features * 1e150 + np.where(ds.labels == 1, 1e154, -1e154)[:, None]
+    write_features_csv(workdir / "far.csv", far)
+    args = ["--input", "far.csv", "--classes", "2"]
+    assert main(["cluster", *args, "--t", "3"]) == 0
+    capsys.readouterr()
+    grid = ["--t-grid", "3", "--gamma-grid", "0", "--eta-grid", "0", "--jobs", "1"]
+    assert main(["select", *args, *grid, "--table-out", "far-candidates.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: squared distances between points")
+    assert "--normalize minmax-symmetric" in err and "kappa" not in err
+    assert not (workdir / "far-candidates.csv").exists()
+
+
 def test_select_names_an_empty_hold_out_fold(workdir):
     """Six points, 3 a class, leave two of the default 5 folds empty: exit 1, one line."""
     write_features_csv(workdir / "six.csv", make_blobs(3, 2, 2, 8.0, seed=0).features)

@@ -12,6 +12,7 @@ from oracles import evaluate_ratio, hold_error, ratio_model
 from smiclust import lsmi
 from smiclust.data import empty_constraints, make_blobs
 from smiclust.evaluation import BenchmarkConfig
+from smiclust.kernel import FeatureScaleError
 from smiclust.lsmi import (
     DEFAULT_DELTA_GRID,
     CvRecord,
@@ -534,3 +535,16 @@ def test_every_lsmi_entry_refuses_a_bad_count(entry, name, value, message):
         warnings.simplefilter("error")  # refused before any numeric work
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             calls[entry]()
+
+
+def test_default_kappa_grid_refuses_an_overflowing_median():
+    """Blobs scaled by 1e150 at +-1e154 have finite kNN distances, but their median pairwise
+    distance overflows: the default grid is refused with the rescale hint, not set to inf."""
+    ds = make_blobs(10, 2, 2, 3.0, seed=0)
+    hint = "^squared distances between points overflow float64; rescale the features"
+    far = ds.features * 1e150 + np.where(ds.labels == 1, 1e154, -1e154)[:, None]
+    with pytest.raises(FeatureScaleError, match=hint):
+        default_kappa_grid(far)
+    with pytest.raises(FeatureScaleError, match=hint):
+        LsmiConfig().resolve(far)
+    assert np.isfinite(default_kappa_grid(ds.features * 1e150)).all()

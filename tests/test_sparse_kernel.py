@@ -233,19 +233,16 @@ def test_kernel_matrix_keeps_canonical_csr():
 
 
 class TestEigensolverRefusals:
-    """Where ARPACK cannot serve, the dense ``eigh`` runs up to n = 64 and no further."""
+    """ARPACK serves every c <= n with no dense solver; an ARPACK failure exits 1."""
 
-    def test_dense_serves_n_minus_1_pairs_up_to_the_bound(self):
-        n = solver.DENSE_MAX_N
-        lam, _ = solver.top_eigenpairs(oracles.Dense(np.diag(np.arange(n, 0, -1.0))), n - 1)
-        assert np.allclose(lam, np.arange(n, 1, -1.0), rtol=1e-14, atol=0)
-
-    def test_n65_with_c_n_minus_1_is_refused_without_eigh(self, monkeypatch):
-        n = solver.DENSE_MAX_N + 1
+    @pytest.mark.parametrize("c", [64, 65])
+    def test_c_n_minus_1_and_n_at_n65_run_without_eigh(self, monkeypatch, c):
+        n = 65
         matrix = oracles.Dense(np.diag(np.arange(n, 0, -1.0)))
         monkeypatch.setattr(np.linalg, "eigh", mock.Mock(side_effect=AssertionError("eigh ran")))
-        with pytest.raises(RuntimeError, match=rf"c={n - 1} at n={n} needs {n - 1} eigenpairs"):
-            solver.top_eigenpairs(matrix, n - 1)
+        lam, phi = solver.top_eigenpairs(matrix, c)
+        assert np.allclose(lam, np.arange(n, n - c, -1.0), rtol=0, atol=1e-8)
+        assert np.allclose(phi.T @ phi, np.eye(c), atol=1e-10)
         np.linalg.eigh.assert_not_called()
 
     def test_arpack_failure_exits_1_with_one_line(self, tmp_path, monkeypatch, capsys):
