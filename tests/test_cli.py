@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -350,6 +351,30 @@ class TestBenchCommand:
         assert summary["link_counts"] == [0, 10]
         assert len(summary["mean_ari"]) == 2
 
+    def test_jobs_overrides_the_config_without_changing_the_report(self, workdir):
+        """With no theta every run grid-searches, so --jobs 2 runs the pool: same bytes."""
+        config = {
+            "dataset": {
+                "generator": "blobs", "n_per_class": 12, "classes": 2,
+                "dim": 2, "separation": 6.0, "seed": 2,
+            },
+            "link_counts": [0, 6],
+            "runs": 2,
+            "seed": 1,
+            "grids": {"t": [3, 4], "gamma": [0, 1], "eta": [0]},
+            "lsmi": {"folds": 3},
+        }
+        (workdir / "config.json").write_text(json.dumps(config))
+        for jobs in ("1", "2"):
+            assert main(["bench", "--config", "config.json", "--jobs", jobs,
+                         "--report-out", f"report-{jobs}.csv",
+                         "--summary-out", f"summary-{jobs}.json",
+                         "--manifest-out", f"bench-{jobs}.manifest.json"]) == 0
+        for name in ("report-{}.csv", "summary-{}.json"):
+            assert (workdir / name.format(1)).read_bytes() == (workdir / name.format(2)).read_bytes()
+        manifest = json.loads((workdir / "bench-2.manifest.json").read_text())
+        assert manifest["parameters"]["jobs"] == 2
+
 
 class TestParser:
     def test_jobs_env_default(self, monkeypatch):
@@ -414,6 +439,113 @@ class TestClusterDumpKernel:
         )
         expected = "".join(",".join(map(repr, row.tolist())) + "\n" for row in edited.entries)
         assert (workdir / "kernel.csv").read_text() == expected
+
+
+def sha256_of(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+# Each command of one session in order: (argv, resolved parameters, inputs, outputs).
+MANIFEST_SESSION = {
+    "constraints": (
+        ["--input", "blobs.csv", "--links", "15", "--seed", "3", "--output", "links.txt"],
+        {"input": "blobs.csv", "links": 15.0, "output": "links.txt", "seed": 3},
+        ["blobs.csv"], ["links.txt"],
+    ),
+    "cluster": (
+        ["--input", "blobs.csv", "--format", "labeled-csv", "--classes", "2",
+         "--constraints", "links.txt", "--t", "4", "--gamma", "1", "--eta", "1", "--jobs", "1",
+         "--model-out", "model.json", "--dump-kernel", "kernel.csv"],
+        {"auto": False, "center_cap": 500, "classes": 2, "constraints": "links.txt",
+         "dump_kernel": "kernel.csv", "eta": 1.0, "eta_grid": None, "folds": 5,
+         "format": "labeled-csv", "gamma": 1.0, "gamma_grid": None, "input": "blobs.csv",
+         "jobs": 1, "labels_out": "labels.csv", "model_out": "model.json", "normalize": "none",
+         "seed": 0, "t": 4, "t_grid": None},
+        ["blobs.csv", "links.txt"], ["labels.csv", "model.json", "kernel.csv"],
+    ),
+    "select": (
+        ["--input", "blobs.csv", "--format", "labeled-csv", "--classes", "2",
+         "--constraints", "links.txt", "--t-grid", "3,5", "--gamma-grid", "0,1",
+         "--eta-grid", "0", "--folds", "3", "--jobs", "1", "--seed", "2",
+         "--normalize", "minmax-symmetric", "--table-out", "candidates.csv",
+         "--labels-out", "selected.csv", "--model-out", "selected_model.json",
+         "--dump-cv", "cv.csv"],
+        {"center_cap": 500, "classes": 2, "constraints": "links.txt", "dump_cv": "cv.csv",
+         "eta_grid": "0", "folds": 3, "format": "labeled-csv", "gamma_grid": "0,1",
+         "input": "blobs.csv", "jobs": 1, "labels_out": "selected.csv",
+         "model_out": "selected_model.json", "normalize": "minmax-symmetric", "seed": 2,
+         "t_grid": "3,5", "table_out": "candidates.csv"},
+        ["blobs.csv", "links.txt"],
+        ["candidates.csv", "selected.csv", "selected_model.json", "cv.csv"],
+    ),
+    "predict": (
+        ["--model", "model.json", "--input", "query.csv", "--output", "pred.csv"],
+        {"input": "query.csv", "model": "model.json", "output": "pred.csv"},
+        ["model.json", "query.csv"], ["pred.csv"],
+    ),
+    "ari": (
+        ["--a", "labels.csv", "--b", "selected.csv"],
+        {"a": "labels.csv", "b": "selected.csv"},
+        ["labels.csv", "selected.csv"], [],
+    ),
+    "bench": (
+        ["--config", "config.json"],
+        {"config": "config.json", "jobs": None, "report_out": "report.csv",
+         "summary_out": "summary.json"},
+        ["config.json"], ["report.csv", "summary.json"],
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def manifest_session(tmp_path_factory):
+    """Every subcommand run once, in the order above, in one directory."""
+    base = tmp_path_factory.mktemp("session")
+    ds = make_blobs(20, 2, 2, 8.0, seed=1)
+    write_labeled_csv(base / "blobs.csv", ds)
+    write_features_csv(base / "query.csv", ds.features[:7])
+    config = {"dataset": {"path": "blobs.csv", "format": "labeled-csv"}, "link_counts": [0, 8],
+              "runs": 2, "seed": 5, "theta": {"t": 4, "gamma": 1.0, "eta": 1.0}}
+    (base / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    cwd = os.getcwd()
+    os.chdir(base)
+    try:
+        for command, (argv, *_) in MANIFEST_SESSION.items():
+            assert main([command, *argv]) == 0, command
+    finally:
+        os.chdir(cwd)
+    return base
+
+
+@pytest.mark.parametrize("command", list(MANIFEST_SESSION))
+def test_every_command_writes_its_manifest(manifest_session, command):
+    """Parameters are every flag but the manifest path; files are keyed by path to SHA-256."""
+    _, params, inputs, outputs = MANIFEST_SESSION[command]
+    doc = json.loads((manifest_session / f"{command}.manifest.json").read_text())
+    assert doc["command"] == command
+    assert doc["parameters"] == {"command": command, **params}
+    assert doc["inputs"] == {p: sha256_of(manifest_session / p) for p in inputs}
+    assert doc["outputs"] == {p: sha256_of(manifest_session / p) for p in outputs}
+    assert doc["wall_time_s"] >= 0
+    extra = set(doc) - {"command", "parameters", "inputs", "outputs", "wall_time_s"}
+    if command != "select":
+        assert not extra
+        return
+    assert extra == {"candidate_seconds"}
+    rows = (manifest_session / "candidates.csv").read_text().splitlines()[1:]
+    grid = [(int(t), float(gamma), float(eta)) for t, gamma, eta, *_ in
+            (row.split(",") for row in rows)]
+    timings = doc["candidate_seconds"]
+    assert [(rec["t"], rec["gamma"], rec["eta"]) for rec in timings] == grid
+    assert all(set(rec) == {"t", "gamma", "eta", "seconds"} for rec in timings)
+    assert all(rec["seconds"] >= 0 for rec in timings)
+
+
+def test_refused_run_writes_no_manifest(workdir, capsys):
+    write_features_csv(workdir / "sixty.csv", make_blobs(30, 2, 2, 3.0, seed=0).features)
+    assert main(["select", "--input", "sixty.csv", "--classes", "61"]) == 2
+    assert capsys.readouterr().err == "error: c must be in 1..60, got 61\n"
+    assert not (workdir / "select.manifest.json").exists()
 
 
 def test_labels_csv_is_index_then_label(workdir):

@@ -19,6 +19,7 @@ from smiclust.lsmi import (
     LsmiConfig,
     RatioModel,
     _class_columns,
+    _center_quotas,
     _class_systems,
     _fold_assignment,
     _stratified_centers,
@@ -146,6 +147,20 @@ class TestFit:
         for cls in (1, 2):
             assert np.allclose(got[cls][0], expected[cls][0], atol=1e-10)
             assert np.allclose(got[cls][1], expected[cls][1], atol=1e-10)
+
+    def test_center_quotas_take_back_the_floor_of_one(self):
+        # raw = (2.94, 0.03, 0.03): flooring gives (2, 0, 0), the floor of one (2, 1, 1),
+        # one over the cap, so the largest class gives its center back.
+        assert tuple(_center_quotas(np.array([100, 1, 1]), 3)) == (1, 1, 1)
+
+    def test_cap_of_one_center_per_class(self):
+        x = make_blobs(20, 3, 2, 8.0, seed=0).features[:33]
+        y = np.repeat([1, 2, 3], [20, 12, 1])
+        model = fit_ratio_model(x, y, kappa=1.0, delta=0.1, cfg=LsmiConfig(center_cap=3))
+        assert model.classes == (1, 2, 3)
+        assert [ctr.shape[0] for ctr in model.centers] == [1, 1, 1]
+        for cls, ctr in zip(model.classes, model.centers):
+            assert any(np.array_equal(ctr[0], row) for row in x[y == cls])
 
     def test_solution_solves_the_system(self):
         rng = np.random.default_rng(5)
