@@ -2,8 +2,11 @@
 
 Subcommands: ``cluster``, ``select``, ``predict``, ``constraints``, ``ari``
 and ``bench``.  All randomness is controlled by ``--seed``, data goes to
-files or stdout, logs to stderr, and every run writes a manifest recording
-resolved parameters and checksums of the files it read and wrote.
+files or stdout, logs to stderr.  :func:`main` runs every subcommand by one
+rule: a successful run writes a manifest of the resolved parameters and the
+checksums of the files it read and wrote, a failed one writes none and prints
+one ``error:`` line.  A refusal of features on their scale ends with the
+command's hint from ``_SCALE_HINTS``.
 
 Exit codes: 0 success, 1 internal or numeric failure, 2 user input error.
 """
@@ -41,13 +44,22 @@ from .evaluation import (
     write_report_csv,
     write_report_summary,
 )
-from .kernel import apply_constraints, local_scaling_kernel
+from .kernel import FeatureScaleError, apply_constraints, local_scaling_kernel
 from .model_select import LsmiConfig, grid_search
 from .solver import PredictionError, cluster, load_model, predict, save_model
 
 
 class UserInputError(ValueError):
     """Bad flag combination or bad user-supplied value."""
+
+
+# Appended to a FeatureScaleError's message, which ends "; rescale the features".
+_SCALE_HINTS = {
+    "cluster": " (cluster and select take --normalize minmax-symmetric)",
+    "select": " (cluster and select take --normalize minmax-symmetric)",
+    "predict": " (the queries must be on the scale of the model's training features)",
+    "bench": ' (a bench config takes "normalize": "minmax-symmetric")',
+}
 
 
 def _default_jobs() -> int:
@@ -68,22 +80,17 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(args, command: str, inputs, outputs, started: float, **extra) -> None:
-    params = {}
-    for key, value in sorted(vars(args).items()):
-        if key in ("func", "manifest_out"):
-            continue
-        params[key] = str(value) if isinstance(value, Path) else value
+def _write_manifest(args, started: float, inputs, outputs, extra=None) -> None:
     doc = {
-        "command": command,
-        "parameters": params,
+        "command": args.command,
+        "parameters": {k: v for k, v in vars(args).items() if k not in ("func", "manifest_out")},
         "inputs": {str(p): _sha256(p) for p in inputs if p and Path(p).exists()},
         "outputs": {str(p): _sha256(p) for p in outputs if p and Path(p).exists()},
         "wall_time_s": time.perf_counter() - started,
-        **extra,
+        **(extra or {}),
     }
     Path(args.manifest_out).write_text(
-        json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(doc, indent=1, sort_keys=True, default=str) + "\n", encoding="utf-8"
     )
 
 
@@ -126,27 +133,32 @@ def _grid_search(args, ds: Dataset, cs):
     )
 
 
-def _load_input(args) -> Dataset:
-    ds = load_dataset(args.input, args.format)
-    return normalize(ds, args.normalize)
-
-
-def _load_links(args, n: int):
+def _load_problem(args):
+    ds = normalize(load_dataset(args.input, args.format), args.normalize)
     if args.constraints is None:
-        return empty_constraints(n)
-    return load_constraints(args.constraints, n)
+        return ds, empty_constraints(ds.n)
+    return ds, load_constraints(args.constraints, ds.n)
 
 
-def _add_io_flags(sub, with_constraints=True):
+def _write_fit(args, labels, model) -> list:
+    """Write the labels and, with ``--model-out``, the model; return both paths."""
+    _write_labels_csv(args.labels_out, labels)
+    if args.model_out:
+        save_model(model, args.model_out)
+    return [args.labels_out, args.model_out]
+
+
+def _add_io_flags(sub):
     sub.add_argument("--input", required=True, type=Path, help="input CSV file")
     sub.add_argument("--format", choices=("csv", "labeled-csv"), default="csv")
     sub.add_argument("--classes", required=True, type=int, help="number of clusters")
-    if with_constraints:
-        sub.add_argument("--constraints", type=Path, help="link file (i j +1/-1, 1-based)")
+    sub.add_argument("--constraints", type=Path, help="link file (i j +1/-1, 1-based)")
     sub.add_argument(
         "--normalize", choices=("none", "minmax-symmetric", "zscore"), default="none"
     )
     sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--labels-out", type=Path, default=Path("labels.csv"))
+    sub.add_argument("--model-out", type=Path)
 
 
 def _add_search_flags(sub, grid_help=""):
@@ -157,15 +169,12 @@ def _add_search_flags(sub, grid_help=""):
     sub.add_argument("--jobs", type=int, default=_default_jobs())
 
 
-def cmd_cluster(args) -> int:
-    started = time.perf_counter()
+def cmd_cluster(args):
     if args.auto and args.t is not None:
         raise UserInputError("--auto and an explicit --t are mutually exclusive")
     if not args.auto and args.t is None:
         raise UserInputError("either --t or --auto is required")
-    ds = _load_input(args)
-    cs = _load_links(args, ds.n)
-    outputs = [args.labels_out]
+    ds, cs = _load_problem(args)
     if args.auto:
         result = _grid_search(args, ds, cs)
         labels, model = result.best.labels, result.model
@@ -176,22 +185,15 @@ def cmd_cluster(args) -> int:
         )
     else:
         labels, model = cluster(ds, cs, args.t, args.gamma, args.eta, args.classes)
-    _write_labels_csv(args.labels_out, labels)
-    if args.model_out:
-        save_model(model, args.model_out)
-        outputs.append(args.model_out)
+    outputs = _write_fit(args, labels, model)
     if args.dump_kernel:
         edited = apply_constraints(local_scaling_kernel(ds.features, model.t), cs)
         _write_kernel_csv(args.dump_kernel, edited.csr)
-        outputs.append(args.dump_kernel)
-    _write_manifest(args, "cluster", [args.input, args.constraints], outputs, started)
-    return 0
+    return [args.input, args.constraints], outputs + [args.dump_kernel]
 
 
-def cmd_select(args) -> int:
-    started = time.perf_counter()
-    ds = _load_input(args)
-    cs = _load_links(args, ds.n)
+def cmd_select(args):
+    ds, cs = _load_problem(args)
     result = _grid_search(args, ds, cs)
     # Per-candidate wall times go into the manifest, keeping this file
     # byte-reproducible across reruns.
@@ -202,11 +204,7 @@ def cmd_select(args) -> int:
             f"{cand.score!r},{cand.error or ''}"
         )
     Path(args.table_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_labels_csv(args.labels_out, result.best.labels)
-    outputs = [args.table_out, args.labels_out]
-    if args.model_out:
-        save_model(result.model, args.model_out)
-        outputs.append(args.model_out)
+    outputs = [args.table_out, *_write_fit(args, result.best.labels, result.model)]
     if args.dump_cv:
         folds = len(result.best_cv[0].fold_cv)
         cv_lines = ["kappa,delta,mean_cv," + ",".join(f"fold_{m}" for m in range(folds))]
@@ -215,7 +213,6 @@ def cmd_select(args) -> int:
             cells += [repr(v) for v in rec.fold_cv]
             cv_lines.append(",".join(cells))
         Path(args.dump_cv).write_text("\n".join(cv_lines) + "\n", encoding="utf-8")
-        outputs.append(args.dump_cv)
     print(
         f"best: t={result.best.t} gamma={result.best.gamma} eta={result.best.eta} "
         f"lsmi={result.best.lsmi:.4f} n_v={result.best.n_v}",
@@ -225,43 +222,32 @@ def cmd_select(args) -> int:
         {"t": cand.t, "gamma": cand.gamma, "eta": cand.eta, "seconds": cand.seconds}
         for cand in result.candidates
     ]
-    _write_manifest(
-        args, "select", [args.input, args.constraints], outputs, started,
-        candidate_seconds=timings,
-    )
-    return 0
+    return [args.input, args.constraints], outputs + [args.dump_cv], {"candidate_seconds": timings}
 
 
-def cmd_predict(args) -> int:
-    started = time.perf_counter()
+def cmd_predict(args):
     model = load_model(args.model)
     ds = load_dataset(args.input, "csv", allow_empty=True)
     _write_labels_csv(args.output, [] if ds is None else predict(model, ds.features))
-    _write_manifest(args, "predict", [args.model, args.input], [args.output], started)
-    return 0
+    return [args.model, args.input], [args.output]
 
 
-def cmd_constraints(args) -> int:
-    started = time.perf_counter()
+def cmd_constraints(args):
     ds = load_dataset(args.input, "labeled-csv")
     n_links = resolve_link_count(args.links, ds.n)
     cs = sample_constraints(ds.labels, n_links, seed=args.seed)
     save_constraints(cs, args.output)
-    _write_manifest(args, "constraints", [args.input], [args.output], started)
-    return 0
+    return [args.input], [args.output]
 
 
-def cmd_ari(args) -> int:
-    started = time.perf_counter()
+def cmd_ari(args):
     labels_a = load_labels(args.a)
     labels_b = load_labels(args.b)
     print(adjusted_rand_index(labels_a, labels_b))
-    _write_manifest(args, "ari", [args.a, args.b], [], started)
-    return 0
+    return [args.a, args.b], []
 
 
-def cmd_bench(args) -> int:
-    started = time.perf_counter()
+def cmd_bench(args):
     doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
     config = BenchmarkConfig.from_dict(doc, base_dir=Path(args.config).parent)
     if args.jobs is not None:
@@ -271,10 +257,7 @@ def cmd_bench(args) -> int:
     write_report_summary(report, args.summary_out)
     for links, mean, std in zip(report.link_counts, report.mean_ari, report.std_ari):
         print(f"links={links}: ARI {mean:.4f} +/- {std:.4f}", file=sys.stderr)
-    _write_manifest(
-        args, "bench", [args.config], [args.report_out, args.summary_out], started
-    )
-    return 0
+    return [args.config], [args.report_out, args.summary_out]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,29 +275,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=0.0, help="cannot-link strength")
     p.add_argument("--auto", action="store_true", help="pick t, gamma, eta by grid search")
     _add_search_flags(p, " for --auto")
-    p.add_argument("--labels-out", type=Path, default=Path("labels.csv"))
-    p.add_argument("--model-out", type=Path)
     p.add_argument("--dump-kernel", type=Path, help="write the edited kernel matrix as CSV")
-    p.add_argument("--manifest-out", type=Path, default=Path("cluster.manifest.json"))
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("select", help="grid-search t, gamma, eta and report all candidates")
     _add_io_flags(p)
     _add_search_flags(p)
     p.add_argument("--table-out", type=Path, default=Path("candidates.csv"))
-    p.add_argument("--labels-out", type=Path, default=Path("labels.csv"))
-    p.add_argument("--model-out", type=Path)
     p.add_argument(
         "--dump-cv", type=Path, help="write the winner's LSMI cross-validation table as CSV"
     )
-    p.add_argument("--manifest-out", type=Path, default=Path("select.manifest.json"))
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("predict", help="label new points with a saved model")
     p.add_argument("--model", required=True, type=Path)
     p.add_argument("--input", required=True, type=Path)
     p.add_argument("--output", type=Path, default=Path("predictions.csv"))
-    p.add_argument("--manifest-out", type=Path, default=Path("predict.manifest.json"))
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("constraints", help="sample links from a labeled dataset")
@@ -324,13 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", type=Path, default=Path("constraints.txt"))
-    p.add_argument("--manifest-out", type=Path, default=Path("constraints.manifest.json"))
     p.set_defaults(func=cmd_constraints)
 
     p = sub.add_parser("ari", help="adjusted Rand index between two label files")
     p.add_argument("--a", required=True, type=Path)
     p.add_argument("--b", required=True, type=Path)
-    p.add_argument("--manifest-out", type=Path, default=Path("ari.manifest.json"))
     p.set_defaults(func=cmd_ari)
 
     p = sub.add_parser("bench", help="run a benchmark sweep from a JSON config")
@@ -338,23 +312,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report-out", type=Path, default=Path("report.csv"))
     p.add_argument("--summary-out", type=Path, default=Path("summary.json"))
     p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--manifest-out", type=Path, default=Path("bench.manifest.json"))
     p.set_defaults(func=cmd_bench)
 
+    for name, p in sub.choices.items():
+        p.add_argument("--manifest-out", type=Path, default=Path(f"{name}.manifest.json"))
     return parser
 
 
-def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
-    """Print a warning as one ``warning:`` line on stderr, without its source line."""
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def main(argv=None) -> int:
+    """Run one subcommand: ``args.func`` returns ``(inputs, outputs[, manifest fields])``."""
     with warnings.catch_warnings():
-        warnings.showwarning = _show_warning
+        # Each warning is one "warning:" line on stderr, without its source line.
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             args = build_parser().parse_args(argv)
-            return args.func(args)
+            started = time.perf_counter()
+            _write_manifest(args, started, *args.func(args))
+            return 0
+        except FeatureScaleError as exc:
+            print(f"error: {exc}{_SCALE_HINTS.get(args.command, '')}", file=sys.stderr)
+            return 2
         except (ValueError, FileNotFoundError) as exc:  # input and format errors are ValueErrors
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -42,8 +42,8 @@ from .data import ConstraintSet
 
 # Tied rows are settled on at most this many (row, point) ball pairs at a time, or one row.
 _TIE_BLOCK = 1 << 20
-_RESCALE = "; rescale the features (cluster and select take --normalize minmax-symmetric)"
-_OVERFLOW = "squared distances between points overflow float64" + _RESCALE
+_OVERFLOW = "squared distances between points overflow float64; rescale the features"
+_UNDERFLOW = "squared distances between distinct points underflow; rescale the features"
 
 
 class FeatureScaleError(ValueError):
@@ -156,7 +156,7 @@ def _tree_nearest(points: np.ndarray, queries: np.ndarray, t: int):
     dist = dist.reshape(m, k)
     rows, cols = np.nonzero(dist == 0)  # distinct points at 0 have underflowing squares
     if (queries[rows] != points[cand[rows, cols]]).any():
-        raise FeatureScaleError("squared distances between distinct points underflow" + _RESCALE)
+        raise FeatureScaleError(_UNDERFLOW)
     order = np.lexsort((cand, dist), axis=1)
     cand = np.take_along_axis(cand, order, axis=1)
     dist = np.take_along_axis(dist, order, axis=1)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -371,9 +372,27 @@ class TestBenchCommand:
                          "--summary-out", f"summary-{jobs}.json",
                          "--manifest-out", f"bench-{jobs}.manifest.json"]) == 0
         for name in ("report-{}.csv", "summary-{}.json"):
-            assert (workdir / name.format(1)).read_bytes() == (workdir / name.format(2)).read_bytes()
+            one, two = (workdir / name.format(jobs) for jobs in (1, 2))
+            assert one.read_bytes() == two.read_bytes()
         manifest = json.loads((workdir / "bench-2.manifest.json").read_text())
         assert manifest["parameters"]["jobs"] == 2
+
+    def test_scale_refusal_names_the_config_key(self, workdir, capsys):
+        ds = make_blobs(20, 2, 2, 3.0, seed=0)
+        huge = dataclasses.replace(ds, features=ds.features * 1e155)
+        write_labeled_csv(workdir / "huge.csv", huge)
+        config = {"dataset": {"path": "huge.csv"}, "link_counts": [0], "runs": 1,
+                  "theta": {"t": 3}}
+        (workdir / "config.json").write_text(json.dumps(config))
+        assert main(["bench", "--config", "config.json"]) == 2
+        assert capsys.readouterr().err == (
+            "error: squared distances between points overflow float64; rescale the features "
+            '(a bench config takes "normalize": "minmax-symmetric")\n'
+        )
+        assert not (workdir / "bench.manifest.json").exists()
+        config["normalize"] = "minmax-symmetric"
+        (workdir / "config.json").write_text(json.dumps(config))
+        assert main(["bench", "--config", "config.json"]) == 0
 
 
 class TestParser:
@@ -678,6 +697,26 @@ def test_overflow_inside_the_tree_exits_2_naming_normalize(workdir, command):
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: squared distances")
     assert "--normalize minmax-symmetric" in proc.stderr
     assert not (workdir / "candidates.csv").exists() and not (workdir / "labels.csv").exists()
+
+
+def test_predict_scale_refusal_names_its_own_remedy(workdir, capsys):
+    """Queries near 1.2e154 overflow the k-d tree's ball query against blobs near 0: predict
+    exits 2 with one line saying the queries must be on the training scale, and names no
+    flag, as predict takes no --normalize."""
+    write_features_csv(workdir / "points.csv", make_blobs(50, 2, 2, 3.0, seed=0).features)
+    assert main(["cluster", "--input", "points.csv", "--classes", "2", "--t", "5",
+                 "--model-out", "model.json"]) == 0
+    write_features_csv(workdir / "far.csv", [[1.2e154, 0.0], [-1.2e154, 0.0], [0.0, 1.2e154]])
+    capsys.readouterr()
+    assert main(["predict", "--model", "model.json", "--input", "far.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: squared distances between points overflow float64; rescale the features "
+        "(the queries must be on the scale of the model's training features)\n"
+    )
+    assert "--" not in err
+    assert not (workdir / "predictions.csv").exists()
+    assert not (workdir / "predict.manifest.json").exists()
 
 
 def test_overflowing_median_distance_exits_2_naming_normalize(workdir, capsys):
