@@ -63,6 +63,7 @@ _SCALE_HINTS = {
 
 
 def _default_jobs() -> int:
+    """The ``--jobs`` default of ``cluster`` and ``select``: ``SMICLUST_JOBS``, else the CPU count."""
     env = os.environ.get("SMICLUST_JOBS", "").strip()
     if not env:
         return os.cpu_count() or 1
@@ -70,6 +71,16 @@ def _default_jobs() -> int:
         return max(1, int(env))
     except ValueError:
         raise UserInputError(f"SMICLUST_JOBS must be an integer, got {env!r}") from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads ``SMICLUST_JOBS`` only for a parsed command whose ``--jobs`` defaults to it."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if getattr(namespace, "jobs", None) is _default_jobs:
+            namespace.jobs = _default_jobs()
+        return namespace, extras
 
 
 def _sha256(path) -> str:
@@ -166,7 +177,7 @@ def _add_search_flags(sub, grid_help=""):
         sub.add_argument(f"--{name}-grid", help=f"comma-separated {name} values{grid_help}")
     sub.add_argument("--center-cap", type=int, default=LsmiConfig.center_cap)
     sub.add_argument("--folds", type=int, default=LsmiConfig.folds)
-    sub.add_argument("--jobs", type=int, default=_default_jobs())
+    sub.add_argument("--jobs", type=int, default=_default_jobs)
 
 
 def cmd_cluster(args):
@@ -175,6 +186,7 @@ def cmd_cluster(args):
     if not args.auto and args.t is None:
         raise UserInputError("either --t or --auto is required")
     ds, cs = _load_problem(args)
+    kept = []  # the edited kernel of the fit, for --dump-kernel
     if args.auto:
         result = _grid_search(args, ds, cs)
         labels, model = result.best.labels, result.model
@@ -184,11 +196,13 @@ def cmd_cluster(args):
             file=sys.stderr,
         )
     else:
-        labels, model = cluster(ds, cs, args.t, args.gamma, args.eta, args.classes)
+        keep = kept.append if args.dump_kernel else None
+        labels, model = cluster(ds, cs, args.t, args.gamma, args.eta, args.classes, keep)
     outputs = _write_fit(args, labels, model)
     if args.dump_kernel:
-        edited = apply_constraints(local_scaling_kernel(ds.features, model.t), cs)
-        _write_kernel_csv(args.dump_kernel, edited.csr)
+        if not kept:  # the grid search keeps no kernel: build the winner's
+            kept.append(apply_constraints(local_scaling_kernel(ds.features, model.t), cs))
+        _write_kernel_csv(args.dump_kernel, kept[0].csr)
     return [args.input, args.constraints], outputs + [args.dump_kernel]
 
 
@@ -257,11 +271,14 @@ def cmd_bench(args):
     write_report_summary(report, args.summary_out)
     for links, mean, std in zip(report.link_counts, report.mean_ari, report.std_ari):
         print(f"links={links}: ARI {mean:.4f} +/- {std:.4f}", file=sys.stderr)
-    return [args.config], [args.report_out, args.summary_out]
+    inputs = [args.config]
+    if "path" in doc["dataset"]:
+        inputs.append(Path(args.config).parent / doc["dataset"]["path"])
+    return inputs, [args.report_out, args.summary_out]
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="smiclust",
         description="Information-maximization clustering with pairwise link constraints",
     )

@@ -33,6 +33,7 @@ rank(U) < c and is refused.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,6 +46,8 @@ from .kernel import _link_matrix, check_hyperparameters
 from .kernel import nearest_neighbors  # noqa: F401  re-exported; perfbench/tracer.py wraps it
 
 MODEL_SCHEMA = "smiclust-model-v1"
+# predict scores its queries at most max(this, n) at a time.
+_QUERY_BLOCK = 1 << 12
 
 
 class PredictionError(RuntimeError):
@@ -294,16 +297,21 @@ def cluster(
     gamma: float,
     eta: float,
     c: int,
+    keep_kernel: Callable[[KernelMatrix], object] | None = None,
 ) -> tuple[np.ndarray, ClusterModel]:
     """Full pipeline: kernel, link editing, eigensolve, assignment.
 
     Returns the label vector (values ``1..c``) and a :class:`ClusterModel`
-    carrying everything needed for out-of-sample prediction.
+    carrying everything needed for out-of-sample prediction.  ``keep_kernel``,
+    if given, is called with the edited kernel K' once it is built, for a
+    caller that needs it too (``cluster --dump-kernel``).
     """
     c, (t,) = check_hyperparameters(ds.n, c, [t], [gamma], [eta])
     if cs is None:
         cs = empty_constraints(ds.n)
     edited = apply_constraints(local_scaling_kernel(ds.features, t), cs)
+    if keep_kernel is not None:
+        keep_kernel(edited)
     lam, phi = top_eigenpairs(objective_matrix(edited, cs, gamma, eta, c), c)
     phi_tilde = fix_signs(phi)
     model = ClusterModel(
@@ -334,6 +342,19 @@ def predict(model: ClusterModel, x) -> int | np.ndarray:
     ``lam_y * max(0, phi_y)' 1`` and returns the argmax (ties to the smallest
     label).  Refuses to predict when any retained eigenvalue is non-positive
     up to the tie tolerance, since the score normalization is then meaningless.
+
+    The queries are scored in consecutive blocks of ``max(_QUERY_BLOCK, n)``
+    rows, so the query kernel of a large batch is never held whole: peak
+    memory follows the model, not the batch.  The floor of n amortizes each
+    block's work on the training side (one k-d tree over the n points and n
+    ball queries), so a batch no larger than the training set is one block.
+    A query's kernel row depends only on that query and the training set, so
+    the labels do not depend on the blocks.  Neither do the refusals, with one
+    exception: the k-d tree refuses a ball query when the bounding box of the
+    queries lies about 1.3e154 from a training point, even when every real
+    distance is finite.  A block's box lies inside the batch's, so blocks add
+    no refusal, and far queries that land in different blocks may pass where
+    one batch holding them all would be refused.
     """
     if np.any(model.lam <= _tie_tolerance(model.lam)):
         raise PredictionError(
@@ -349,11 +370,15 @@ def predict(model: ClusterModel, x) -> int | np.ndarray:
             f"query dimension {x.shape[1]} does not match training dimension "
             f"{model.train_features.shape[1]}"
         )
-    k_new = _query_kernel(model, x)
-    numer = np.maximum(k_new @ model.phi, 0.0)
     denom = model.lam * np.maximum(model.phi, 0.0).sum(axis=0)
-    scores = np.where(denom > 0, numer / np.where(denom > 0, denom, 1.0), -np.inf)
-    labels = np.argmax(scores, axis=1) + 1
+    positive = denom > 0
+    labels = np.empty(x.shape[0], dtype=np.intp)
+    step = max(_QUERY_BLOCK, model.phi.shape[0])
+    for start in range(0, x.shape[0], step):
+        block = slice(start, start + step)
+        numer = np.maximum(_query_kernel(model, x[block]) @ model.phi, 0.0)
+        scores = np.where(positive, numer / np.where(positive, denom, 1.0), -np.inf)
+        labels[block] = np.argmax(scores, axis=1) + 1
     return int(labels[0]) if single else labels
 
 

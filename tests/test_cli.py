@@ -407,12 +407,28 @@ class TestParser:
         args = build_parser().parse_args(["select", "--input", "x.csv", "--classes", "2"])
         assert args.jobs == 1
 
-    def test_non_integer_jobs_env_exits_2(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("command", ["cluster", "select"])
+    def test_non_integer_jobs_env_exits_2(self, monkeypatch, capsys, command):
         monkeypatch.setenv("SMICLUST_JOBS", "abc")
-        assert main(["--help"]) == 2
+        assert main([command, "--input", "x.csv", "--classes", "2", "--t-grid", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: SMICLUST_JOBS must be an integer, got 'abc'\n"
         assert captured.out == ""
+
+    def test_non_integer_jobs_env_spares_commands_without_jobs(self, workdir, monkeypatch, capsys):
+        """Only cluster and select read SMICLUST_JOBS; ari, predict, constraints, bench don't."""
+        monkeypatch.setenv("SMICLUST_JOBS", "abc")
+        (workdir / "x.csv").write_text("index,label\n1,1\n2,2\n3,2\n")
+        assert main(["ari", "--a", "x.csv", "--b", "x.csv"]) == 0
+        assert capsys.readouterr() == ("1.0\n", "")
+        for argv in (["predict", "--model", "m.json", "--input", "x.csv"],
+                     ["constraints", "--input", "x.csv", "--links", "1"],
+                     ["bench", "--config", "c.json"]):
+            args = build_parser().parse_args(argv)
+            assert getattr(args, "jobs", None) is None
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args(["--help"])
+        assert err.value.code == 0
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -458,6 +474,25 @@ class TestClusterDumpKernel:
         )
         expected = "".join(",".join(map(repr, row.tolist())) + "\n" for row in edited.entries)
         assert (workdir / "kernel.csv").read_text() == expected
+
+    def test_dump_kernel_builds_the_kernel_once(self, workdir, blobs_csv, monkeypatch):
+        """The dump is the kernel the fit built: one local_scaling_kernel call per run."""
+        path, _ = blobs_csv
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return kernel.local_scaling_kernel(*args, **kwargs)
+
+        monkeypatch.setattr("smiclust.solver.local_scaling_kernel", counted)
+        monkeypatch.setattr("smiclust.cli.local_scaling_kernel", counted)
+        argv = ["cluster", "--input", str(path), "--format", "labeled-csv", "--classes", "2",
+                "--t", "5", "--dump-kernel", "kernel.csv", "--labels-out", "dumped.csv"]
+        assert main(argv) == 0
+        assert len(calls) == 1
+        assert main([*argv[:-4], "--labels-out", "plain.csv"]) == 0
+        assert len(calls) == 2
+        assert (workdir / "dumped.csv").read_bytes() == (workdir / "plain.csv").read_bytes()
 
 
 def sha256_of(path):
@@ -511,7 +546,7 @@ MANIFEST_SESSION = {
         ["--config", "config.json"],
         {"config": "config.json", "jobs": None, "report_out": "report.csv",
          "summary_out": "summary.json"},
-        ["config.json"], ["report.csv", "summary.json"],
+        ["config.json", "blobs.csv"], ["report.csv", "summary.json"],
     ),
 }
 

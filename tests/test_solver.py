@@ -2,6 +2,7 @@ import json
 import re
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,13 @@ from oracles import (
 from smiclust import solver
 from smiclust.data import ConstraintSet, Dataset, empty_constraints, make_blobs, sample_constraints
 from smiclust.evaluation import BenchmarkConfig, adjusted_rand_index
-from smiclust.kernel import KernelMatrix, apply_constraints, local_scaling_kernel, nearest_neighbors
+from smiclust.kernel import (
+    FeatureScaleError,
+    KernelMatrix,
+    apply_constraints,
+    local_scaling_kernel,
+    nearest_neighbors,
+)
 from smiclust.lsmi import fit_ratio_model
 from smiclust.model_select import grid_search
 from smiclust.solver import (
@@ -646,6 +653,106 @@ class TestPredict:
         # Rounding noise, as in a model an older version fitted to a U of rank 1.
         with pytest.raises(PredictionError, match="non-positive"):
             predict(replace(model, lam=np.array([1800.0, 3e-13])), feats[0])
+
+
+class TestPredictBlocks:
+    """``predict`` scores its queries in blocks of ``max(solver._QUERY_BLOCK, n)`` rows."""
+
+    @staticmethod
+    def _model(train, t, seed=0):
+        rng = np.random.default_rng(seed)
+        return ClusterModel(
+            phi=fix_signs(np.linalg.qr(rng.standard_normal((train.shape[0], 2)))[0]),
+            lam=np.array([2.0, 1.0]),
+            c=2,
+            t=t,
+            gamma=0.0,
+            eta=0.0,
+            train_features=train,
+            train_sigma=nearest_neighbors(train, t)[1],
+        )
+
+    @staticmethod
+    def _predict(model, x, block):
+        with mock.patch.object(solver, "_QUERY_BLOCK", block):
+            return predict(model, x)
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_per_class=st.integers(1, 8),
+        d=st.sampled_from([1, 2, 3]),
+        t_frac=st.floats(0, 1),
+        rounded=st.booleans(),
+        copies=st.integers(0, 30),
+        fresh=st.integers(0, 30),
+        block=st.sampled_from([1, 2, 7]),
+    )
+    def test_labels_equal_one_block(self, seed, n_per_class, d, t_frac, rounded, copies, fresh,
+                                    block):
+        """Blobs, optionally rounded to 0.1 so distances tie, and queries that copy training
+        points: the labels of small blocks equal those of one block, bytes and dtype."""
+        rng = np.random.default_rng(seed)
+        train = make_blobs(n_per_class, 2, d, 3.0, seed=seed % 2**31).features
+        queries = np.vstack([train[rng.integers(0, len(train), copies)],
+                             rng.normal(0.0, 2.0, (fresh, d))])[rng.permutation(copies + fresh)]
+        if rounded:
+            train, queries = np.round(train, 1), np.round(queries, 1)
+        t = 1 + int(t_frac * (len(train) - 2))
+        model = self._model(train, t, seed=seed)
+        whole = self._predict(model, queries, len(queries) + 1)
+        got = self._predict(model, queries, block)
+        assert got.dtype == whole.dtype == np.intp
+        assert got.tobytes() == whole.tobytes()
+
+    def test_single_query_is_an_int(self):
+        ds = make_blobs(20, 2, 2, 8.0, seed=1)
+        labels, model = cluster(ds, None, 4, 0.0, 0.0, 2)
+        got = self._predict(model, ds.features[3], 1)
+        assert type(got) is int and got == labels[3]
+
+    def test_empty_batch_is_an_empty_int64_array(self):
+        ds = make_blobs(20, 2, 2, 8.0, seed=1)
+        _, model = cluster(ds, None, 4, 0.0, 0.0, 2)
+        got = predict(model, np.zeros((0, 2)))
+        assert got.shape == (0,) and got.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "block, n_per_class, m, calls",
+        [(None, 10, 0, 0), (None, 10, 4096, 1), (None, 10, 4097, 2), (None, 10, 9000, 3),
+         (7, 10, 45, 3), (7, 10, 20, 1), (2, 2, 9, 3), (1, 1, 5, 3)],
+    )
+    def test_query_kernel_runs_once_per_block(self, block, n_per_class, m, calls):
+        """ceil(m / max(floor, n)) blocks: the floor n keeps a batch up to n in one block."""
+        ds = make_blobs(n_per_class, 2, 2, 8.0, seed=1)
+        model = self._model(ds.features, 1)
+        queries = np.random.default_rng(2).normal(0.0, 4.0, (m, 2))
+        block = solver._QUERY_BLOCK if block is None else block
+        assert calls == -(-m // max(block, 2 * n_per_class))
+        sizes = []
+
+        def counted(model, x):
+            sizes.append(len(x))
+            return _query_kernel(model, x)
+
+        with mock.patch.object(solver, "_query_kernel", counted):
+            got = self._predict(model, queries, block)
+        assert len(sizes) == calls and sum(sizes) == m
+        assert got.tobytes() == self._predict(model, queries, m + 1).tobytes()
+
+    def test_ball_query_overflow_still_refuses(self):
+        """The far queries of ``test_ball_query_overflow_is_a_feature_scale_error`` fit in one
+        block and are refused; spread over three blocks, no block's box overflows."""
+        ds = make_blobs(10, 2, 2, 3.0, seed=0)
+        _, model = cluster(ds, None, 3, 0.0, 0.0, 2)
+        far = np.array([[1.2e154, 0.0], [-1.2e154, 0.0], [0.0, 1.2e154]])
+        for block in (1, solver._QUERY_BLOCK):
+            with pytest.raises(FeatureScaleError, match="^squared distances between points"):
+                self._predict(model, far, block)
+        spread = np.vstack([np.vstack([row, ds.features[:19]]) for row in far])
+        assert self._predict(model, spread, 1)[1:20].tolist() == predict(
+            model, ds.features[:19]
+        ).tolist()
 
 
 class TestModelValidation:
