@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__
 from .data import (
     Dataset,
+    EmptyDatasetError,
     empty_constraints,
     load_constraints,
     load_dataset,
@@ -186,7 +187,6 @@ def cmd_cluster(args):
     if not args.auto and args.t is None:
         raise UserInputError("either --t or --auto is required")
     ds, cs = _load_problem(args)
-    kept = []  # the edited kernel of the fit, for --dump-kernel
     if args.auto:
         result = _grid_search(args, ds, cs)
         labels, model = result.best.labels, result.model
@@ -196,13 +196,11 @@ def cmd_cluster(args):
             file=sys.stderr,
         )
     else:
-        keep = kept.append if args.dump_kernel else None
-        labels, model = cluster(ds, cs, args.t, args.gamma, args.eta, args.classes, keep)
+        labels, model = cluster(ds, cs, args.t, args.gamma, args.eta, args.classes)
     outputs = _write_fit(args, labels, model)
     if args.dump_kernel:
-        if not kept:  # the grid search keeps no kernel: build the winner's
-            kept.append(apply_constraints(local_scaling_kernel(ds.features, model.t), cs))
-        _write_kernel_csv(args.dump_kernel, kept[0].csr)
+        edited = apply_constraints(local_scaling_kernel(ds.features, model.t), cs)
+        _write_kernel_csv(args.dump_kernel, edited.csr)
     return [args.input, args.constraints], outputs + [args.dump_kernel]
 
 
@@ -241,8 +239,11 @@ def cmd_select(args):
 
 def cmd_predict(args):
     model = load_model(args.model)
-    ds = load_dataset(args.input, "csv", allow_empty=True)
-    _write_labels_csv(args.output, [] if ds is None else predict(model, ds.features))
+    try:
+        labels = predict(model, load_dataset(args.input, "csv").features)
+    except EmptyDatasetError:  # no queries: a header-only labels file
+        labels = []
+    _write_labels_csv(args.output, labels)
     return [args.model, args.input], [args.output]
 
 

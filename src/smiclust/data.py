@@ -11,10 +11,11 @@ and every other row must be numeric, as wide as the first and finite.  With
 ``labeled-csv`` the last column holds whole-number labels in ``1..n``, n the
 number of data rows, so the class count never exceeds n.  The file is UTF-8,
 with or without a byte-order mark; a byte that is not UTF-8 is refused on its
-line, in constraint files too.  It is converted by ``np.loadtxt`` in one
-call; a file that call refuses is read by ``csv.reader`` and converted and
-checked as one matrix, and only after a check fails are the rows walked one
-by one, to name the first bad line.
+line, in constraint files too.  It takes one of two routes: ``np.loadtxt``
+converts it in one call, and a file that call refuses (quotes, blank rows of
+whitespace or commas, ``1_0`` cells, non-ASCII digits, a defect) is walked
+row by row by ``csv.reader``, which converts each data row and names the
+first bad line.  Both routes give the same bytes.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass, replace
-from itertools import chain, compress
 from pathlib import Path
 
 import numpy as np
@@ -162,8 +162,8 @@ def _read_text(path, error) -> str:
         raise error(f"{path}: byte 0x{data[exc.start]:02x} on line {line} is not UTF-8") from None
 
 
-def _parse_rows(path, fmt, allow_empty):
-    """The data rows of a CSV file as ``(line numbers, matrix)``, or ``None`` if empty.
+def _parse_rows(path, fmt):
+    """The data rows of a CSV file as ``(line numbers, matrix)``.
 
     Blank and whitespace-only rows are dropped, and rows before the first row
     that parses are skipped as headers.  The text is decoded as UTF-8 with an
@@ -174,7 +174,7 @@ def _parse_rows(path, fmt, allow_empty):
         raise ValueError(f"unknown format {fmt!r}; expected one of {DATASET_FORMATS}")
     path = Path(path)
     text = _read_text(path, DatasetFormatError)
-    return _loadtxt_rows(text) or _csv_rows(path, text, allow_empty)
+    return _loadtxt_rows(text) or _csv_rows(path, text)
 
 
 def _loadtxt_rows(text):
@@ -213,34 +213,38 @@ def _loadtxt_rows(text):
     return lines, matrix
 
 
-def _csv_rows(path, text, allow_empty):
-    """``(line numbers, matrix)`` of ``text`` read by ``csv.reader``, or ``None`` if empty.
+def _csv_rows(path, text):
+    """``(line numbers, matrix)`` of ``text`` read by ``csv.reader``, one row at a time.
 
-    The rows are checked and converted all at once; only when that fails does
-    :func:`_raise_first_defect` walk them row by row to name the line.
+    The first defect is named by its line: a non-numeric cell anywhere comes
+    first; then, row by row, a row whose width differs from the first row's
+    or that holds a non-finite value.
     """
-    rows = list(csv.reader(io.StringIO(text, newline="")))
-    kept = np.fromiter(map(bool, map(str.strip, map("".join, rows))), bool, len(rows))
-    lines = np.flatnonzero(kept) + 1
-    if lines.size < len(rows):
-        rows = list(compress(rows, kept))
-    first = next((k for k, cells in enumerate(rows) if _is_numeric(cells)), len(rows))
-    rows, lines = rows[first:], lines[first:]
-    if not rows:
-        if allow_empty:
-            return None
-        raise EmptyDatasetError(f"{path}: file contains no data rows")
-    width = len(rows[0])
-    matrix = None
-    if (np.fromiter(map(len, rows), np.intp, len(rows)) == width).all():
+    lines, rows, defect = [], [], None
+    for lineno, cells in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+        if not "".join(cells).strip():
+            continue
         try:
-            cells = map(float, chain.from_iterable(rows))
-            matrix = np.fromiter(cells, float, len(rows) * width).reshape(len(rows), width)
+            row = list(map(float, cells))
         except ValueError:
-            pass
-    if matrix is None or not np.isfinite(matrix).all():
-        _raise_first_defect(path, rows, lines.tolist())
-    return lines, matrix
+            if not rows:  # a header
+                continue
+            cell = next(cell for cell in cells if not _is_numeric([cell]))
+            raise DatasetFormatError(
+                f"{path}: non-numeric cell {cell.strip()!r} on line {lineno}"
+            ) from None
+        if defect is None:
+            if rows and len(row) != len(rows[0]):
+                defect = f"ragged row on line {lineno} ({len(row)} cells, expected {len(rows[0])})"
+            elif not all(map(math.isfinite, row)):
+                defect = f"non-finite value on line {lineno}"
+        lines.append(lineno)
+        rows.append(row)
+    if not rows:
+        raise EmptyDatasetError(f"{path}: file contains no data rows")
+    if defect is not None:
+        raise DatasetFormatError(f"{path}: {defect}")
+    return np.array(lines), np.array(rows)
 
 
 def _is_numeric(cells) -> bool:
@@ -249,30 +253,6 @@ def _is_numeric(cells) -> bool:
     except ValueError:
         return False
     return True
-
-
-def _raise_first_defect(path, rows, lines):
-    """Raise for the first bad data row, naming its line.
-
-    A non-numeric cell anywhere comes first; then, row by row, a row whose
-    width differs from the first row's or that holds a non-finite value.
-    """
-    for lineno, cells in zip(lines, rows):
-        for cell in cells:
-            try:
-                float(cell)
-            except ValueError:
-                raise DatasetFormatError(
-                    f"{path}: non-numeric cell {cell.strip()!r} on line {lineno}"
-                ) from None
-    width = len(rows[0])
-    for lineno, cells in zip(lines, rows):
-        if len(cells) != width:
-            raise DatasetFormatError(
-                f"{path}: ragged row on line {lineno} ({len(cells)} cells, expected {width})"
-            )
-        if not all(map(math.isfinite, map(float, cells))):
-            raise DatasetFormatError(f"{path}: non-finite value on line {lineno}")
 
 
 def _labels(path, lines, column) -> np.ndarray:
@@ -296,7 +276,7 @@ def _labels(path, lines, column) -> np.ndarray:
     return column.astype(int)
 
 
-def load_dataset(path, fmt: str = "csv", allow_empty: bool = False) -> Dataset | None:
+def load_dataset(path, fmt: str = "csv") -> Dataset:
     """Load a dataset from a CSV file.
 
     ``fmt="csv"`` reads every column as a feature.  ``fmt="labeled-csv"``
@@ -305,13 +285,10 @@ def load_dataset(path, fmt: str = "csv", allow_empty: bool = False) -> Dataset |
     whitespace-only rows are skipped anywhere, and rows before the first
     numeric row are skipped as a header.
 
-    Returns ``None`` for a file without data rows when ``allow_empty`` is set;
-    otherwise raises :class:`DatasetFormatError` with the offending line number.
+    A bad row raises :class:`DatasetFormatError` naming its line, and a file
+    without data rows raises :class:`EmptyDatasetError`.
     """
-    parsed = _parse_rows(path, fmt, allow_empty)
-    if parsed is None:
-        return None
-    lines, matrix = parsed
+    lines, matrix = _parse_rows(path, fmt)
     name = Path(path).stem
     if fmt == "csv":
         return Dataset(features=matrix, name=name)
@@ -327,7 +304,7 @@ def load_labels(path) -> np.ndarray:
     Rows are read as :func:`load_dataset` reads them and the labels are held
     to its ``labeled-csv`` rule: whole numbers in ``1..n``, n the row count.
     """
-    lines, matrix = _parse_rows(path, "csv", False)
+    lines, matrix = _parse_rows(path, "csv")
     return _labels(path, lines, matrix[:, -1])
 
 

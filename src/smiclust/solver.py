@@ -33,7 +33,6 @@ rank(U) < c and is refused.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -97,25 +96,39 @@ class ClusterModel:
         sigma = np.asarray(self.train_sigma, dtype=float)
         n = len(phi) if phi.ndim else 0
         c, (t,) = check_hyperparameters(n, self.c, [self.t], [self.gamma], [self.eta])
-        if phi.shape[1:] != (c,) or lam.shape != (c,):
-            raise ValueError("phi must be n x c and lam length c")
+        if phi.shape[1:] != (c,):
+            raise ValueError(f"phi must be n x c with c = {c}, got shape {phi.shape}")
+        if lam.shape != (c,):
+            raise ValueError(f"lam (the eigenvalues) must have length {c}, got shape {lam.shape}")
         if not np.isfinite(lam).all():
             raise ValueError(f"lam (the eigenvalues) must be finite, got {lam.tolist()}")
-        if features.ndim != 2 or features.shape[0] != n or not np.isfinite(features).all():
-            raise ValueError(f"train_features must be finite with {n} rows, got {features.shape}")
-        if sigma.shape != (n,) or not np.isfinite(sigma).all() or np.any(sigma < 0):
-            raise ValueError(f"train_sigma must be {n} finite scales >= 0, got {sigma.shape}")
+        if features.ndim != 2 or features.shape[0] != n:
+            raise ValueError(
+                f"train_features must be a matrix of {n} rows, got shape {features.shape}"
+            )
+        _check_entries("train_features", features, np.isfinite(features), "finite")
+        if sigma.shape != (n,):
+            raise ValueError(f"train_sigma must be a vector of {n} scales, got shape {sigma.shape}")
+        _check_entries("train_sigma", sigma, np.isfinite(sigma) & (sigma >= 0), "finite and >= 0")
         gram = phi.T @ phi
         if not np.allclose(gram, np.eye(c), atol=1e-8):
             raise ValueError("phi columns must be orthonormal")
-        if np.any(np.diff(lam) > 1e-10):
-            raise ValueError("lam must be sorted in descending order")
+        descending = np.r_[True, np.diff(lam) <= 1e-10]
+        _check_entries("lam (the eigenvalues)", lam, descending, "sorted in descending order")
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "train_features", features)
         object.__setattr__(self, "train_sigma", sigma)
+
+
+def _check_entries(name: str, values: np.ndarray, ok: np.ndarray, rule: str) -> None:
+    """Refuse ``values`` unless ``ok`` holds everywhere; the message names the first bad entry."""
+    if not ok.all():
+        k = tuple(np.argwhere(~ok)[0].tolist())
+        at = k[0] if len(k) == 1 else k
+        raise ValueError(f"{name} must be {rule}, got {float(values[k])!r} at index {at}")
 
 
 def objective_matrix(
@@ -297,21 +310,16 @@ def cluster(
     gamma: float,
     eta: float,
     c: int,
-    keep_kernel: Callable[[KernelMatrix], object] | None = None,
 ) -> tuple[np.ndarray, ClusterModel]:
     """Full pipeline: kernel, link editing, eigensolve, assignment.
 
     Returns the label vector (values ``1..c``) and a :class:`ClusterModel`
-    carrying everything needed for out-of-sample prediction.  ``keep_kernel``,
-    if given, is called with the edited kernel K' once it is built, for a
-    caller that needs it too (``cluster --dump-kernel``).
+    carrying everything needed for out-of-sample prediction.
     """
     c, (t,) = check_hyperparameters(ds.n, c, [t], [gamma], [eta])
     if cs is None:
         cs = empty_constraints(ds.n)
     edited = apply_constraints(local_scaling_kernel(ds.features, t), cs)
-    if keep_kernel is not None:
-        keep_kernel(edited)
     lam, phi = top_eigenpairs(objective_matrix(edited, cs, gamma, eta, c), c)
     phi_tilde = fix_signs(phi)
     model = ClusterModel(

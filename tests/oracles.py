@@ -10,6 +10,7 @@ LSMI density ratio summed one center at a time, and the LSMI hold-out error
 """
 
 import csv
+import math
 from itertools import chain, compress
 
 import numpy as np
@@ -22,7 +23,6 @@ from smiclust.data import (
     DatasetFormatError,
     EmptyDatasetError,
     _is_numeric,
-    _raise_first_defect,
 )
 from smiclust.kernel import local_scaling_kernel
 
@@ -169,12 +169,12 @@ def link_matrix(pairs, n: int, diagonal: float) -> sparse.csr_matrix:
     return (links + links.T + diagonal * sparse.identity(n)).tocsr()
 
 
-def csv_parse_rows(path, fmt, allow_empty):
+def csv_parse_rows(path, fmt):
     """CSV data rows as ``(line numbers, matrix)``, every file read by ``csv.reader``.
 
     The form ``_parse_rows`` had before its ``np.loadtxt`` route: the rows are
     converted and checked as one matrix, and walked one by one only to name a
-    defect.  ``None`` for a file without data rows when ``allow_empty`` is set.
+    defect.
     """
     if fmt not in DATASET_FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {DATASET_FORMATS}")
@@ -187,8 +187,6 @@ def csv_parse_rows(path, fmt, allow_empty):
     first = next((k for k, cells in enumerate(rows) if _is_numeric(cells)), len(rows))
     rows, lines = rows[first:], lines[first:]
     if not rows:
-        if allow_empty:
-            return None
         raise EmptyDatasetError(f"{path}: file contains no data rows")
     width = len(rows[0])
     matrix = None
@@ -203,11 +201,32 @@ def csv_parse_rows(path, fmt, allow_empty):
     return lines, matrix
 
 
-def parse_rows(path, fmt, allow_empty):
-    """CSV data rows as ``(line numbers, matrix)``, parsed one cell and one check at a time.
+def _raise_first_defect(path, rows, lines):
+    """Raise for the first bad data row, naming its line.
 
-    ``None`` for a file without data rows when ``allow_empty`` is set.
+    A non-numeric cell anywhere comes first; then, row by row, a row whose
+    width differs from the first row's or that holds a non-finite value.
     """
+    for lineno, cells in zip(lines, rows):
+        for cell in cells:
+            try:
+                float(cell)
+            except ValueError:
+                raise DatasetFormatError(
+                    f"{path}: non-numeric cell {cell.strip()!r} on line {lineno}"
+                ) from None
+    width = len(rows[0])
+    for lineno, cells in zip(lines, rows):
+        if len(cells) != width:
+            raise DatasetFormatError(
+                f"{path}: ragged row on line {lineno} ({len(cells)} cells, expected {width})"
+            )
+        if not all(map(math.isfinite, map(float, cells))):
+            raise DatasetFormatError(f"{path}: non-finite value on line {lineno}")
+
+
+def parse_rows(path, fmt):
+    """CSV data rows as ``(line numbers, matrix)``, parsed one cell and one check at a time."""
     if fmt not in DATASET_FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {DATASET_FORMATS}")
     rows = []
@@ -233,8 +252,6 @@ def parse_rows(path, fmt, allow_empty):
                     ) from None
             rows.append((lineno, values))
     if not rows:
-        if allow_empty:
-            return None
         raise EmptyDatasetError(f"{path}: file contains no data rows")
     width = len(rows[0][1])
     for lineno, values in rows:

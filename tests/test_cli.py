@@ -13,7 +13,7 @@ import smiclust
 from smiclust import kernel, lsmi
 from smiclust.cli import _write_labels_csv, build_parser, main
 from smiclust.data import load_constraints, make_blobs
-from smiclust.solver import ClusterModel, save_model
+from smiclust.solver import ClusterModel, load_model, save_model
 
 
 @pytest.fixture
@@ -33,6 +33,13 @@ def write_labeled_csv(path, ds):
         for row, label in zip(ds.features, ds.labels)
     ]
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
+def with_entry(doc, key, index, value):
+    """A copy of model document ``doc`` with field ``key``, entry ``index``, set to ``value``."""
+    field = np.array(doc[key])
+    field[index] = value
+    return {**doc, key: field.tolist()}
 
 
 @pytest.fixture
@@ -186,10 +193,31 @@ class TestPredictCommand:
              "model field 'train_features' must be a rectangular array of numbers"),
             (lambda doc: {**doc, "train_sigma": [None] * len(doc["train_sigma"])},
              "model field 'train_sigma' must be a rectangular array of numbers"),
+            # A wrong shape is reported as the shape, a bad entry of a right shape as the
+            # entry; ``message`` is formatted with the fitted model's fields.
+            (lambda doc: {**doc, "eigenvalues": doc["eigenvalues"][::-1]},
+             "lam (the eigenvalues) must be sorted in descending order, "
+             "got {eigenvalues[0]!r} at index 1"),
+            (lambda doc: {**doc, "eigenvalues": doc["eigenvalues"][:1]},
+             "lam (the eigenvalues) must have length 2, got shape (1,)"),
+            (lambda doc: {**doc, "phi": [row[:1] for row in doc["phi"]]},
+             "phi must be n x c with c = 2, got shape (40, 1)"),
+            (lambda doc: with_entry(doc, "train_sigma", 3, -1.0),
+             "train_sigma must be finite and >= 0, got -1.0 at index 3"),
+            (lambda doc: with_entry(doc, "train_sigma", 7, float("inf")),
+             "train_sigma must be finite and >= 0, got inf at index 7"),
+            (lambda doc: {**doc, "train_sigma": doc["train_sigma"][:-1]},
+             "train_sigma must be a vector of 40 scales, got shape (39,)"),
+            (lambda doc: with_entry(doc, "train_features", (2, 1), float("nan")),
+             "train_features must be finite, got nan at index (2, 1)"),
+            (lambda doc: {**doc, "train_features": doc["train_features"][:-1]},
+             "train_features must be a matrix of 40 rows, got shape (39, 2)"),
         ],
         ids=["missing-phi", "list", "nan-eigenvalues", "inf-eigenvalue", "fractional-t",
              "fractional-c", "list-gamma", "text-eta", "ragged-phi", "text-eigenvalues",
-             "ragged-train-features", "null-train-sigma"],
+             "ragged-train-features", "null-train-sigma", "reversed-eigenvalues",
+             "short-eigenvalues", "narrow-phi", "negative-sigma", "inf-sigma", "short-sigma",
+             "nan-feature", "short-features"],
     )
     def test_bad_model_document_exits_2_naming_the_field(
         self, workdir, blobs_csv, capsys, bad, message
@@ -200,7 +228,7 @@ class TestPredictCommand:
         write_features_csv(workdir / "query.csv", ds.features[:3])
         capsys.readouterr()
         assert main(["predict", "--model", "model.json", "--input", "query.csv"]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {message.format(**doc)}\n"
 
     def test_empty_input_empty_output(self, workdir, blobs_csv):
         self._fit(workdir, blobs_csv)
@@ -475,23 +503,29 @@ class TestClusterDumpKernel:
         expected = "".join(",".join(map(repr, row.tolist())) + "\n" for row in edited.entries)
         assert (workdir / "kernel.csv").read_text() == expected
 
-    def test_dump_kernel_builds_the_kernel_once(self, workdir, blobs_csv, monkeypatch):
-        """The dump is the kernel the fit built: one local_scaling_kernel call per run."""
-        path, _ = blobs_csv
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return kernel.local_scaling_kernel(*args, **kwargs)
-
-        monkeypatch.setattr("smiclust.solver.local_scaling_kernel", counted)
-        monkeypatch.setattr("smiclust.cli.local_scaling_kernel", counted)
+    @pytest.mark.parametrize(
+        "fit",
+        [["--t", "5", "--gamma", "1", "--eta", "1"],
+         ["--auto", "--t-grid", "3,7", "--gamma-grid", "0,1", "--eta-grid", "0,1", "--jobs", "1"]],
+        ids=["t", "auto"],
+    )
+    def test_dump_is_the_edited_kernel_at_the_models_t(self, workdir, blobs_csv, fit):
+        """Both dumps equal apply_constraints(local_scaling_kernel(x, model.t), cs), and a
+        dumping run writes the same labels as a plain one.  --auto picks t = 7 here, not the
+        grid's first t."""
+        path, ds = blobs_csv
+        links = workdir / "links.txt"
+        links.write_text("1 2 +1\n3 40 -1\n")
         argv = ["cluster", "--input", str(path), "--format", "labeled-csv", "--classes", "2",
-                "--t", "5", "--dump-kernel", "kernel.csv", "--labels-out", "dumped.csv"]
-        assert main(argv) == 0
-        assert len(calls) == 1
-        assert main([*argv[:-4], "--labels-out", "plain.csv"]) == 0
-        assert len(calls) == 2
+                "--constraints", str(links), *fit, "--model-out", "model.json"]
+        assert main([*argv, "--dump-kernel", "kernel.csv", "--labels-out", "dumped.csv"]) == 0
+        t = load_model(workdir / "model.json").t
+        edited = kernel.apply_constraints(
+            kernel.local_scaling_kernel(ds.features, t), load_constraints(links, ds.n)
+        )
+        expected = "".join(",".join(map(repr, row.tolist())) + "\n" for row in edited.entries)
+        assert (workdir / "kernel.csv").read_text() == expected
+        assert main([*argv, "--labels-out", "plain.csv"]) == 0
         assert (workdir / "dumped.csv").read_bytes() == (workdir / "plain.csv").read_bytes()
 
 
@@ -856,3 +890,59 @@ def test_minmax_symmetric_maps_a_column_wider_than_float64(workdir):
                     "--normalize", "minmax-symmetric"], workdir)
     assert proc.returncode == 0 and proc.stderr == ""
     assert len((workdir / "labels.csv").read_text().splitlines()) == len(x) + 1
+
+
+class TestRefusalsInProcess:
+    """Refusals of outside input, each reached through ``main``: exit 2 and one error line."""
+
+    @pytest.mark.parametrize(
+        "links, message",
+        [("1 2 +1\n3 x -1\n", "line 2: non-integer field"),
+         ("1 2 +1\n# a comment\n4 4 -1\n", "line 3: self-pair (4, 4)")],
+        ids=["non-integer", "self-pair"],
+    )
+    def test_constraint_file(self, workdir, blobs_csv, capsys, links, message):
+        path, _ = blobs_csv
+        (workdir / "links.txt").write_text(links)
+        capsys.readouterr()
+        assert main(["cluster", "--input", str(path), "--format", "labeled-csv",
+                     "--classes", "2", "--t", "5", "--constraints", "links.txt"]) == 2
+        assert capsys.readouterr().err == f"error: links.txt: {message}\n"
+        assert not (workdir / "labels.csv").exists()
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [({"link_counts": [0], "runs": 1}, "config needs a 'dataset' object"),
+         ({"dataset": {"generator": "moons"}, "link_counts": [0], "runs": 1},
+          "dataset must have a 'path' or be a 'blobs' generator"),
+         ({"dataset": {"path": "blobs.csv"}, "classes": 3, "link_counts": [0], "runs": 1},
+          "config says 3 classes but the dataset has 2")],
+        ids=["no-dataset", "unknown-generator", "classes-disagree"],
+    )
+    def test_bench_config(self, workdir, blobs_csv, capsys, config, message):
+        (workdir / "config.json").write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main(["bench", "--config", "config.json"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (workdir / "report.csv").exists()
+
+    def test_zscore_overflow(self, workdir, capsys):
+        write_features_csv(workdir / "huge.csv", make_blobs(20, 2, 2, 3.0, seed=0).features * 1e155)
+        capsys.readouterr()
+        assert main(["cluster", "--input", "huge.csv", "--classes", "2", "--t", "3",
+                     "--normalize", "zscore"]) == 2
+        assert capsys.readouterr().err == (
+            "error: zscore statistics of a feature column overflow; use minmax-symmetric\n"
+        )
+        assert not (workdir / "labels.csv").exists()
+
+    def test_underflowing_squared_distances(self, workdir, capsys):
+        """Distinct points 1e-170 apart square to 0: refused with the --normalize hint."""
+        (workdir / "tiny.csv").write_text("0,0\n1e-170,0\n3e-170,0\n1,1\n2,2\n")
+        capsys.readouterr()
+        assert main(["cluster", "--input", "tiny.csv", "--classes", "2", "--t", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: squared distances between distinct points underflow; rescale the features"
+            " (cluster and select take --normalize minmax-symmetric)\n"
+        )
+        assert not (workdir / "labels.csv").exists()

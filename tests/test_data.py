@@ -63,7 +63,6 @@ class TestLoadDataset:
         path = _csv(tmp_path, "")
         with pytest.raises(EmptyDatasetError):
             load_dataset(path, "csv")
-        assert load_dataset(path, "csv", allow_empty=True) is None
 
     def test_non_numeric_cell_names_line(self, tmp_path):
         path = _csv(tmp_path, "1,2\n3,oops\n")
@@ -135,14 +134,12 @@ _LINES = st.one_of(
 )
 
 
-def _load_outcome(path, fmt, allow_empty):
+def _load_outcome(path, fmt):
     """What ``load_dataset`` gives: the arrays and class count, or the exception."""
     try:
-        ds = load_dataset(path, fmt, allow_empty)
+        ds = load_dataset(path, fmt)
     except Exception as exc:  # noqa: BLE001  the type and message are compared
         return type(exc), str(exc)
-    if ds is None:
-        return None
     labels = None if ds.labels is None else (ds.labels.dtype, ds.labels.tobytes())
     return ds.features.shape, ds.features.tobytes(), labels, ds.c
 
@@ -153,16 +150,14 @@ def _load_outcome(path, fmt, allow_empty):
     newline=st.sampled_from(["\n", "\r\n"]),
     trailing=st.booleans(),
     fmt=st.sampled_from(["csv", "labeled-csv"]),
-    allow_empty=st.booleans(),
 )
-def test_parse_equals_cell_by_cell_oracle(tmp_path_factory, lines, newline, trailing, fmt,
-                                          allow_empty):
+def test_parse_equals_cell_by_cell_oracle(tmp_path_factory, lines, newline, trailing, fmt):
     """Headers, blanks, quotes, ``1_0``, ``nan``/``inf``, ragged and non-numeric rows alike."""
     path = tmp_path_factory.mktemp("parse") / "data.csv"
     path.write_bytes((newline.join(lines) + (newline if trailing else "")).encode("utf-8"))
-    got = _load_outcome(path, fmt, allow_empty)
+    got = _load_outcome(path, fmt)
     with mock.patch.object(data, "_parse_rows", oracles.parse_rows):
-        want = _load_outcome(path, fmt, allow_empty)
+        want = _load_outcome(path, fmt)
     assert got == want
 
 
@@ -241,10 +236,10 @@ def test_long_files_equal_row_by_row_oracle(tmp_path_factory, lines, newline, tr
     """A late defect, or none, among blanks and headers: the bulk parse gives the oracle's outcome."""
     path = tmp_path_factory.mktemp("long") / "data.csv"
     path.write_bytes((newline.join(lines) + (newline if trailing else "")).encode("utf-8"))
-    got = _load_outcome(path, fmt, False)
+    got = _load_outcome(path, fmt)
     with mock.patch.object(data, "_parse_rows", oracles.parse_rows), \
             mock.patch.object(data, "_labels", oracles.labels):
-        want = _load_outcome(path, fmt, False)
+        want = _load_outcome(path, fmt)
     assert got == want
 
 
@@ -266,28 +261,25 @@ def _text(draw):
     return draw(st.sampled_from(["", "\ufeff"])) + newline.join(lines) + end
 
 
-def _rows_outcome(parse, path, fmt, allow_empty):
+def _rows_outcome(parse, path, fmt):
     """What ``parse`` gives: the bytes of its line numbers and matrix, or the exception."""
     try:
-        parsed = parse(path, fmt, allow_empty)
+        lines, matrix = parse(path, fmt)
     except Exception as exc:  # noqa: BLE001  the type and message are compared
         return type(exc), str(exc)
-    if parsed is None:
-        return None
-    lines, matrix = parsed
     return lines.dtype, lines.tobytes(), matrix.dtype, matrix.shape, matrix.tobytes()
 
 
 @settings(max_examples=500, deadline=None)
-@given(text=_text(), fmt=st.sampled_from(["csv", "labeled-csv"]), allow_empty=st.booleans())
-def test_parse_equals_csv_reader_oracle(tmp_path_factory, text, fmt, allow_empty):
+@given(text=_text(), fmt=st.sampled_from(["csv", "labeled-csv"]))
+def test_parse_equals_csv_reader_oracle(tmp_path_factory, text, fmt):
     """The np.loadtxt route and its csv.reader fallback give the csv.reader parse bit for bit."""
     path = tmp_path_factory.mktemp("rows") / "data.csv"
     path.write_bytes(text.encode("utf-8"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _rows_outcome(data._parse_rows, path, fmt, allow_empty)
-    assert got == _rows_outcome(oracles.csv_parse_rows, path, fmt, allow_empty)
+        got = _rows_outcome(data._parse_rows, path, fmt)
+    assert got == _rows_outcome(oracles.csv_parse_rows, path, fmt)
 
 
 class TestParseRoute:
@@ -295,7 +287,7 @@ class TestParseRoute:
         path = tmp_path / "plain.csv"
         path.write_bytes(b"\xef\xbb\xbfx,y\r\n1,2\r\n\r\n3,4\r\n\r\n")
         with mock.patch.object(data, "_csv_rows", side_effect=AssertionError("csv route")):
-            lines, matrix = data._parse_rows(path, "csv", False)
+            lines, matrix = data._parse_rows(path, "csv")
         assert lines.tolist() == [2, 4] and matrix.tolist() == [[1, 2], [3, 4]]
 
     @pytest.mark.parametrize("text", [
@@ -586,3 +578,10 @@ class TestDatasetValidation:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             Dataset(features=np.array([[1.0, np.inf]]))
+
+    @pytest.mark.parametrize("labels", [[1, 2], [[1], [2], [1]]], ids=["short", "column"])
+    def test_labels_of_the_wrong_shape_rejected(self, labels):
+        """No command builds such a Dataset from a file; the library refuses it by shape."""
+        with pytest.raises(ValueError) as err:
+            Dataset(features=np.ones((3, 1)), labels=labels, c=2)
+        assert str(err.value) == f"labels must have shape (3,), got {np.shape(labels)}"

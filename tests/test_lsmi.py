@@ -563,3 +563,10 @@ def test_default_kappa_grid_refuses_an_overflowing_median():
     with pytest.raises(FeatureScaleError, match=hint):
         LsmiConfig().resolve(far)
     assert np.isfinite(default_kappa_grid(ds.features * 1e150)).all()
+
+
+def test_default_kappa_grid_of_identical_points_spans_the_unit_median():
+    """A median pairwise distance of 0 falls back to 1: the grid is logspace(-1, 1)."""
+    grid = default_kappa_grid(np.full((6, 2), 3.5))
+    assert np.array_equal(grid, np.logspace(-1.0, 1.0, 10))
+    assert np.array_equal(default_kappa_grid(np.ones((1, 2)), size=4), np.logspace(-1.0, 1.0, 4))
