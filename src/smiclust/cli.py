@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import json
 import os
 import sys
 import time
@@ -32,10 +31,14 @@ from .data import (
     empty_constraints,
     load_constraints,
     load_dataset,
+    load_json,
     load_labels,
     normalize,
     sample_constraints,
     save_constraints,
+    save_json,
+    save_labels,
+    save_table,
 )
 from .evaluation import (
     BenchmarkConfig,
@@ -101,25 +104,7 @@ def _write_manifest(args, started: float, inputs, outputs, extra=None) -> None:
         "wall_time_s": time.perf_counter() - started,
         **(extra or {}),
     }
-    Path(args.manifest_out).write_text(
-        json.dumps(doc, indent=1, sort_keys=True, default=str) + "\n", encoding="utf-8"
-    )
-
-
-def _write_labels_csv(path, labels) -> None:
-    labels = np.asarray(labels, dtype=int)
-    pairs = np.column_stack([np.arange(1, labels.size + 1), labels]).ravel().tolist()
-    text = "index,label\n" + "%d,%d\n" * labels.size % tuple(pairs)
-    Path(path).write_text(text, encoding="utf-8")
-
-
-def _write_kernel_csv(path, matrix) -> None:
-    """Every entry of the CSR ``matrix`` as dense CSV, one row in memory at a time."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for start, stop in zip(matrix.indptr[:-1], matrix.indptr[1:]):
-            row = np.zeros(matrix.shape[1])
-            row[matrix.indices[start:stop]] = matrix.data[start:stop]
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    save_json(args.manifest_out, doc)
 
 
 def _parse_grid(text):
@@ -154,7 +139,7 @@ def _load_problem(args):
 
 def _write_fit(args, labels, model) -> list:
     """Write the labels and, with ``--model-out``, the model; return both paths."""
-    _write_labels_csv(args.labels_out, labels)
+    save_labels(args.labels_out, labels)
     if args.model_out:
         save_model(model, args.model_out)
     return [args.labels_out, args.model_out]
@@ -200,7 +185,7 @@ def cmd_cluster(args):
     outputs = _write_fit(args, labels, model)
     if args.dump_kernel:
         edited = apply_constraints(local_scaling_kernel(ds.features, model.t), cs)
-        _write_kernel_csv(args.dump_kernel, edited.csr)
+        save_table(args.dump_kernel, (row.toarray()[0].tolist() for row in edited.csr))
     return [args.input, args.constraints], outputs + [args.dump_kernel]
 
 
@@ -209,22 +194,17 @@ def cmd_select(args):
     result = _grid_search(args, ds, cs)
     # Per-candidate wall times go into the manifest, keeping this file
     # byte-reproducible across reruns.
-    lines = ["t,gamma,eta,lsmi,n_v,score,error"]
-    for cand in result.candidates:
-        lines.append(
-            f"{cand.t},{cand.gamma!r},{cand.eta!r},{cand.lsmi!r},{cand.n_v},"
-            f"{cand.score!r},{cand.error or ''}"
-        )
-    Path(args.table_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    save_table(args.table_out, [
+        ("t", "gamma", "eta", "lsmi", "n_v", "score", "error"),
+        *((c.t, c.gamma, c.eta, c.lsmi, c.n_v, c.score, c.error) for c in result.candidates),
+    ])
     outputs = [args.table_out, *_write_fit(args, result.best.labels, result.model)]
     if args.dump_cv:
-        folds = len(result.best_cv[0].fold_cv)
-        cv_lines = ["kappa,delta,mean_cv," + ",".join(f"fold_{m}" for m in range(folds))]
-        for rec in result.best_cv:
-            cells = [repr(rec.kappa), repr(rec.delta), repr(rec.mean_cv)]
-            cells += [repr(v) for v in rec.fold_cv]
-            cv_lines.append(",".join(cells))
-        Path(args.dump_cv).write_text("\n".join(cv_lines) + "\n", encoding="utf-8")
+        folds = range(len(result.best_cv[0].fold_cv))
+        save_table(args.dump_cv, [
+            ("kappa", "delta", "mean_cv", *(f"fold_{m}" for m in folds)),
+            *((rec.kappa, rec.delta, rec.mean_cv, *rec.fold_cv) for rec in result.best_cv),
+        ])
     print(
         f"best: t={result.best.t} gamma={result.best.gamma} eta={result.best.eta} "
         f"lsmi={result.best.lsmi:.4f} n_v={result.best.n_v}",
@@ -240,10 +220,10 @@ def cmd_select(args):
 def cmd_predict(args):
     model = load_model(args.model)
     try:
-        labels = predict(model, load_dataset(args.input, "csv").features)
-    except EmptyDatasetError:  # no queries: a header-only labels file
-        labels = []
-    _write_labels_csv(args.output, labels)
+        queries = load_dataset(args.input, "csv").features
+    except EmptyDatasetError:  # no queries: predict checks the model, the labels are a header
+        queries = np.empty((0, model.train_features.shape[1]))
+    save_labels(args.output, predict(model, queries))
     return [args.model, args.input], [args.output]
 
 
@@ -263,7 +243,7 @@ def cmd_ari(args):
 
 
 def cmd_bench(args):
-    doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    doc = load_json(args.config)
     config = BenchmarkConfig.from_dict(doc, base_dir=Path(args.config).parent)
     if args.jobs is not None:
         config = dataclasses.replace(config, jobs=args.jobs)

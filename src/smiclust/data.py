@@ -1,4 +1,4 @@
-"""Dataset ingestion, normalization, synthetic blobs, and link sampling.
+"""Dataset ingestion, normalization, synthetic blobs, link sampling, and file formats.
 
 Feature matrices are plain ``(n, d)`` float arrays.  Labels, when present,
 take values in ``{1, ..., c}``.  Pairwise side information is held in a
@@ -16,15 +16,21 @@ converts it in one call, and a file that call refuses (quotes, blank rows of
 whitespace or commas, ``1_0`` cells, non-ASCII digits, a defect) is walked
 row by row by ``csv.reader``, which converts each data row and names the
 first bad line.  Both routes give the same bytes.
+
+Every file format is read and written here.  Tables go through
+:func:`save_table`, and JSON documents through :func:`save_json` and
+:func:`load_json`, which takes a byte-order mark as the CSV readers do.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -306,6 +312,36 @@ def load_labels(path) -> np.ndarray:
     """
     lines, matrix = _parse_rows(path, "csv")
     return _labels(path, lines, matrix[:, -1])
+
+
+def save_labels(path, labels) -> None:
+    """Write ``index,label`` rows, 1-based indices; integer cells need no quoting."""
+    labels = np.asarray(labels, dtype=int)
+    pairs = np.column_stack([np.arange(1, labels.size + 1), labels]).ravel().tolist()
+    text = "index,label\n" + "%d,%d\n" * labels.size % tuple(pairs)
+    Path(path).write_text(text, encoding="utf-8")
+
+
+def save_table(path, rows) -> None:
+    """Write ``rows``, the header first, as CSV with csv's minimal quoting and LF line ends.
+
+    Floats are written by ``repr``, ``None`` as an empty cell, other cells by ``str``.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        # With CR LF rows csv quotes a cell holding either; each row's CR LF is written as LF.
+        lf = SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n"))
+        csv.writer(lf, lineterminator="\r\n").writerows(rows)
+
+
+def load_json(path):
+    """The JSON document of ``path``, decoded by the rules of :func:`_read_text`."""
+    return json.loads(_read_text(path, ValueError))
+
+
+def save_json(path, doc) -> None:
+    """Write ``doc`` as indented JSON with sorted keys; a value JSON lacks becomes its ``str``."""
+    text = json.dumps(doc, indent=1, sort_keys=True, default=str) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def normalize(ds: Dataset, scheme: str = "minmax-symmetric") -> Dataset:

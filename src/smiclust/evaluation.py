@@ -7,15 +7,15 @@ ARI against the truth as mean and standard deviation per link count.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import solver
 from .data import Dataset, load_dataset, make_blobs, normalize, sample_constraints
+from .data import save_json, save_table
 from .kernel import whole_number
 from .model_select import LsmiConfig, grid_search
 
@@ -238,23 +238,9 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
 
 def write_report_csv(report: BenchmarkReport, path) -> None:
     """Long-format rows, one per (link count, run); plot-ready."""
-    lines = ["dataset,method,links,run,seed,ari"]
-    for row in report.rows:
-        lines.append(
-            f"{row.dataset},{row.method},{row.links},{row.run},{row.seed},{row.ari!r}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    save_table(path, [[f.name for f in fields(BenchmarkRow)], *map(astuple, report.rows)])
 
 
 def write_report_summary(report: BenchmarkReport, path) -> None:
-    doc = {
-        "dataset": report.dataset,
-        "method": report.method,
-        "link_counts": list(report.link_counts),
-        "mean_ari": list(report.mean_ari),
-        "std_ari": list(report.std_ari),
-        "runs": report.runs,
-        "seeds": list(report.seeds),
-        "config": report.config,
-    }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    """Every field of the report but its rows, as JSON."""
+    save_json(path, {k: v for k, v in asdict(report).items() if k != "rows"})

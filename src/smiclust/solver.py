@@ -32,14 +32,12 @@ rank(U) < c and is refused.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
-from .data import ConstraintSet, Dataset, empty_constraints
+from .data import ConstraintSet, Dataset, empty_constraints, load_json, save_json
 from .kernel import KernelMatrix, apply_constraints, local_scaling_kernel, query_kernel
 from .kernel import _link_matrix, check_hyperparameters
 from .kernel import nearest_neighbors  # noqa: F401  re-exported; perfbench/tracer.py wraps it
@@ -392,7 +390,7 @@ def predict(model: ClusterModel, x) -> int | np.ndarray:
 
 def save_model(model: ClusterModel, path) -> None:
     """Persist a model as a versioned JSON document."""
-    doc = {
+    save_json(path, {
         "schema": MODEL_SCHEMA,
         "c": model.c,
         "t": model.t,
@@ -402,13 +400,12 @@ def save_model(model: ClusterModel, path) -> None:
         "phi": model.phi.tolist(),
         "train_features": model.train_features.tolist(),
         "train_sigma": model.train_sigma.tolist(),
-    }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    })
 
 
 def load_model(path) -> ClusterModel:
     """Read a model written by :func:`save_model`; a bad document raises ``ValueError``."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = load_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"a model must be a JSON object, got {type(doc).__name__}")
     schema = doc.get("schema")

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import json
@@ -10,9 +11,9 @@ import numpy as np
 import pytest
 
 import smiclust
-from smiclust import kernel, lsmi
-from smiclust.cli import _write_labels_csv, build_parser, main
-from smiclust.data import load_constraints, make_blobs
+from smiclust import kernel, lsmi, solver
+from smiclust.cli import build_parser, main
+from smiclust.data import load_constraints, make_blobs, save_labels
 from smiclust.solver import ClusterModel, load_model, save_model
 
 
@@ -202,6 +203,8 @@ class TestPredictCommand:
              "lam (the eigenvalues) must have length 2, got shape (1,)"),
             (lambda doc: {**doc, "phi": [row[:1] for row in doc["phi"]]},
              "phi must be n x c with c = 2, got shape (40, 1)"),
+            (lambda doc: {**doc, "phi": (2 * np.array(doc["phi"])).tolist()},
+             "phi columns must be orthonormal"),
             (lambda doc: with_entry(doc, "train_sigma", 3, -1.0),
              "train_sigma must be finite and >= 0, got -1.0 at index 3"),
             (lambda doc: with_entry(doc, "train_sigma", 7, float("inf")),
@@ -216,8 +219,8 @@ class TestPredictCommand:
         ids=["missing-phi", "list", "nan-eigenvalues", "inf-eigenvalue", "fractional-t",
              "fractional-c", "list-gamma", "text-eta", "ragged-phi", "text-eigenvalues",
              "ragged-train-features", "null-train-sigma", "reversed-eigenvalues",
-             "short-eigenvalues", "narrow-phi", "negative-sigma", "inf-sigma", "short-sigma",
-             "nan-feature", "short-features"],
+             "short-eigenvalues", "narrow-phi", "scaled-phi", "negative-sigma", "inf-sigma",
+             "short-sigma", "nan-feature", "short-features"],
     )
     def test_bad_model_document_exits_2_naming_the_field(
         self, workdir, blobs_csv, capsys, bad, message
@@ -238,7 +241,9 @@ class TestPredictCommand:
         assert code == 0
         assert (workdir / "pred.csv").read_text() == "index,label\n"
 
-    def test_negative_eigenvalue_refusal_exits_1(self, workdir, capsys):
+    @pytest.mark.parametrize("queries", [2, 0], ids=["two-rows", "empty"])
+    def test_negative_eigenvalue_refusal_exits_1(self, workdir, capsys, queries):
+        """The model is refused whatever the batch, an empty one included."""
         rng = np.random.default_rng(0)
         feats = rng.standard_normal((8, 2))
         from smiclust.kernel import nearest_neighbors
@@ -251,10 +256,34 @@ class TestPredictCommand:
             train_features=feats, train_sigma=sigma,
         )
         save_model(model, workdir / "model.json")
-        write_features_csv(workdir / "query.csv", feats[:2])
+        write_features_csv(workdir / "query.csv", feats[:queries])
         code = main(["predict", "--model", "model.json", "--input", "query.csv"])
         assert code == 1
-        assert "non-positive eigenvalue" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot predict: non-positive eigenvalue")
+        assert err.count("\n") == 1
+        assert not (workdir / "predictions.csv").exists()
+
+    def test_model_with_a_byte_order_mark_predicts_the_same(self, workdir, blobs_csv):
+        ds = self._fit(workdir, blobs_csv)
+        (workdir / "bom.json").write_bytes(b"\xef\xbb\xbf" + (workdir / "model.json").read_bytes())
+        write_features_csv(workdir / "query.csv", ds.features)
+        for model in ("model", "bom"):
+            assert main(["predict", "--model", f"{model}.json", "--input", "query.csv",
+                         "--output", f"{model}-pred.csv"]) == 0
+        assert (workdir / "bom-pred.csv").read_bytes() == (workdir / "model-pred.csv").read_bytes()
+
+    def test_model_with_a_non_utf8_byte_exits_2_naming_its_line(self, workdir, blobs_csv, capsys):
+        ds = self._fit(workdir, blobs_csv)
+        text = (workdir / "model.json").read_bytes()
+        (workdir / "model.json").write_bytes(text.replace(b'"c"', b'"\xff"', 1))
+        write_features_csv(workdir / "query.csv", ds.features[:3])
+        capsys.readouterr()
+        assert main(["predict", "--model", "model.json", "--input", "query.csv"]) == 2
+        line = text[: text.index(b'"c"')].count(b"\n") + 1
+        assert capsys.readouterr().err == (
+            f"error: model.json: byte 0xff on line {line} is not UTF-8\n"
+        )
 
 
 class TestConstraintsCommand:
@@ -358,6 +387,27 @@ class TestSelectCommand:
         assert lines[0] == "kappa,delta,mean_cv,fold_0,fold_1,fold_2"
         assert len(lines) == 1 + 10 * 5  # default kappa and delta grids
 
+    def test_candidate_error_with_a_comma_and_a_quote_reads_back_as_7_cells(
+        self, workdir, blobs_csv, monkeypatch
+    ):
+        message = 'eigenvalue 2 is 1e-17, not above "rounding" noise, so no'
+        cluster = solver.cluster
+
+        def failing_for_gamma_1(ds, cs, t, gamma, eta, c):
+            if gamma == 1.0:
+                raise RuntimeError(message)
+            return cluster(ds, cs, t, gamma, eta, c)
+
+        monkeypatch.setattr(solver, "cluster", failing_for_gamma_1)
+        path, _ = blobs_csv
+        assert main(["select", "--input", str(path), "--format", "labeled-csv", "--classes",
+                     "2", "--t-grid", "3,5", "--gamma-grid", "0,1", "--eta-grid", "0",
+                     "--jobs", "1", "--folds", "3"]) == 0
+        with open(workdir / "candidates.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [7] * 5
+        assert [row[6] for row in rows[1:]] == ["", f"RuntimeError: {message}"] * 2
+
 
 class TestBenchCommand:
     def test_report_row_count(self, workdir, blobs_csv):
@@ -379,6 +429,41 @@ class TestBenchCommand:
         summary = json.loads((workdir / "summary.json").read_text())
         assert summary["link_counts"] == [0, 10]
         assert len(summary["mean_ari"]) == 2
+
+    def test_method_with_a_comma_reads_back_as_6_cells(self, workdir):
+        config = {
+            "dataset": {"generator": "blobs", "n_per_class": 10, "classes": 2, "seed": 2},
+            "link_counts": [0, 5], "runs": 2, "theta": {"t": 3}, "method": "smi, clust",
+        }
+        (workdir / "config.json").write_text(json.dumps(config))
+        assert main(["bench", "--config", "config.json"]) == 0
+        with open(workdir / "report.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [6] * 5
+        assert {row[1] for row in rows[1:]} == {"smi, clust"}
+
+    def test_config_with_a_byte_order_mark_gives_the_same_report(self, workdir):
+        config = json.dumps({
+            "dataset": {"generator": "blobs", "n_per_class": 10, "classes": 2, "seed": 2},
+            "link_counts": [0, 5], "runs": 2, "theta": {"t": 3},
+        })
+        (workdir / "config.json").write_text(config)
+        (workdir / "bom.json").write_text("\ufeff" + config, encoding="utf-8")
+        for name in ("config", "bom"):
+            assert main(["bench", "--config", f"{name}.json", "--report-out", f"{name}.csv",
+                         "--summary-out", f"{name}-summary.json"]) == 0
+        for suffix in (".csv", "-summary.json"):
+            assert (workdir / f"bom{suffix}").read_bytes() == (
+                workdir / f"config{suffix}"
+            ).read_bytes()
+
+    def test_config_with_a_non_utf8_byte_exits_2_naming_its_line(self, workdir, capsys):
+        (workdir / "config.json").write_bytes(b'{"runs": 1,\n "method": "\xe9"}\n')
+        assert main(["bench", "--config", "config.json"]) == 2
+        assert capsys.readouterr().err == (
+            "error: config.json: byte 0xe9 on line 2 is not UTF-8\n"
+        )
+        assert not (workdir / "report.csv").exists()
 
     def test_jobs_overrides_the_config_without_changing_the_report(self, workdir):
         """With no theta every run grid-searches, so --jobs 2 runs the pool: same bytes."""
@@ -637,9 +722,9 @@ def test_refused_run_writes_no_manifest(workdir, capsys):
 
 
 def test_labels_csv_is_index_then_label(workdir):
-    _write_labels_csv(workdir / "labels.csv", np.array([2, 1, 2, 10]))
+    save_labels(workdir / "labels.csv", np.array([2, 1, 2, 10]))
     assert (workdir / "labels.csv").read_bytes() == b"index,label\n1,2\n2,1\n3,2\n4,10\n"
-    _write_labels_csv(workdir / "none.csv", [])
+    save_labels(workdir / "none.csv", [])
     assert (workdir / "none.csv").read_bytes() == b"index,label\n"
 
 
@@ -898,8 +983,10 @@ class TestRefusalsInProcess:
     @pytest.mark.parametrize(
         "links, message",
         [("1 2 +1\n3 x -1\n", "line 2: non-integer field"),
-         ("1 2 +1\n# a comment\n4 4 -1\n", "line 3: self-pair (4, 4)")],
-        ids=["non-integer", "self-pair"],
+         ("1 2 +1\n# a comment\n4 4 -1\n", "line 3: self-pair (4, 4)"),
+         ("1 2\n", "line 1: expected 'i j kind', got '1 2'"),
+         ("1 2 +1\n3 4 -1 5  # four\n", "line 2: expected 'i j kind', got '3 4 -1 5  # four'")],
+        ids=["non-integer", "self-pair", "two-fields", "four-fields"],
     )
     def test_constraint_file(self, workdir, blobs_csv, capsys, links, message):
         path, _ = blobs_csv
@@ -925,6 +1012,12 @@ class TestRefusalsInProcess:
         assert main(["bench", "--config", "config.json"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (workdir / "report.csv").exists()
+
+    def test_ari_of_one_row_label_files(self, workdir, capsys):
+        (workdir / "one.csv").write_text("index,label\n1,1\n")
+        capsys.readouterr()
+        assert main(["ari", "--a", "one.csv", "--b", "one.csv"]) == 2
+        assert capsys.readouterr().err == "error: need at least two samples\n"
 
     def test_zscore_overflow(self, workdir, capsys):
         write_features_csv(workdir / "huge.csv", make_blobs(20, 2, 2, 3.0, seed=0).features * 1e155)

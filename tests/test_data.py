@@ -1,3 +1,4 @@
+import csv
 import warnings
 from unittest import mock
 
@@ -21,6 +22,7 @@ from smiclust.data import (
     normalize,
     sample_constraints,
     save_constraints,
+    save_table,
 )
 from smiclust.kernel import _link_matrix
 
@@ -560,6 +562,28 @@ class TestConstraintFiles:
         with pytest.raises(ConstraintFormatError) as err:
             load_constraints(path, 4)
         assert str(err.value) == f"{path}: byte 0xe9 on line 2 is not UTF-8"
+
+
+# Cells rich in what csv must quote: commas, quotes, CR and LF.  No NUL, which
+# csv.reader refuses, and no lone surrogate, which UTF-8 cannot encode.
+_CELLS = st.text(
+    st.sampled_from(',"\r\n a1') | st.characters(codec="utf-8", exclude_characters="\x00")
+)
+
+
+class TestSaveTable:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.lists(_CELLS, max_size=4), max_size=5))
+    def test_rows_read_back_through_csv_reader(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("table") / "table.csv"
+        save_table(path, rows)
+        with open(path, newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh)) == rows
+
+    def test_plain_cells_are_unquoted_and_lines_end_in_lf(self, tmp_path):
+        path = tmp_path / "table.csv"
+        save_table(path, [("a", "b c", "d"), (0.1, None, 3), ("x,y", 'say "hi"', "1\r2")])
+        assert path.read_bytes() == b'a,b c,d\n0.1,,3\n"x,y","say ""hi""","1\r2"\n'
 
 
 class TestDatasetValidation:

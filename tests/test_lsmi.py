@@ -22,6 +22,7 @@ from smiclust.lsmi import (
     _center_quotas,
     _class_systems,
     _fold_assignment,
+    _solve_ridge,
     _stratified_centers,
     cross_validate,
     default_kappa_grid,
@@ -251,6 +252,27 @@ class TestFit:
         y = np.array([1, 1, 1])
         with pytest.raises(ValueError, match=f"delta must be finite and non-negative, got {delta}"):
             fit_ratio_model(x, y, kappa=1.0, delta=delta)
+
+    def test_non_positive_definite_system_with_positive_delta_raises(self):
+        # delta = 1e-300 vanishes beside H's unit diagonal, so H + delta I is the
+        # singular all-ones matrix; only delta = 0 falls back to a pseudo-solution.
+        with pytest.raises(LinAlgError, match="^2-th leading minor of the array is not positive"):
+            _solve_ridge(np.ones((2, 2)), np.ones(2), 1e-300)
+
+    def test_center_cap_below_the_class_count_rejected(self):
+        x = np.arange(6.0)[:, None]
+        y = np.array([1, 1, 2, 2, 3, 3])
+        with pytest.raises(
+            ValueError, match="^center cap 2 is smaller than the number of classes 3$"
+        ):
+            fit_ratio_model(x, y, kappa=1.0, delta=0.1, cfg=LsmiConfig(center_cap=2))
+
+    def test_centers_and_weights_of_different_lengths_rejected(self):
+        with pytest.raises(ValueError, match="^class 2: 3 centers but 2 weights$"):
+            RatioModel(
+                classes=(1, 2), centers=(np.zeros((1, 2)), np.zeros((3, 2))),
+                weights=(np.ones(1), np.ones(2)), kappa=1.0, delta=0.1,
+            )
 
     def test_center_cap_respected(self):
         ds = make_blobs(300, 2, 2, 5.0, seed=0)

@@ -145,6 +145,11 @@ class TestObjectiveMatrix:
         with pytest.raises(ValueError):
             objective_matrix(k, empty_constraints(6), -1.0, 0.0, 2)
 
+    def test_constraint_set_of_another_n_rejected(self):
+        k = local_scaling_kernel(np.random.default_rng(3).standard_normal((6, 2)), 2)
+        with pytest.raises(ValueError, match="^constraint set n=7 does not match kernel n=6$"):
+            objective_matrix(k, empty_constraints(7), 1.0, 0.0, 2)
+
 
 class TestFusedInnerMatrix:
     """``objective_matrix`` builds ``B = 2I + 2g M + g^2 M^2 - 2e C + e^2 C^2`` once, as CSR."""
@@ -264,6 +269,10 @@ class TestFixSigns:
     def test_zero_sum_uses_first_nonzero(self):
         phi = np.array([[0.0], [-1.0], [1.0]])
         assert np.array_equal(fix_signs(phi).ravel(), [0.0, 1.0, -1.0])
+
+    def test_all_zero_column_left_as_is(self):
+        phi = np.array([[0.0, -1.0], [0.0, -2.0]])
+        assert np.array_equal(fix_signs(phi), np.array([[0.0, 1.0], [0.0, 2.0]]))
 
     def test_column_sums_non_negative(self):
         rng = np.random.default_rng(6)
