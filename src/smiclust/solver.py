@@ -26,8 +26,18 @@ three sparse products, and :func:`top_eigenpairs` takes the top c + 1 pairs
 (at most n - 1) from one ARPACK Lanczos call on that operator, deflating for
 more only on a tie, a graph in parts or c >= n - 1; the n-th pair is the
 orthogonal complement of the other n - 1.  ``B = (I + g M)^2 + (I - e C)^2``,
-so U is positive semi-definite; a c-th eigenvalue that is not positive means
-rank(U) < c and is refused.
+so U is positive semi-definite; a c-th eigenvalue that is not above the
+rounding-noise floor means rank(U) < c and is refused.
+
+That solve runs to machine precision, but the labels need less.  On a
+connected graph with c + 1 <= n - 1, :func:`cluster` first stops ARPACK at a
+loose relative accuracy and bounds, from each pair's residual and its gap
+(Davis-Kahan sin-theta), how far the machine-precision pairs can lie from the
+loose ones.  :func:`_certified_labels` keeps the loose labels only if no
+point in those bounds changes a tie, the rank refusal, a sign or an argmax;
+otherwise :func:`top_eigenpairs` runs as above and gives the same result as
+without the loose solve.  So the labels never depend on which solve gave
+them, while a model's ``phi`` and ``lam`` may differ below the tolerance.
 """
 
 from __future__ import annotations
@@ -45,6 +55,15 @@ from .kernel import nearest_neighbors  # noqa: F401  re-exported; perfbench/trac
 MODEL_SCHEMA = "smiclust-model-v1"
 # predict scores its queries at most max(this, n) at a time.
 _QUERY_BLOCK = 1 << 12
+# cluster's first eigensolve stops at this relative accuracy (ARPACK's tol); its
+# labels stand only where _certified_labels proves them equal to the tol-0 solve's.
+_LOOSE_TOL = 1e-6
+# Residual, relative to the largest eigenvalue, allowed for rounding in the tol-0
+# solve and in the residuals _certified_labels computes.
+_ROUNDING_RESIDUAL = 1e-12
+# fix_signs orients a column whose entry sum is within this share of its 1-norm
+# by the column's first entry that clears that tolerance.
+_SIGN_TOL = 1e-8
 
 
 class PredictionError(RuntimeError):
@@ -200,13 +219,40 @@ def _group_floor(w: np.ndarray, v: np.ndarray, c: int) -> float:
     rank(U) < c: refused.
     """
     stop = _canonical_top(w, v, c)
-    floor = w[stop - 1] - _tie_tolerance(w)
-    if floor <= 0:
+    noise = _tie_tolerance(w)
+    if w[stop - 1] <= noise:
         raise RuntimeError(
-            f"U has rank below c={c}: eigenvalue {c} is {w[c - 1]:.3g}, "
-            "not above rounding noise, so there are not c clusters to find"
+            f"U has rank below c={c}: eigenvalue {c} is not above the rounding-noise floor "
+            f"{noise:.3g}, so there are not c clusters to find"
         )
-    return floor
+    return w[stop - 1] - noise
+
+
+def _connected(matrix) -> bool:
+    """Whether ``matrix.kernel`` joins all n indices into one graph."""
+    # Imported on first use: the package adds tens of milliseconds to start-up,
+    # and predict and the other commands never solve an eigenproblem.
+    from scipy.sparse.csgraph import connected_components
+
+    return connected_components(matrix.kernel, directed=False, return_labels=False) == 1
+
+
+def _start_vector(n: int) -> np.ndarray:
+    return np.random.default_rng(0).standard_normal(n)  # fixed start: same pairs every run
+
+
+def _ritz_pairs(apply, n: int, k: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The top k Ritz pairs of the symmetric operator ``apply``, descending, by one ARPACK call.
+
+    ``tol`` is ARPACK's relative accuracy; 0 means machine precision.  An
+    ARPACK failure propagates (a ``RuntimeError``).
+    """
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    operator = LinearOperator((n, n), matvec=apply, dtype=float)
+    w, v = eigsh(operator, k=k, which="LA", v0=_start_vector(n), tol=tol)
+    order = np.argsort(-w, kind="stable")
+    return w[order], v[:, order]
 
 
 def top_eigenpairs(matrix, c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -214,8 +260,9 @@ def top_eigenpairs(matrix, c: int) -> tuple[np.ndarray, np.ndarray]:
 
     ``matrix`` is a symmetric operator with ``n``, ``matvec`` and ``kernel`` (a
     sparse matrix whose edges join indices the operator connects), such as
-    :class:`ObjectiveMatrix`.  One ARPACK Lanczos call on ``matvec`` asks for
-    c + 1 pairs, at most n - 1; an ARPACK failure propagates (a ``RuntimeError``).
+    :class:`ObjectiveMatrix`.  One ARPACK Lanczos call on ``matvec``, to machine
+    precision, asks for c + 1 pairs, at most n - 1; an ARPACK failure propagates
+    (a ``RuntimeError``).
     One start vector can miss copies of a repeated eigenvalue, which in practice
     come from parts of ``matrix.kernel`` not connected to each other.  So on a
     graph in parts, a tie among the pairs found or fewer than c + 1 of them,
@@ -225,20 +272,13 @@ def top_eigenpairs(matrix, c: int) -> tuple[np.ndarray, np.ndarray]:
     off the other n - 1, with its Rayleigh quotient.  Tie groups are
     canonicalized, so the result is deterministic.
     """
-    # Imported on first use: the package adds tens of milliseconds to start-up,
-    # and predict and the other commands never solve an eigenproblem.
-    from scipy.sparse.csgraph import connected_components
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
     n = matrix.n
     c, _ = check_hyperparameters(n, c)
-    split = connected_components(matrix.kernel, directed=False, return_labels=False) > 1
+    split = not _connected(matrix)
     apply = matrix.matvec
-    v0 = np.random.default_rng(0).standard_normal(n)  # fixed start: same pairs every run
     w, v = np.zeros(0), np.zeros((n, 0))  # n = 1: the one pair is the last pair below
     if n > 1:
-        operator = LinearOperator((n, n), matvec=apply, dtype=float)
-        w, v = eigsh(operator, k=min(c + 1, n - 1), which="LA", v0=v0)
+        w, v = _ritz_pairs(apply, n, min(c + 1, n - 1), 0.0)
     while True:
         order = np.argsort(-w, kind="stable")
         w, v = w[order], v[:, order]
@@ -247,24 +287,81 @@ def top_eigenpairs(matrix, c: int) -> tuple[np.ndarray, np.ndarray]:
         if len(w) == n or untied:
             return w[:c], v[:, :c]
         if len(w) == n - 1:
+            v0 = _start_vector(n)
             x = v0 - v @ (v.T @ v0)
             x -= v @ (v.T @ x)  # projected twice, to orthogonality at rounding level
             x /= np.linalg.norm(x)
             top, vector = np.array([x @ apply(x)]), x[:, None]
         else:
-            deflated = LinearOperator(
-                (n, n), matvec=lambda x, w=w, v=v: apply(x) - v @ (w * (v.T @ x)), dtype=float
-            )
-            top, vector = eigsh(deflated, k=1, which="LA", v0=v0)
+            def deflated(x, w=w, v=v):
+                return apply(x) - v @ (w * (v.T @ x))
+
+            top, vector = _ritz_pairs(deflated, n, 1, 0.0)
         if top[0] < floor:
             return w[:c], v[:, :c]
         w, v = np.append(w, top), np.hstack([v, vector])
 
 
+def _certified_labels(matrix, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Labels, eigenvalues and sign-fixed eigenvectors from a loose solve, if they are exact.
+
+    ARPACK stops the c + 1 pairs at the relative accuracy ``_LOOSE_TOL``, and
+    one block product gives each pair's residual ``r = ||U v - theta v||``,
+    widened by ``_ROUNDING_RESIDUAL`` of the largest eigenvalue for rounding
+    here and in :func:`top_eigenpairs`.  Taking the pairs for the top c + 1 of
+    U, as :func:`top_eigenpairs` does on a connected graph, each eigenvalue of
+    its tol-0 solve lies within ``r + rounding`` of theta, and each of its
+    retained eigenvectors within ``e = sqrt(2) (r + rounding) / (gap - 3 max r)``
+    of the loose one up to sign (Davis-Kahan sin-theta, applied to both
+    solves), where the gap is to the nearest other theta.  The loose result
+    is returned only if no point in those intervals and balls changes a
+    decision the labels take: a tie among the c + 1 eigenvalues, the rank
+    refusal, the sum that orients each column in :func:`fix_signs` (a column
+    left to its rounding rule fails), a clipped column that could die, or a
+    point's argmax in :func:`assign_clusters`.  Otherwise None: the tol-0
+    solve gives the labels.
+    """
+    n = matrix.n
+    if c + 1 > n - 1 or not _connected(matrix):
+        return None
+    w, v = _ritz_pairs(matrix.matvec, n, c + 1, _LOOSE_TOL)
+    rounding = _ROUNDING_RESIDUAL * float(np.abs(w).max())
+    r = np.linalg.norm(matrix.matvec(v) - v * w, axis=0) + rounding
+    shift = r + rounding  # how far the tol-0 eigenvalues can lie from w
+    tie = _tie_tolerance(np.abs(w) + shift)
+    drops = w[:-1] - w[1:]
+    if np.any(drops - shift[:-1] - shift[1:] <= tie) or w[c - 1] - shift[c - 1] <= tie:
+        return None
+    gaps = np.minimum(np.r_[np.inf, drops], np.r_[drops, np.inf])[:c]
+    if np.any(gaps <= 3.0 * r.max()):
+        return None
+    wiggle = np.sqrt(2.0) * shift[:c] / (gaps - 3.0 * r.max())  # bounds a column's 2-norm move
+    slack = np.sqrt(n) * wiggle  # bounds its 1-norm move
+    phi = v[:, :c]
+    sums, mass = phi.sum(axis=0), np.abs(phi).sum(axis=0)
+    if np.any(np.abs(sums) - slack <= _SIGN_TOL * (mass + slack)):
+        return None
+    phi_tilde = fix_signs(phi)
+    clipped = np.maximum(phi_tilde, 0.0)
+    total = clipped.sum(axis=0)
+    if np.any(total <= slack):
+        return None
+    labels = assign_clusters(phi_tilde)
+    zero = phi_tilde + wiggle <= 0.0  # clipped to exactly 0 in either solve
+    low = np.where(zero, 0.0, np.maximum(clipped - wiggle, 0.0) / (total + slack))
+    high = np.where(zero, 0.0, (clipped + wiggle) / (total - slack))
+    rows = np.arange(n)
+    won = low[rows, labels - 1]
+    high[rows, labels - 1] = -np.inf
+    if not np.all((won > high.max(axis=1)) | zero.all(axis=1)):
+        return None
+    return labels, w[:c], phi_tilde
+
+
 def fix_signs(phi: np.ndarray) -> np.ndarray:
     """Resolve each eigenvector's sign so its entry sum is non-negative, up to rounding.
 
-    A sum within ``1e-8 * ||phi_y||_1`` of zero is rounding noise (an
+    A sum within ``_SIGN_TOL * ||phi_y||_1`` of zero is rounding noise (an
     eigenvector antisymmetric across mirrored groups sums to about 0), so
     such a column is oriented by its first entry whose magnitude clears that
     tolerance; an all-zero column is left as is.
@@ -273,7 +370,7 @@ def fix_signs(phi: np.ndarray) -> np.ndarray:
     out = phi.copy()
     for y in range(phi.shape[1]):
         s = phi[:, y].sum()
-        tol = 1e-8 * np.abs(phi[:, y]).sum()
+        tol = _SIGN_TOL * np.abs(phi[:, y]).sum()
         if abs(s) <= tol:
             clear = np.flatnonzero(np.abs(phi[:, y]) > tol)
             if clear.size == 0:
@@ -318,8 +415,14 @@ def cluster(
     if cs is None:
         cs = empty_constraints(ds.n)
     edited = apply_constraints(local_scaling_kernel(ds.features, t), cs)
-    lam, phi = top_eigenpairs(objective_matrix(edited, cs, gamma, eta, c), c)
-    phi_tilde = fix_signs(phi)
+    matrix = objective_matrix(edited, cs, gamma, eta, c)
+    certified = _certified_labels(matrix, c)
+    if certified is None:
+        lam, phi = top_eigenpairs(matrix, c)
+        phi_tilde = fix_signs(phi)
+        labels = assign_clusters(phi_tilde)
+    else:
+        labels, lam, phi_tilde = certified
     model = ClusterModel(
         phi=phi_tilde,
         lam=lam,
@@ -330,7 +433,7 @@ def cluster(
         train_features=ds.features,
         train_sigma=edited.sigma,
     )
-    return assign_clusters(phi_tilde), model
+    return labels, model
 
 
 def _query_kernel(model: ClusterModel, x: np.ndarray) -> sparse.csr_matrix:

@@ -483,6 +483,174 @@ class TestLanczosAgainstDenseOracle:
         assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
 
 
+def tol0_labels(ds, cs, t, gamma, eta, c):
+    """Labels from the machine-precision eigensolve, as ``cluster`` once took them."""
+    edited = apply_constraints(local_scaling_kernel(ds.features, t), cs)
+    _, phi = top_eigenpairs(objective_matrix(edited, cs, gamma, eta, c), c)
+    return assign_clusters(fix_signs(phi))
+
+
+def midway_point_problem():
+    """Two unequal groups and a point on the segment between their means where its scores tie.
+
+    Bisection on the point's position finds where its label flips.  The scores
+    move continuously there, so the two are equal to within rounding.
+    """
+    rng = np.random.default_rng(2)
+    base = np.vstack([rng.standard_normal((20, 2)), 1.3 * rng.standard_normal((25, 2)) + [4, 0.5]])
+    ends = base[:20].mean(axis=0), base[20:].mean(axis=0)
+
+    def point_margin(s):
+        ds = Dataset(features=np.vstack([base, (1 - s) * ends[0] + s * ends[1]]))
+        edited = local_scaling_kernel(ds.features, 5)
+        _, phi = top_eigenpairs(objective_matrix(edited, empty_constraints(ds.n), 0.0, 0.0, 2), 2)
+        clipped = np.maximum(fix_signs(phi), 0.0)
+        scores = clipped[-1] / clipped.sum(axis=0)
+        return ds, scores[0] - scores[1]
+
+    low, high = 0.0, 1.0
+    first = np.sign(point_margin(low)[1])
+    for _ in range(50):
+        mid = (low + high) / 2
+        low, high = (mid, high) if np.sign(point_margin(mid)[1]) == first else (low, mid)
+    ds, margin = point_margin(low)
+    assert abs(margin) <= 1e-12
+    return ds
+
+
+def mirrored_groups():
+    half = np.random.default_rng(0).standard_normal((20, 2)) + [3.0, 0.0]
+    return Dataset(features=np.vstack([half, half * [-1.0, 1.0]])), 5
+
+
+def rotated_groups():
+    # Four copies of one group under exact quarter turns: eigenvalues 2 and 3 are equal.
+    group = np.random.default_rng(1).standard_normal((15, 2)) + [4.0, 0.0]
+    turns = [group]
+    for _ in range(3):
+        turns.append(np.column_stack([-turns[-1][:, 1], turns[-1][:, 0]]))
+    return Dataset(features=np.vstack(turns)), 8
+
+
+class TestCertifiedEigensolve:
+    """``cluster`` takes its labels from a loose solve only when they equal the tol-0 solve's."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_per_class=st.integers(5, 60),
+        c=st.sampled_from([2, 3]),
+        separation=st.sampled_from([1.0, 3.0, 8.0]),
+        links=st.integers(0, 120),
+        t=st.integers(1, 12),
+        gamma=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        eta=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    )
+    def test_labels_equal_the_tol0_solve(self, seed, n_per_class, c, separation, links, t, gamma,
+                                        eta):
+        ds = make_blobs(n_per_class, c, 2, separation, seed=seed)
+        cs = random_links(np.random.default_rng(seed + 1), ds.n, links)
+        t, eta = min(t, ds.n - 1), eta if c == 2 else 0.0
+        try:
+            expected = tol0_labels(ds, cs, t, gamma, eta, c)
+        except RuntimeError as refusal:
+            with pytest.raises(RuntimeError, match=f"^{re.escape(str(refusal))}$"):
+                cluster(ds, cs, t, gamma, eta, c)
+            return
+        labels, model = cluster(ds, cs, t, gamma, eta, c)
+        assert labels.tobytes() == expected.tobytes()
+        assert np.allclose(model.phi.T @ model.phi, np.eye(c), atol=1e-10)
+
+    def _spy(self, monkeypatch):
+        """The tol of each ARPACK call from here on, and each tol-0 fallback ``cluster`` runs."""
+        from scipy.sparse import linalg
+
+        tols, fallbacks, eigsh = [], [], linalg.eigsh
+
+        def counted_eigsh(*args, **kwargs):
+            tols.append(kwargs["tol"])
+            return eigsh(*args, **kwargs)
+
+        def counted_top(matrix, c):
+            fallbacks.append(c)
+            return top_eigenpairs(matrix, c)
+
+        monkeypatch.setattr(linalg, "eigsh", counted_eigsh)
+        monkeypatch.setattr(solver, "top_eigenpairs", counted_top)
+        return tols, fallbacks
+
+    def test_linked_blobs_take_the_loose_solve(self, monkeypatch):
+        ds = make_blobs(200, 2, 2, 3.0, seed=1)
+        cs = sample_constraints(ds.labels, 400, seed=2)
+        edited = apply_constraints(local_scaling_kernel(ds.features, 5), cs)
+        lam, phi = top_eigenpairs(objective_matrix(edited, cs, 1.0, 1.0, 2), 2)
+        tols, fallbacks = self._spy(monkeypatch)
+        labels, model = cluster(ds, cs, 5, 1.0, 1.0, 2)
+        assert tols == [solver._LOOSE_TOL] and fallbacks == []
+        assert labels.tobytes() == assign_clusters(fix_signs(phi)).tobytes()
+        assert np.allclose(model.lam, lam, rtol=1e-10, atol=0)
+        assert np.allclose(model.phi, fix_signs(phi), atol=1e-8)
+
+    @pytest.mark.parametrize(
+        "problem, loose_solves",
+        [
+            (mirrored_groups, 1),  # the second eigenvector sums to 0: fix_signs' rounding rule
+            (rotated_groups, 1),  # equal eigenvalues at c = 2
+            (lambda: (midway_point_problem(), 5), 1),  # one point's two scores tie
+            (lambda: (make_blobs(40, 2, 2, 8.0, seed=45), 5), 0),  # a kNN graph in two parts
+        ],
+        ids=["mirrored", "equal-eigenvalues", "midway-point", "seed-45-components"],
+    )
+    def test_near_ties_fall_back_to_the_tol0_solve(self, monkeypatch, problem, loose_solves):
+        ds, t = problem()
+        expected = tol0_labels(ds, empty_constraints(ds.n), t, 0.0, 0.0, 2)
+        tols, fallbacks = self._spy(monkeypatch)
+        labels, _ = cluster(ds, None, t, 0.0, 0.0, 2)
+        assert fallbacks == [2]
+        assert tols.count(solver._LOOSE_TOL) == loose_solves and tols[-1] == 0.0
+        assert labels.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "spectrum",
+        [
+            [3.0, 2.0, 2.0 - 1e-9, 1.0],  # eigenvalues 2 and 3 tie at the tie tolerance 3e-9
+            [3.0, 2e-9, -1.0, -1.5],  # eigenvalue 2 is not above that noise floor
+        ],
+        ids=["tie-inside-tolerance", "rank-below-c"],
+    )
+    def test_decisions_inside_the_rounding_tolerances_are_not_certified(self, spectrum):
+        # The top two eigenvectors are the indicators of two halves, so every
+        # sign and argmax is far from a tie and only the eigenvalues decide.
+        # n = 20 is ARPACK's whole Krylov space: the pairs come out exact.
+        indicators = np.zeros((20, 3))
+        indicators[:10, 0] = indicators[10:, 1] = 1.0 / np.sqrt(10.0)
+        indicators[10:12, 2] = [1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)]
+        rest = np.random.default_rng(0).standard_normal((20, 17))
+        q, _ = np.linalg.qr(np.hstack([indicators, rest]))
+        tail = np.linspace(-2.0, -3.0, 16)
+        assert solver._certified_labels(Dense((q * np.r_[spectrum, tail]) @ q.T), 2) is None
+        clear = np.r_[3.0, 2.0, 2.0 - 1e-3, 1.0, tail]  # beyond both tolerances: certified
+        assert solver._certified_labels(Dense((q * clear) @ q.T), 2) is not None
+
+    def test_rank_refusal_comes_from_the_tol0_solve(self, monkeypatch):
+        # 30 equal points and t = 29: U has rank 1.  The refusal prints the
+        # noise floor, the same on every run, not the noise-level eigenvalue.
+        ds = Dataset(features=np.ones((30, 2)))
+        _, fallbacks = self._spy(monkeypatch)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(RuntimeError) as refusal:
+                cluster(ds, None, 29, 0.0, 0.0, 2)
+            messages.append(str(refusal.value))
+        assert fallbacks == [2, 2]
+        assert messages[0] == messages[1]
+        assert re.fullmatch(
+            r"U has rank below c=2: eigenvalue 2 is not above the rounding-noise floor \S+, "
+            r"so there are not c clusters to find",
+            messages[0],
+        )
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_predict_agrees_with_cluster_on_linked_overlapping_blobs(seed):
     """Training points keep their ``cluster`` label under ``predict`` at a stated rate.
