@@ -19,7 +19,8 @@ first bad line.  Both routes give the same bytes.
 
 Every file format is read and written here.  Tables go through
 :func:`save_table`, and JSON documents through :func:`save_json` and
-:func:`load_json`, which takes a byte-order mark as the CSV readers do.
+:func:`load_json`, which takes a byte-order mark as the CSV readers do;
+:func:`checked_json` refuses a document, or a field of one, of the wrong shape.
 """
 
 from __future__ import annotations
@@ -336,6 +337,22 @@ def save_table(path, rows) -> None:
 def load_json(path):
     """The JSON document of ``path``, decoded by the rules of :func:`_read_text`."""
     return json.loads(_read_text(path, ValueError))
+
+
+def checked_json(value, document: str, path: str = "", kind: type = dict, required=()):
+    """``value``, a JSON ``kind`` (object or list) holding every ``required`` key.
+
+    A refusal names the ``document`` and the dotted ``path`` to the value in it.
+    """
+    subject = f"{document} field {path!r}" if path else f"a {document}"
+    if not isinstance(value, kind):
+        what = "object" if kind is dict else "list"
+        raise ValueError(f"{subject} must be a JSON {what}, got {type(value).__name__}")
+    for key in required:
+        if key not in value:
+            field = f"{path}.{key}" if path else key
+            raise ValueError(f"{document} field {field!r} is missing")
+    return value
 
 
 def save_json(path, doc) -> None:

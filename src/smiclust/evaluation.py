@@ -15,7 +15,7 @@ import numpy as np
 
 from . import solver
 from .data import Dataset, load_dataset, make_blobs, normalize, sample_constraints
-from .data import save_json, save_table
+from .data import checked_json, save_json, save_table
 from .kernel import whole_number
 from .model_select import LsmiConfig, grid_search
 
@@ -96,6 +96,7 @@ class BenchmarkConfig:
         "separation": ..., "seed": ...}``; an optional top-level ``normalize``
         scheme is applied after loading.
         """
+        doc = checked_json(doc, "config", required=("link_counts", "runs"))
         spec = doc.get("dataset")
         if not isinstance(spec, dict):
             raise ValueError("config needs a 'dataset' object")
@@ -104,6 +105,7 @@ class BenchmarkConfig:
                 Path(base_dir) / spec["path"], spec.get("format", "labeled-csv")
             )
         elif spec.get("generator") == "blobs":
+            checked_json(spec, "config", "dataset", required=("n_per_class", "classes"))
             ds = make_blobs(
                 n_per_class=whole_number("n_per_class", spec["n_per_class"]),
                 c=whole_number("classes", spec["classes"]),
@@ -120,18 +122,23 @@ class BenchmarkConfig:
             raise ValueError(f"config says {c} classes but the dataset has {ds.c}")
         theta = doc.get("theta")
         if theta is not None:
+            theta = checked_json(theta, "config", "theta", required=("t",))
             theta = (theta["t"], theta.get("gamma", 0.0), theta.get("eta", 0.0))
-        grids = doc.get("grids", {})
-        lsmi_doc = doc.get("lsmi", {})
+        grids = checked_json(doc.get("grids", {}), "config", "grids")
+        grids = {
+            key: tuple(checked_json(grids[key], "config", f"grids.{key}", list))
+            for key in ("t", "gamma", "eta") if key in grids
+        }
+        lsmi_doc = checked_json(doc.get("lsmi", {}), "config", "lsmi")
         return cls(
             dataset=ds,
-            link_counts=tuple(doc["link_counts"]),
+            link_counts=tuple(checked_json(doc["link_counts"], "config", "link_counts", list)),
             runs=doc["runs"],
             seed=doc.get("seed", 0),
             theta=theta,
-            t_grid=tuple(grids["t"]) if "t" in grids else None,
-            gamma_grid=tuple(grids["gamma"]) if "gamma" in grids else None,
-            eta_grid=tuple(grids["eta"]) if "eta" in grids else None,
+            t_grid=grids.get("t"),
+            gamma_grid=grids.get("gamma"),
+            eta_grid=grids.get("eta"),
             lsmi=LsmiConfig(
                 center_cap=lsmi_doc.get("center_cap", LsmiConfig.center_cap),
                 folds=lsmi_doc.get("folds", LsmiConfig.folds),

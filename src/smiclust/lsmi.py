@@ -283,10 +283,10 @@ def cross_validate(
 ) -> tuple[float, float, list[CvRecord]]:
     """Grid search (kappa, delta) over ``cfg``'s grids by ``cfg.folds``-fold cross-validation.
 
-    Returns the pair minimizing the mean hold-out error (ties to the smaller
-    kappa, then the smaller delta) together with the full CV table.  Raises
-    before any solve when a fold holds out no point, or when some class of a
-    hold-out fold never occurs in its training part.
+    Returns the first pair of the kappa-major CV table with the least mean
+    hold-out error (so ties go to the smaller kappa, then the smaller delta)
+    and the table.  Raises before any solve when a fold holds out no point, or
+    when some class of a hold-out fold never occurs in its training part.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -329,12 +329,9 @@ def cross_validate(
         fold_errors.append(errors)
 
     table = []
-    best = None
     for a, kappa in enumerate(cfg.kappa_grid):
         for b, delta in enumerate(cfg.delta_grid):
             fold_cv = tuple(errors[a][b] for errors in fold_errors)
-            mean_cv = float(np.mean(fold_cv))
-            table.append(CvRecord(kappa, delta, mean_cv, fold_cv))
-            if best is None or mean_cv < best[2]:
-                best = (kappa, delta, mean_cv)
-    return best[0], best[1], table
+            table.append(CvRecord(kappa, delta, float(np.mean(fold_cv)), fold_cv))
+    best = min(table, key=lambda record: record.mean_cv)
+    return best.kappa, best.delta, table

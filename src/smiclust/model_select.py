@@ -104,34 +104,30 @@ def score_candidates(candidates: list[Candidate]) -> list[Candidate]:
     return candidates
 
 
-def _cluster_job(job):
-    """(labels, error, seconds) of one candidate's clustering; labels is None on error."""
-    ds, cs, t, gamma, eta, c = job
+def _attempt(job):
+    """(result, error, seconds) of one ``(fn, args)`` job of either phase; result None on error."""
+    fn, args = job
     start = time.perf_counter()
-    labels, error = None, None
+    result, error = None, None
     try:
-        labels, _ = solver.cluster(ds, cs, t, gamma, eta, c)
+        result = fn(*args)
     except FeatureScaleError:  # the features fail every candidate alike
         raise
     except Exception as exc:  # candidate failure is data, not a crash
         error = f"{type(exc).__name__}: {exc}"
-    return labels, error, time.perf_counter() - start
+    return result, error, time.perf_counter() - start
 
 
-def _score_job(job):
-    """((lsmi, n_v, cv_table), error, seconds) of one labeling; the triple is None on error."""
-    features, cs, labels, cfg, seed = job
-    start = time.perf_counter()
-    scores, error = None, None
-    try:
-        kappa, delta, table = lsmi_mod.cross_validate(features, labels, cfg=cfg, seed=seed)
-        model = lsmi_mod.fit_ratio_model(features, labels, kappa, delta, cfg=cfg, seed=seed)
-        scores = (
-            lsmi_mod.lsmi_value(model, features, labels), count_violations(labels, cs), table
-        )
-    except Exception as exc:  # candidate failure is data, not a crash
-        error = f"{type(exc).__name__}: {exc}"
-    return scores, error, time.perf_counter() - start
+def _labels(ds, cs, t, gamma, eta, c):
+    """One candidate's labels, from ``solver.cluster`` as it is bound at call time."""
+    return solver.cluster(ds, cs, t, gamma, eta, c)[0]
+
+
+def _scores(features, cs, labels, cfg, seed):
+    """(lsmi, n_v, cv_table) of one labeling."""
+    kappa, delta, table = lsmi_mod.cross_validate(features, labels, cfg=cfg, seed=seed)
+    model = lsmi_mod.fit_ratio_model(features, labels, kappa, delta, cfg=cfg, seed=seed)
+    return lsmi_mod.lsmi_value(model, features, labels), count_violations(labels, cs), table
 
 
 def _map(fn, items: list, jobs: int) -> list:
@@ -189,16 +185,15 @@ def grid_search(
         for gamma in gamma_grid
         for eta in eta_grid
     ]
-    clustered = _map(
-        _cluster_job, [(ds, cs, cand.t, cand.gamma, cand.eta, c) for cand in candidates], jobs
-    )
+    cluster_work = [(_labels, (ds, cs, cand.t, cand.gamma, cand.eta, c)) for cand in candidates]
+    clustered = _map(_attempt, cluster_work, jobs)
     first = {}  # labels.tobytes() -> index of the first candidate with that labeling
     for i, (labels, _, _) in enumerate(clustered):
         if labels is not None:
             first.setdefault(labels.tobytes(), i)
     cfg = cfg.resolve(ds.features) if first else cfg
-    score_work = [(ds.features, cs, clustered[i][0], cfg, seed) for i in first.values()]
-    scored = dict(zip(first, _map(_score_job, score_work, jobs)))
+    score_work = [(_scores, (ds.features, cs, clustered[i][0], cfg, seed)) for i in first.values()]
+    scored = dict(zip(first, _map(_attempt, score_work, jobs)))
     for i, (cand, (labels, error, seconds)) in enumerate(zip(candidates, clustered)):
         cand.seconds, cand.error = seconds, error
         if labels is None:

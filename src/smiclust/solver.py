@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .data import ConstraintSet, Dataset, empty_constraints, load_json, save_json
+from .data import ConstraintSet, Dataset, checked_json, empty_constraints, load_json, save_json
 from .kernel import KernelMatrix, apply_constraints, local_scaling_kernel, query_kernel
 from .kernel import _link_matrix, check_hyperparameters
 from .kernel import nearest_neighbors  # noqa: F401  re-exported; perfbench/tracer.py wraps it
@@ -508,15 +508,12 @@ def save_model(model: ClusterModel, path) -> None:
 
 def load_model(path) -> ClusterModel:
     """Read a model written by :func:`save_model`; a bad document raises ``ValueError``."""
-    doc = load_json(path)
-    if not isinstance(doc, dict):
-        raise ValueError(f"a model must be a JSON object, got {type(doc).__name__}")
+    doc = checked_json(load_json(path), "model")
     schema = doc.get("schema")
     if schema != MODEL_SCHEMA:
         raise ValueError(f"unsupported model schema {schema!r}, expected {MODEL_SCHEMA!r}")
-    for key in ("c", "t", "gamma", "eta", "eigenvalues", "phi", "train_features", "train_sigma"):
-        if key not in doc:
-            raise ValueError(f"model field {key!r} is missing")
+    fields = ("c", "t", "gamma", "eta", "eigenvalues", "phi", "train_features", "train_sigma")
+    checked_json(doc, "model", required=fields)
     return ClusterModel(
         phi=_numeric_field(doc, "phi"),
         lam=_numeric_field(doc, "eigenvalues"),

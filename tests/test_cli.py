@@ -1003,8 +1003,28 @@ class TestRefusalsInProcess:
          ({"dataset": {"generator": "moons"}, "link_counts": [0], "runs": 1},
           "dataset must have a 'path' or be a 'blobs' generator"),
          ({"dataset": {"path": "blobs.csv"}, "classes": 3, "link_counts": [0], "runs": 1},
-          "config says 3 classes but the dataset has 2")],
-        ids=["no-dataset", "unknown-generator", "classes-disagree"],
+          "config says 3 classes but the dataset has 2"),
+         ({"dataset": {"path": "blobs.csv"}, "link_counts": [0]}, "config field 'runs' is missing"),
+         ({"dataset": {"path": "blobs.csv"}, "runs": 1}, "config field 'link_counts' is missing"),
+         ([{"dataset": {"path": "blobs.csv"}, "link_counts": [0], "runs": 1}],
+          "a config must be a JSON object, got list"),
+         ({"dataset": {"path": "blobs.csv"}, "link_counts": [0], "runs": 1, "lsmi": [1]},
+          "config field 'lsmi' must be a JSON object, got list"),
+         ({"dataset": {"path": "blobs.csv"}, "link_counts": [0], "runs": 1, "theta": 5},
+          "config field 'theta' must be a JSON object, got int"),
+         ({"dataset": {"path": "blobs.csv"}, "link_counts": [0], "runs": 1, "theta": {"gamma": 1}},
+          "config field 'theta.t' is missing"),
+         ({"dataset": {"generator": "blobs", "classes": 2}, "link_counts": [0], "runs": 1},
+          "config field 'dataset.n_per_class' is missing"),
+         ({"dataset": {"path": "blobs.csv"}, "link_counts": 5, "runs": 1},
+          "config field 'link_counts' must be a JSON list, got int"),
+         ({"dataset": {"path": "blobs.csv"}, "link_counts": [0], "runs": 1, "grids": {"t": 3}},
+          "config field 'grids.t' must be a JSON list, got int"),
+         ({"dataset": {"path": "blobs.csv"}, "link_counts": [0], "runs": 1, "grids": [1]},
+          "config field 'grids' must be a JSON object, got list")],
+        ids=["no-dataset", "unknown-generator", "classes-disagree", "no-runs", "no-link-counts",
+             "list", "lsmi-list", "theta-number", "theta-without-t", "blobs-without-n-per-class",
+             "link-counts-number", "grid-number", "grids-list"],
     )
     def test_bench_config(self, workdir, blobs_csv, capsys, config, message):
         (workdir / "config.json").write_text(json.dumps(config))
@@ -1012,6 +1032,7 @@ class TestRefusalsInProcess:
         assert main(["bench", "--config", "config.json"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (workdir / "report.csv").exists()
+        assert not (workdir / "bench.manifest.json").exists()
 
     def test_ari_of_one_row_label_files(self, workdir, capsys):
         (workdir / "one.csv").write_text("index,label\n1,1\n")

@@ -532,6 +532,21 @@ def rotated_groups():
     return Dataset(features=np.vstack(turns)), 8
 
 
+# Eigenvalues of exact_operator: 3, 2 and 1 above a tail from -2 to -3.
+EXACT = np.r_[3.0, 2.0, 1.0, np.linspace(-2.0, -3.0, 17)]
+
+
+def exact_operator(top):
+    """(Q, Dense U = Q diag(EXACT) Q'), where Q's first columns are the orthonormal ``top``.
+
+    At n = 20, ARPACK's Krylov space is the whole space, so its pairs of U are exact.
+    """
+    rest = np.random.default_rng(0).standard_normal((20, 20 - top.shape[1]))
+    q, _ = np.linalg.qr(np.hstack([top, rest]))
+    q[:, : top.shape[1]] = top
+    return q, Dense((q * EXACT) @ q.T)
+
+
 class TestCertifiedEigensolve:
     """``cluster`` takes its labels from a loose solve only when they equal the tol-0 solve's."""
 
@@ -631,6 +646,34 @@ class TestCertifiedEigensolve:
         assert solver._certified_labels(Dense((q * np.r_[spectrum, tail]) @ q.T), 2) is None
         clear = np.r_[3.0, 2.0, 2.0 - 1e-3, 1.0, tail]  # beyond both tolerances: certified
         assert solver._certified_labels(Dense((q * clear) @ q.T), 2) is not None
+
+    @pytest.mark.parametrize("tilt, certified", [(0.125, False), (0.01, True)])
+    def test_a_gap_inside_three_residuals_is_not_certified(self, monkeypatch, tilt, certified):
+        # The exact pairs of U, but the third vector tilted toward the eigenvalue
+        # -3: its residual is 4 * tilt.  At 0.5 the drops of 1 clear every tie
+        # test, yet the gaps of 1 are inside 3 max r, so the Davis-Kahan bound
+        # does not hold; at 0.04 the loose pairs are certified.
+        indicators = np.zeros((20, 2))
+        indicators[:10, 0] = indicators[10:, 1] = 1.0 / np.sqrt(10.0)
+        q, matrix = exact_operator(indicators)
+        v = q[:, :3].copy()
+        v[:, 2] = np.sqrt(1.0 - tilt**2) * q[:, 2] + tilt * q[:, -1]
+        monkeypatch.setattr(solver, "_ritz_pairs", lambda apply, n, k, tol: (EXACT[:k], v))
+        assert (solver._certified_labels(matrix, 2) is not None) == certified
+
+    @pytest.mark.parametrize("shortfall, certified", [(1e-12, False), (1e-3, True)])
+    def test_an_argmax_inside_the_rounding_allowance_is_not_certified(self, shortfall, certified):
+        # Point 0 scores 0.1 in column 1 and 0.1 * (1 - shortfall) in column 2.
+        # At 1e-12 the margin, 9e-14, is above the exact pairs' residuals
+        # (about 1e-15) but below the 1e-12 of the largest eigenvalue allowed
+        # for rounding, so the argmax is not certain.
+        phi = np.zeros((20, 2))
+        phi[:10, 0] = 1.0 / np.sqrt(10.0)
+        phi[10:, 1] = 1.0
+        phi[[0, 1], 1] = [10.0 / 9.0 * (1.0 - shortfall), -10.0 / 9.0 * (1.0 - shortfall)]
+        phi[:, 1] /= np.linalg.norm(phi[:, 1])
+        _, matrix = exact_operator(phi)
+        assert (solver._certified_labels(matrix, 2) is not None) == certified
 
     def test_rank_refusal_comes_from_the_tol0_solve(self, monkeypatch):
         # 30 equal points and t = 29: U has rank 1.  The refusal prints the
