@@ -66,27 +66,6 @@ _SCALE_HINTS = {
 }
 
 
-def _default_jobs() -> int:
-    """The ``--jobs`` default of ``cluster`` and ``select``: ``SMICLUST_JOBS``, else the CPU count."""
-    env = os.environ.get("SMICLUST_JOBS", "").strip()
-    if not env:
-        return os.cpu_count() or 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise UserInputError(f"SMICLUST_JOBS must be an integer, got {env!r}") from None
-
-
-class _Parser(argparse.ArgumentParser):
-    """Reads ``SMICLUST_JOBS`` only for a parsed command whose ``--jobs`` defaults to it."""
-
-    def parse_known_args(self, args=None, namespace=None):
-        namespace, extras = super().parse_known_args(args, namespace)
-        if getattr(namespace, "jobs", None) is _default_jobs:
-            namespace.jobs = _default_jobs()
-        return namespace, extras
-
-
 def _sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -163,7 +142,7 @@ def _add_search_flags(sub, grid_help=""):
         sub.add_argument(f"--{name}-grid", help=f"comma-separated {name} values{grid_help}")
     sub.add_argument("--center-cap", type=int, default=LsmiConfig.center_cap)
     sub.add_argument("--folds", type=int, default=LsmiConfig.folds)
-    sub.add_argument("--jobs", type=int, default=_default_jobs)
+    sub.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
 
 
 def cmd_cluster(args):
@@ -259,7 +238,7 @@ def cmd_bench(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="smiclust",
         description="Information-maximization clustering with pairwise link constraints",
     )

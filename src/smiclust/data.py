@@ -340,13 +340,13 @@ def load_json(path):
 
 
 def checked_json(value, document: str, path: str = "", kind: type = dict, required=()):
-    """``value``, a JSON ``kind`` (object or list) holding every ``required`` key.
+    """``value``, a JSON ``kind`` (object, list or string) holding every ``required`` key.
 
     A refusal names the ``document`` and the dotted ``path`` to the value in it.
     """
     subject = f"{document} field {path!r}" if path else f"a {document}"
     if not isinstance(value, kind):
-        what = "object" if kind is dict else "list"
+        what = {dict: "object", list: "list", str: "string"}[kind]
         raise ValueError(f"{subject} must be a JSON {what}, got {type(value).__name__}")
     for key in required:
         if key not in value:

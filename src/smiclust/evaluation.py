@@ -7,7 +7,6 @@ ARI against the truth as mean and standard deviation per link count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
@@ -16,7 +15,7 @@ import numpy as np
 from . import solver
 from .data import Dataset, load_dataset, make_blobs, normalize, sample_constraints
 from .data import checked_json, save_json, save_table
-from .kernel import whole_number
+from .kernel import finite_number, whole_number
 from .model_select import LsmiConfig, grid_search
 
 
@@ -101,16 +100,15 @@ class BenchmarkConfig:
         if not isinstance(spec, dict):
             raise ValueError("config needs a 'dataset' object")
         if "path" in spec:
-            ds = load_dataset(
-                Path(base_dir) / spec["path"], spec.get("format", "labeled-csv")
-            )
+            path = checked_json(spec["path"], "config", "dataset.path", str)
+            ds = load_dataset(Path(base_dir) / path, spec.get("format", "labeled-csv"))
         elif spec.get("generator") == "blobs":
             checked_json(spec, "config", "dataset", required=("n_per_class", "classes"))
             ds = make_blobs(
                 n_per_class=whole_number("n_per_class", spec["n_per_class"]),
                 c=whole_number("classes", spec["classes"]),
                 d=whole_number("dim", spec.get("dim", 2)),
-                separation=float(spec.get("separation", 5.0)),
+                separation=finite_number("separation", spec.get("separation", 5.0)),
                 seed=whole_number("seed", spec.get("seed", 0)),
             )
         else:
@@ -175,9 +173,7 @@ class BenchmarkReport:
 def resolve_link_count(value, n: int) -> int:
     """Absolute counts pass through; fractions are taken of the n(n-1)/2 pairs."""
     total = n * (n - 1) // 2
-    value = float(value)
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"link count must be finite and non-negative, got {value}")
+    value = finite_number("link count", value)
     if 0 < value < 1:
         return int(round(value * total))
     return int(round(value))

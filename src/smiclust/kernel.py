@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,17 @@ def whole_number(name: str, value, top: int | None = None) -> int:
     return int(value)
 
 
+def finite_number(name: str, value, positive: bool = False) -> float:
+    """``value`` as a float, finite and > 0 (``positive``) or >= 0; a string or a bool fails."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # An int beyond float64 compares below inf but has no float: it is not finite here.
+    number = float(value) if real and abs(value) <= sys.float_info.max else math.nan
+    if not (number > 0 if positive else number >= 0):
+        sign = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be finite and {sign}, got {value!r}")
+    return number
+
+
 def check_hyperparameters(n: int, c, ts=(), gammas=(), etas=()) -> tuple[int | None, tuple]:
     """The one rule for the clustering hyperparameters; returns c and the t values as ints.
 
@@ -68,8 +80,7 @@ def check_hyperparameters(n: int, c, ts=(), gammas=(), etas=()) -> tuple[int | N
     c = None if c is None else whole_number("c", c, n)
     ts = tuple(whole_number("t", t, n - 1) for t in ts)
     for name, value in [("gamma", gamma) for gamma in gammas] + [("eta", eta) for eta in etas]:
-        if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
-            raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+        finite_number(name, value)
     if c is not None and c > 2 and any(etas):
         raise ValueError(f"eta must be 0 when c > 2 (got eta={max(etas)}, c={c})")
     return c, ts

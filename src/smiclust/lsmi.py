@@ -28,22 +28,19 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dposv
 from scipy.spatial.distance import cdist, pdist
 
-from .kernel import _OVERFLOW, FeatureScaleError, whole_number
+from .kernel import _OVERFLOW, FeatureScaleError, finite_number, whole_number
 
 DEFAULT_DELTA_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0)
 
 
-def check_kappa_delta(kappas, deltas, what: str = "") -> None:
+def check_kappa_delta(kappas, deltas, what: str = "") -> tuple[tuple, tuple]:
     """The LSMI stage's one rule: each width kappa finite and > 0, each ridge delta finite and >= 0.
 
-    ``what`` (" grid values" for a grid) follows the name in the refusal.
+    Returns both as tuples of floats.  ``what`` (" grid values" for a grid) follows the name in
+    the refusal.
     """
-    for kappa in kappas:
-        if not (math.isfinite(kappa) and kappa > 0):
-            raise ValueError(f"kappa{what} must be finite and positive, got {kappa}")
-    for delta in deltas:
-        if not (math.isfinite(delta) and delta >= 0):
-            raise ValueError(f"delta{what} must be finite and non-negative, got {delta}")
+    return (tuple(finite_number(f"kappa{what}", kappa, positive=True) for kappa in kappas),
+            tuple(finite_number(f"delta{what}", delta) for delta in deltas))
 
 
 @dataclass(frozen=True)
@@ -62,13 +59,16 @@ class LsmiConfig:
             raise ValueError(f"folds must be >= 2, got {self.folds}")
         if self.center_cap < 1:
             raise ValueError(f"center cap must be >= 1, got {self.center_cap}")
-        deltas = DEFAULT_DELTA_GRID if self.delta_grid is None else self.delta_grid
-        kappas = None if self.kappa_grid is None else tuple(sorted(map(float, self.kappa_grid)))
-        object.__setattr__(self, "kappa_grid", kappas)
-        object.__setattr__(self, "delta_grid", tuple(sorted(map(float, deltas))))
-        if kappas == () or self.delta_grid == ():
+        kappas, deltas = check_kappa_delta(
+            () if self.kappa_grid is None else self.kappa_grid,
+            DEFAULT_DELTA_GRID if self.delta_grid is None else self.delta_grid,
+            " grid values",
+        )
+        if not deltas or self.kappa_grid is not None and not kappas:
             raise ValueError("kappa and delta grids must be nonempty")
-        check_kappa_delta(kappas or (), self.delta_grid, " grid values")
+        if self.kappa_grid is not None:
+            object.__setattr__(self, "kappa_grid", tuple(sorted(kappas)))
+        object.__setattr__(self, "delta_grid", tuple(sorted(deltas)))
 
     def resolve(self, x) -> LsmiConfig:
         """This config, a ``None`` kappa grid set to ``default_kappa_grid(x)`` by the same rule."""

@@ -471,6 +471,8 @@ def predict(model: ClusterModel, x) -> int | np.ndarray:
             f"(eigenvalues: {model.lam.tolist()}); U has rank below c, which cluster refuses"
         )
     x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2):
+        raise ValueError(f"queries must be one point or a 2-d array of points, got shape {x.shape}")
     single = x.ndim == 1
     if single:
         x = x[None, :]

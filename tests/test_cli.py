@@ -1,14 +1,19 @@
+import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import smiclust
 from smiclust import kernel, lsmi, solver
@@ -509,38 +514,18 @@ class TestBenchCommand:
 
 
 class TestParser:
-    def test_jobs_env_default(self, monkeypatch):
-        monkeypatch.setenv("SMICLUST_JOBS", "3")
+    def test_jobs_defaults(self):
+        """cluster and select default --jobs to the CPU count; bench keeps its config's jobs."""
         parser = build_parser()
-        args = parser.parse_args(["cluster", "--input", "x.csv", "--classes", "2", "--t", "1"])
-        assert args.jobs == 3
-
-    def test_jobs_env_clamped_to_one(self, monkeypatch):
-        monkeypatch.setenv("SMICLUST_JOBS", "-4")
-        args = build_parser().parse_args(["select", "--input", "x.csv", "--classes", "2"])
-        assert args.jobs == 1
-
-    @pytest.mark.parametrize("command", ["cluster", "select"])
-    def test_non_integer_jobs_env_exits_2(self, monkeypatch, capsys, command):
-        monkeypatch.setenv("SMICLUST_JOBS", "abc")
-        assert main([command, "--input", "x.csv", "--classes", "2", "--t-grid", "1"]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == "error: SMICLUST_JOBS must be an integer, got 'abc'\n"
-        assert captured.out == ""
-
-    def test_non_integer_jobs_env_spares_commands_without_jobs(self, workdir, monkeypatch, capsys):
-        """Only cluster and select read SMICLUST_JOBS; ari, predict, constraints, bench don't."""
-        monkeypatch.setenv("SMICLUST_JOBS", "abc")
-        (workdir / "x.csv").write_text("index,label\n1,1\n2,2\n3,2\n")
-        assert main(["ari", "--a", "x.csv", "--b", "x.csv"]) == 0
-        assert capsys.readouterr() == ("1.0\n", "")
+        for command in ("cluster", "select"):
+            args = parser.parse_args([command, "--input", "x.csv", "--classes", "2"])
+            assert args.jobs == (os.cpu_count() or 1)
         for argv in (["predict", "--model", "m.json", "--input", "x.csv"],
                      ["constraints", "--input", "x.csv", "--links", "1"],
                      ["bench", "--config", "c.json"]):
-            args = build_parser().parse_args(argv)
-            assert getattr(args, "jobs", None) is None
+            assert getattr(parser.parse_args(argv), "jobs", None) is None
         with pytest.raises(SystemExit) as err:
-            build_parser().parse_args(["--help"])
+            parser.parse_args(["--help"])
         assert err.value.code == 0
 
     def test_unknown_command_exits_2(self):
@@ -977,6 +962,34 @@ def test_minmax_symmetric_maps_a_column_wider_than_float64(workdir):
     assert len((workdir / "labels.csv").read_text().splitlines()) == len(x) + 1
 
 
+_JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text()
+_JSON_KINDS = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "number": st.integers() | st.floats(),
+    "string": st.text(max_size=5),
+    "array": st.lists(_JSON_LEAVES, max_size=3),
+    "object": st.dictionaries(st.text(max_size=3), _JSON_LEAVES, max_size=3),
+}
+# The kinds of JSON value each field of a bench config takes; "dataset.path" is the
+# dataset's other form.
+_FIELD_KINDS = {
+    **{(key,): {"number"} for key in ("runs", "seed", "jobs", "classes")},
+    ("link_counts",): {"array"}, ("link_counts", 0): {"number"},
+    ("dataset",): {"object"}, ("dataset", "generator"): {"string"},
+    ("dataset", "path"): {"string"},
+    **{("dataset", key): {"number"}
+       for key in ("n_per_class", "classes", "dim", "separation", "seed")},
+    ("theta",): {"object", "null"},
+    **{("theta", key): {"number"} for key in ("t", "gamma", "eta")},
+    ("grids",): {"object"},
+    **{("grids", key): {"array"} for key in ("t", "gamma", "eta")},
+    **{("grids", key, 0): {"number"} for key in ("t", "gamma", "eta")},
+    ("lsmi",): {"object"}, ("lsmi", "folds"): {"number"}, ("lsmi", "center_cap"): {"number"},
+    ("normalize",): {"string"}, ("method",): {"string"},
+}
+
+
 class TestRefusalsInProcess:
     """Refusals of outside input, each reached through ``main``: exit 2 and one error line."""
 
@@ -1021,10 +1034,21 @@ class TestRefusalsInProcess:
          ({"dataset": {"path": "blobs.csv"}, "link_counts": [0], "runs": 1, "grids": {"t": 3}},
           "config field 'grids.t' must be a JSON list, got int"),
          ({"dataset": {"path": "blobs.csv"}, "link_counts": [0], "runs": 1, "grids": [1]},
-          "config field 'grids' must be a JSON object, got list")],
+          "config field 'grids' must be a JSON object, got list"),
+         ({"dataset": {"path": 5}, "link_counts": [0], "runs": 1},
+          "config field 'dataset.path' must be a JSON string, got int"),
+         ({"dataset": {"path": "blobs.csv"}, "link_counts": [None], "runs": 1},
+          "link count must be finite and non-negative, got None"),
+         ({"dataset": {"path": "blobs.csv"}, "link_counts": [[1]], "runs": 1},
+          "link count must be finite and non-negative, got [1]"),
+         *(({"dataset": {"generator": "blobs", "n_per_class": 5, "classes": 2,
+                         "separation": separation}, "link_counts": [0], "runs": 1},
+            f"separation must be finite and non-negative, got {separation!r}")
+           for separation in ([1], None, "abc"))],
         ids=["no-dataset", "unknown-generator", "classes-disagree", "no-runs", "no-link-counts",
              "list", "lsmi-list", "theta-number", "theta-without-t", "blobs-without-n-per-class",
-             "link-counts-number", "grid-number", "grids-list"],
+             "link-counts-number", "grid-number", "grids-list", "path-number", "link-count-null",
+             "link-count-list", "separation-list", "separation-null", "separation-string"],
     )
     def test_bench_config(self, workdir, blobs_csv, capsys, config, message):
         (workdir / "config.json").write_text(json.dumps(config))
@@ -1033,6 +1057,38 @@ class TestRefusalsInProcess:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (workdir / "report.csv").exists()
         assert not (workdir / "bench.manifest.json").exists()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_bench_config_field_of_the_wrong_kind(self, data):
+        """Any field of a valid config given a JSON value of a kind it does not take: 0 or 2."""
+        config = {"dataset": {"generator": "blobs", "n_per_class": 5, "classes": 2, "dim": 2,
+                              "separation": 5.0, "seed": 0},
+                  "link_counts": [0], "runs": 1, "seed": 0, "jobs": 1, "classes": 2,
+                  "theta": {"t": 2, "gamma": 0.0, "eta": 0.0},
+                  "grids": {"t": [2], "gamma": [0.0], "eta": [0.0]},
+                  "lsmi": {"folds": 2, "center_cap": 10}, "normalize": "none", "method": "m"}
+        path = data.draw(st.sampled_from(sorted(_FIELD_KINDS, key=str)), label="field")
+        kind = data.draw(st.sampled_from(sorted(set(_JSON_KINDS) - _FIELD_KINDS[path])))
+        *parents, last = path
+        target = config
+        for key in parents:
+            target = target[key]
+        target[last] = data.draw(_JSON_KINDS[kind], label=kind)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            (out / "config.json").write_text(json.dumps(config))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["bench", "--config", str(out / "config.json"),
+                             "--report-out", str(out / "report.csv"),
+                             "--summary-out", str(out / "summary.json"),
+                             "--manifest-out", str(out / "bench.manifest.json")])
+            assert code in (0, 2), err.getvalue()
+            if code == 2:
+                assert err.getvalue().startswith("error: ")
+                assert err.getvalue().count("\n") == 1
+                assert sorted(p.name for p in out.iterdir()) == ["config.json"]
 
     def test_ari_of_one_row_label_files(self, workdir, capsys):
         (workdir / "one.csv").write_text("index,label\n1,1\n")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -7,11 +9,32 @@ from smiclust.kernel import (
     FeatureScaleError,
     _tree_nearest,
     apply_constraints,
+    finite_number,
     local_scaling_kernel,
     nearest_neighbors,
     query_kernel,
 )
 
+
+@pytest.mark.parametrize(
+    "value, positive",
+    [("5", False), (True, False), (None, False), ([1], False), (10**400, False),
+     (-1, False), (np.nan, False), (-np.inf, False), (0, True), (-0.0, True)],
+    ids=["string", "bool", "none", "list", "int-beyond-float64", "negative", "nan", "-inf",
+         "zero-positive", "minus-zero-positive"],
+)
+def test_finite_number_refuses_by_name(value, positive):
+    sign = "positive" if positive else "non-negative"
+    message = f"x must be finite and {sign}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        finite_number("x", value, positive)
+
+
+def test_finite_number_returns_a_float():
+    for value, positive in [(3, True), (0, False), (-0.0, False), (np.float64(2.5), True),
+                            (np.int64(7), False), (1e308, True)]:
+        number = finite_number("x", value, positive)
+        assert type(number) is float and number == value
 
 def dense_kernel_oracle(points, t):
     """Loop transcription of the sparse local-scaling kernel definition."""

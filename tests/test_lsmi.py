@@ -513,8 +513,9 @@ class TestRatioMatrix:
                                     "LsmiConfig"])
 @pytest.mark.parametrize(
     "name, value",
-    [("kappa", 0.0), ("kappa", -1.0), ("kappa", np.inf), ("kappa", np.nan),
-     ("delta", -0.1), ("delta", np.inf), ("delta", np.nan)],
+    [("kappa", 0.0), ("kappa", -1.0), ("kappa", np.inf), ("kappa", np.nan), ("kappa", True),
+     ("kappa", "1.0"), ("delta", -0.1), ("delta", np.inf), ("delta", np.nan), ("delta", False),
+     ("delta", "0.1")],
 )
 def test_every_entry_refuses_a_bad_kappa_or_delta(caller, name, value):
     ds = make_blobs(10, 2, 2, 4.0, seed=0)
@@ -534,7 +535,7 @@ def test_every_entry_refuses_a_bad_kappa_or_delta(caller, name, value):
     }
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # refused before any numeric work
-        with pytest.raises(ValueError, match=f"^{name}{grid} must be {rule}, got {value}$"):
+        with pytest.raises(ValueError, match=f"^{name}{grid} must be {rule}, got {value!r}$"):
             calls[caller]()
 
 

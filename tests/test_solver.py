@@ -853,6 +853,13 @@ class TestPredict:
         with pytest.raises(ValueError, match="dimension"):
             predict(model, np.zeros(5))
 
+    @pytest.mark.parametrize("shape", [(), (2, 2, 2)])
+    def test_queries_neither_one_nor_two_dimensional_refused(self, monkeypatch, shape):
+        _, _, model = self._model()
+        monkeypatch.setattr(solver, "_query_kernel", None)  # refused before any kernel work
+        with pytest.raises(ValueError, match=rf"^queries must be .*{re.escape(str(shape))}$"):
+            predict(model, np.zeros(shape))
+
     def test_non_positive_eigenvalue_refused(self):
         rng = np.random.default_rng(10)
         feats = rng.standard_normal((12, 2))
@@ -1059,7 +1066,7 @@ RULE_CASES = [
     ("t", N_RULE, "t must be in 1..29, got 30"),
     ("t", True, "t must be a whole number, got True"),
     *[(name, value, f"{name} must be finite and non-negative, got {value!r}")
-      for name in ("gamma", "eta") for value in (-1.0, np.nan, np.inf)],
+      for name in ("gamma", "eta") for value in (-1.0, np.nan, np.inf, True)],
     ("c", 0, "c must be in 1..30, got 0"),
     ("c", N_RULE + 1, "c must be in 1..30, got 31"),
     ("c", 2.5, "c must be a whole number, got 2.5"),
