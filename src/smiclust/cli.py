@@ -26,7 +26,6 @@ import numpy as np
 
 from . import __version__
 from .data import (
-    Dataset,
     EmptyDatasetError,
     empty_constraints,
     load_constraints,
@@ -54,7 +53,7 @@ from .solver import PredictionError, cluster, load_model, predict, save_model
 
 
 class UserInputError(ValueError):
-    """Bad flag combination or bad user-supplied value."""
+    """A bad user-supplied value."""
 
 
 # Appended to a FeatureScaleError's message, which ends "; rescale the features".
@@ -95,20 +94,6 @@ def _parse_grid(text):
         raise UserInputError(f"bad grid value in {text!r}") from None
 
 
-def _grid_search(args, ds: Dataset, cs):
-    return grid_search(
-        ds,
-        cs,
-        args.classes,
-        t_grid=_parse_grid(args.t_grid),
-        gamma_grid=_parse_grid(args.gamma_grid),
-        eta_grid=_parse_grid(args.eta_grid),
-        lsmi_cfg=LsmiConfig(center_cap=args.center_cap, folds=args.folds),
-        seed=args.seed,
-        jobs=args.jobs,
-    )
-
-
 def _load_problem(args):
     ds = normalize(load_dataset(args.input, args.format), args.normalize)
     if args.constraints is None:
@@ -132,35 +117,13 @@ def _add_io_flags(sub):
     sub.add_argument(
         "--normalize", choices=("none", "minmax-symmetric", "zscore"), default="none"
     )
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--labels-out", type=Path, default=Path("labels.csv"))
     sub.add_argument("--model-out", type=Path)
 
 
-def _add_search_flags(sub, grid_help=""):
-    for name in ("t", "gamma", "eta"):
-        sub.add_argument(f"--{name}-grid", help=f"comma-separated {name} values{grid_help}")
-    sub.add_argument("--center-cap", type=int, default=LsmiConfig.center_cap)
-    sub.add_argument("--folds", type=int, default=LsmiConfig.folds)
-    sub.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-
-
 def cmd_cluster(args):
-    if args.auto and args.t is not None:
-        raise UserInputError("--auto and an explicit --t are mutually exclusive")
-    if not args.auto and args.t is None:
-        raise UserInputError("either --t or --auto is required")
     ds, cs = _load_problem(args)
-    if args.auto:
-        result = _grid_search(args, ds, cs)
-        labels, model = result.best.labels, result.model
-        print(
-            f"selected t={result.best.t} gamma={result.best.gamma} "
-            f"eta={result.best.eta} (score {result.best.score:.4f})",
-            file=sys.stderr,
-        )
-    else:
-        labels, model = cluster(ds, cs, args.t, args.gamma, args.eta, args.classes)
+    labels, model = cluster(ds, cs, args.t, args.gamma, args.eta, args.classes)
     outputs = _write_fit(args, labels, model)
     if args.dump_kernel:
         edited = apply_constraints(local_scaling_kernel(ds.features, model.t), cs)
@@ -170,7 +133,17 @@ def cmd_cluster(args):
 
 def cmd_select(args):
     ds, cs = _load_problem(args)
-    result = _grid_search(args, ds, cs)
+    result = grid_search(
+        ds,
+        cs,
+        args.classes,
+        t_grid=_parse_grid(args.t_grid),
+        gamma_grid=_parse_grid(args.gamma_grid),
+        eta_grid=_parse_grid(args.eta_grid),
+        lsmi_cfg=LsmiConfig(center_cap=args.center_cap, folds=args.folds),
+        seed=args.seed,
+        jobs=args.jobs,
+    )
     # Per-candidate wall times go into the manifest, keeping this file
     # byte-reproducible across reruns.
     save_table(args.table_out, [
@@ -247,17 +220,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="cluster a dataset, optionally with links")
     _add_io_flags(p)
-    p.add_argument("--t", type=int, help="neighborhood size of the local-scaling kernel")
+    p.add_argument(
+        "--t", required=True, type=int, help="neighborhood size of the local-scaling kernel"
+    )
     p.add_argument("--gamma", type=float, default=0.0, help="must-link strength")
     p.add_argument("--eta", type=float, default=0.0, help="cannot-link strength")
-    p.add_argument("--auto", action="store_true", help="pick t, gamma, eta by grid search")
-    _add_search_flags(p, " for --auto")
     p.add_argument("--dump-kernel", type=Path, help="write the edited kernel matrix as CSV")
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("select", help="grid-search t, gamma, eta and report all candidates")
     _add_io_flags(p)
-    _add_search_flags(p)
+    for name in ("t", "gamma", "eta"):
+        p.add_argument(f"--{name}-grid", help=f"comma-separated {name} values")
+    p.add_argument("--center-cap", type=int, default=LsmiConfig.center_cap)
+    p.add_argument("--folds", type=int, default=LsmiConfig.folds)
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--table-out", type=Path, default=Path("candidates.csv"))
     p.add_argument(
         "--dump-cv", type=Path, help="write the winner's LSMI cross-validation table as CSV"

@@ -79,8 +79,9 @@ class BenchmarkConfig:
     def __post_init__(self):
         for name in ("runs", "seed", "jobs"):
             object.__setattr__(self, name, whole_number(name, getattr(self, name)))
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
+        for name in ("runs", "jobs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.theta is not None:
             (t, gamma, eta), ds = self.theta, self.dataset
             _, (t,) = solver.check_hyperparameters(ds.n, ds.c, [t], [gamma], [eta])
@@ -141,7 +142,7 @@ class BenchmarkConfig:
                 center_cap=lsmi_doc.get("center_cap", LsmiConfig.center_cap),
                 folds=lsmi_doc.get("folds", LsmiConfig.folds),
             ),
-            method_name=doc.get("method", "smiclust"),
+            method_name=checked_json(doc.get("method", "smiclust"), "config", "method", str),
             jobs=doc.get("jobs", 1),
             snapshot=doc,
         )

@@ -28,7 +28,7 @@ import numpy as np
 from . import lsmi as lsmi_mod
 from . import solver
 from .data import ConstraintSet, Dataset
-from .kernel import FeatureScaleError
+from .kernel import FeatureScaleError, whole_number
 from .lsmi import LsmiConfig
 
 DEFAULT_T_GRID = tuple(range(1, 11))
@@ -154,9 +154,9 @@ def grid_search(
     Ties on the score are broken by smaller violation count, larger LSMI,
     then smaller t, gamma, eta.  With more than two clusters the eta grid is
     forced to {0}.  The default t grid keeps its values below n.  c, every grid
-    value (eta before that forcing) and the LSMI center cap are checked before
-    any clustering; a ``None`` kappa grid is set once, if some labeling is left
-    to score.  Raises if every candidate fails.
+    value (eta before that forcing), the LSMI center cap and ``jobs`` are
+    checked before any clustering; a ``None`` kappa grid is set once, if some
+    labeling is left to score.  Raises if every candidate fails.
     """
     if t_grid is None:  # the default t values the rule allows at this n (at n <= 1, none is)
         t_grid = [t for t in DEFAULT_T_GRID if t < ds.n] or DEFAULT_T_GRID
@@ -178,7 +178,9 @@ def grid_search(
     cfg = lsmi_cfg or LsmiConfig()
     if cfg.center_cap < c:
         raise ValueError(f"center cap {cfg.center_cap} is smaller than the number of classes {c}")
-    jobs = max(1, int(jobs))
+    jobs = whole_number("jobs", jobs)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     candidates = [
         Candidate(t=t, gamma=float(gamma), eta=float(eta))
         for t in t_grid

@@ -316,7 +316,7 @@ def _cli_session(base):
               "--output", "links.txt"], base)
     _run_cli(["cluster", "--input", "blobs.csv", "--format", "labeled-csv", "--classes", "2",
               "--t", "4", "--gamma", "1", "--eta", "1", "--constraints", "links.txt",
-              "--seed", "0", "--model-out", "model.json", "--dump-kernel", "kernel.csv"], base)
+              "--model-out", "model.json", "--dump-kernel", "kernel.csv"], base)
     _run_cli(["select", "--input", "blobs.csv", "--format", "labeled-csv", "--classes", "2",
               "--constraints", "links.txt", "--t-grid", "3,5", "--gamma-grid", "0,1",
               "--eta-grid", "0", "--folds", "3", "--jobs", "2", "--seed", "0",

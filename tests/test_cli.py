@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -69,20 +70,11 @@ class TestClusterCommand:
         assert len(lines) == ds.n + 1
         assert (workdir / "cluster.manifest.json").exists()
 
-    def test_auto_with_explicit_t_rejected(self, workdir, blobs_csv, capsys):
+    def test_t_required(self, workdir, blobs_csv):
         path, _ = blobs_csv
-        code = main(
-            ["cluster", "--input", str(path), "--format", "labeled-csv",
-             "--classes", "2", "--t", "4", "--auto"]
-        )
-        assert code == 2
-        assert "mutually exclusive" in capsys.readouterr().err
-
-    def test_t_or_auto_required(self, workdir, blobs_csv):
-        path, _ = blobs_csv
-        assert main(
-            ["cluster", "--input", str(path), "--format", "labeled-csv", "--classes", "2"]
-        ) == 2
+        with pytest.raises(SystemExit) as err:
+            main(["cluster", "--input", str(path), "--format", "labeled-csv", "--classes", "2"])
+        assert err.value.code == 2
 
     def test_missing_input_file(self, workdir):
         assert main(["cluster", "--input", "nope.csv", "--classes", "2", "--t", "3"]) == 2
@@ -110,8 +102,7 @@ class TestClusterCommand:
     def test_rerun_is_byte_identical(self, workdir, blobs_csv):
         path, _ = blobs_csv
         argv = ["cluster", "--input", str(path), "--format", "labeled-csv",
-                "--classes", "2", "--t", "4", "--seed", "3",
-                "--model-out", "model.json"]
+                "--classes", "2", "--t", "4", "--model-out", "model.json"]
         assert main(argv) == 0
         first_labels = (workdir / "labels.csv").read_bytes()
         first_model = (workdir / "model.json").read_bytes()
@@ -130,17 +121,6 @@ class TestClusterCommand:
         assert len(rows) == ds.n
         matrix = np.array([[float(v) for v in row.split(",")] for row in rows])
         assert np.array_equal(matrix, matrix.T)
-
-    def test_auto_mode_selects(self, workdir, blobs_csv):
-        path, ds = blobs_csv
-        code = main(
-            ["cluster", "--input", str(path), "--format", "labeled-csv",
-             "--classes", "2", "--auto", "--t-grid", "3,5", "--gamma-grid", "0",
-             "--eta-grid", "0", "--jobs", "1"]
-        )
-        assert code == 0
-        manifest = json.loads((workdir / "cluster.manifest.json").read_text())
-        assert manifest["command"] == "cluster"
 
 
 class TestPredictCommand:
@@ -515,12 +495,12 @@ class TestBenchCommand:
 
 class TestParser:
     def test_jobs_defaults(self):
-        """cluster and select default --jobs to the CPU count; bench keeps its config's jobs."""
+        """select defaults --jobs to the CPU count; bench keeps its config's jobs."""
         parser = build_parser()
-        for command in ("cluster", "select"):
-            args = parser.parse_args([command, "--input", "x.csv", "--classes", "2"])
-            assert args.jobs == (os.cpu_count() or 1)
-        for argv in (["predict", "--model", "m.json", "--input", "x.csv"],
+        args = parser.parse_args(["select", "--input", "x.csv", "--classes", "2"])
+        assert args.jobs == (os.cpu_count() or 1)
+        for argv in (["cluster", "--input", "x.csv", "--classes", "2", "--t", "3"],
+                     ["predict", "--model", "m.json", "--input", "x.csv"],
                      ["constraints", "--input", "x.csv", "--links", "1"],
                      ["bench", "--config", "c.json"]):
             assert getattr(parser.parse_args(argv), "jobs", None) is None
@@ -573,21 +553,15 @@ class TestClusterDumpKernel:
         expected = "".join(",".join(map(repr, row.tolist())) + "\n" for row in edited.entries)
         assert (workdir / "kernel.csv").read_text() == expected
 
-    @pytest.mark.parametrize(
-        "fit",
-        [["--t", "5", "--gamma", "1", "--eta", "1"],
-         ["--auto", "--t-grid", "3,7", "--gamma-grid", "0,1", "--eta-grid", "0,1", "--jobs", "1"]],
-        ids=["t", "auto"],
-    )
-    def test_dump_is_the_edited_kernel_at_the_models_t(self, workdir, blobs_csv, fit):
-        """Both dumps equal apply_constraints(local_scaling_kernel(x, model.t), cs), and a
-        dumping run writes the same labels as a plain one.  --auto picks t = 7 here, not the
-        grid's first t."""
+    def test_dump_is_the_edited_kernel_at_the_models_t(self, workdir, blobs_csv):
+        """The dump equals apply_constraints(local_scaling_kernel(x, model.t), cs), and a
+        dumping run writes the same labels as a plain one."""
         path, ds = blobs_csv
         links = workdir / "links.txt"
         links.write_text("1 2 +1\n3 40 -1\n")
         argv = ["cluster", "--input", str(path), "--format", "labeled-csv", "--classes", "2",
-                "--constraints", str(links), *fit, "--model-out", "model.json"]
+                "--constraints", str(links), "--t", "5", "--gamma", "1", "--eta", "1",
+                "--model-out", "model.json"]
         assert main([*argv, "--dump-kernel", "kernel.csv", "--labels-out", "dumped.csv"]) == 0
         t = load_model(workdir / "model.json").t
         edited = kernel.apply_constraints(
@@ -597,6 +571,40 @@ class TestClusterDumpKernel:
         assert (workdir / "kernel.csv").read_text() == expected
         assert main([*argv, "--labels-out", "plain.csv"]) == 0
         assert (workdir / "dumped.csv").read_bytes() == (workdir / "plain.csv").read_bytes()
+
+    def test_select_writes_the_fit_of_cluster_at_the_printed_theta(
+        self, workdir, blobs_csv, capsys
+    ):
+        """select's labels and model are those of cluster at the theta it prints, and cluster
+        dumps that theta's edited kernel.  select picks t = 7 here, not the grid's first t.
+        cluster takes no search flag."""
+        path, ds = blobs_csv
+        links = workdir / "links.txt"
+        links.write_text("1 2 +1\n3 40 -1\n")
+        problem = ["--input", str(path), "--format", "labeled-csv", "--classes", "2",
+                   "--constraints", str(links)]
+        capsys.readouterr()
+        assert main(["select", *problem, "--t-grid", "3,7", "--gamma-grid", "0,1",
+                     "--eta-grid", "0,1", "--jobs", "1", "--labels-out", "selected.csv",
+                     "--model-out", "selected.json"]) == 0
+        t, gamma, eta = re.search(
+            r"^best: t=(\S+) gamma=(\S+) eta=(\S+) ", capsys.readouterr().err, re.M
+        ).groups()
+        assert t == "7"
+        assert main(["cluster", *problem, "--t", t, "--gamma", gamma, "--eta", eta,
+                     "--labels-out", "fixed.csv", "--model-out", "fixed.json",
+                     "--dump-kernel", "kernel.csv"]) == 0
+        for selected, fixed in (("selected.csv", "fixed.csv"), ("selected.json", "fixed.json")):
+            assert (workdir / selected).read_bytes() == (workdir / fixed).read_bytes()
+        edited = kernel.apply_constraints(
+            kernel.local_scaling_kernel(ds.features, 7), load_constraints(links, ds.n)
+        )
+        expected = "".join(",".join(map(repr, row.tolist())) + "\n" for row in edited.entries)
+        assert (workdir / "kernel.csv").read_text() == expected
+        for flag in (["--auto"], ["--jobs", "1"]):
+            with pytest.raises(SystemExit) as err:
+                main(["cluster", *problem, "--t", t, *flag])
+            assert err.value.code == 2
 
 
 def sha256_of(path):
@@ -612,13 +620,11 @@ MANIFEST_SESSION = {
     ),
     "cluster": (
         ["--input", "blobs.csv", "--format", "labeled-csv", "--classes", "2",
-         "--constraints", "links.txt", "--t", "4", "--gamma", "1", "--eta", "1", "--jobs", "1",
+         "--constraints", "links.txt", "--t", "4", "--gamma", "1", "--eta", "1",
          "--model-out", "model.json", "--dump-kernel", "kernel.csv"],
-        {"auto": False, "center_cap": 500, "classes": 2, "constraints": "links.txt",
-         "dump_kernel": "kernel.csv", "eta": 1.0, "eta_grid": None, "folds": 5,
-         "format": "labeled-csv", "gamma": 1.0, "gamma_grid": None, "input": "blobs.csv",
-         "jobs": 1, "labels_out": "labels.csv", "model_out": "model.json", "normalize": "none",
-         "seed": 0, "t": 4, "t_grid": None},
+        {"classes": 2, "constraints": "links.txt", "dump_kernel": "kernel.csv", "eta": 1.0,
+         "format": "labeled-csv", "gamma": 1.0, "input": "blobs.csv",
+         "labels_out": "labels.csv", "model_out": "model.json", "normalize": "none", "t": 4},
         ["blobs.csv", "links.txt"], ["labels.csv", "model.json", "kernel.csv"],
     ),
     "select": (
@@ -697,6 +703,17 @@ def test_every_command_writes_its_manifest(manifest_session, command):
     assert [(rec["t"], rec["gamma"], rec["eta"]) for rec in timings] == grid
     assert all(set(rec) == {"t", "gamma", "eta", "seconds"} for rec in timings)
     assert all(rec["seconds"] >= 0 for rec in timings)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_select_refuses_a_worker_count_below_1(workdir, blobs_csv, capsys, jobs):
+    path, _ = blobs_csv
+    capsys.readouterr()
+    assert main(["select", "--input", str(path), "--format", "labeled-csv", "--classes", "2",
+                 "--jobs", jobs]) == 2
+    assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
+    assert not (workdir / "candidates.csv").exists()
+    assert not (workdir / "select.manifest.json").exists()
 
 
 def test_refused_run_writes_no_manifest(workdir, capsys):
@@ -805,13 +822,12 @@ def test_overflowing_distances_exit_2_naming_normalize(workdir):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-@pytest.mark.parametrize("command", [["select"], ["cluster", "--auto"]], ids=["select", "auto"])
-def test_grid_search_refuses_overflowing_features_once(workdir, command, jobs):
+def test_grid_search_refuses_overflowing_features_once(workdir, jobs):
     """The overflow refusal ends the search with exit 2, not one error per candidate."""
     x = make_blobs(20, 2, 2, 3.0, seed=0).features
     write_features_csv(workdir / "huge.csv", x * 1e155)
     proc = run_cli(
-        [*command, "--input", "huge.csv", "--classes", "2", "--t-grid", "3,4",
+        ["select", "--input", "huge.csv", "--classes", "2", "--t-grid", "3,4",
          "--gamma-grid", "0", "--eta-grid", "0", "--jobs", jobs],
         workdir,
     )
@@ -823,7 +839,7 @@ def test_grid_search_refuses_overflowing_features_once(workdir, command, jobs):
 @pytest.mark.parametrize(
     "command",
     [["cluster", "--t", "3"],
-     ["select", "--t-grid", "3", "--gamma-grid", "0,1", "--eta-grid", "0"]],
+     ["select", "--t-grid", "3", "--gamma-grid", "0,1", "--eta-grid", "0", "--jobs", "1"]],
     ids=["cluster", "select"],
 )
 def test_overflow_inside_the_tree_exits_2_naming_normalize(workdir, command):
@@ -831,7 +847,7 @@ def test_overflow_inside_the_tree_exits_2_naming_normalize(workdir, command):
     ds = make_blobs(10, 2, 2, 3.0, seed=0)
     far = ds.features + np.where(ds.labels == 1, 1e154, -1e154)[:, None]
     write_features_csv(workdir / "far.csv", far)
-    proc = run_cli([*command, "--input", "far.csv", "--classes", "2", "--jobs", "1"], workdir)
+    proc = run_cli([*command, "--input", "far.csv", "--classes", "2"], workdir)
     assert proc.returncode == 2
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: squared distances")
     assert "--normalize minmax-symmetric" in proc.stderr
@@ -1041,6 +1057,10 @@ class TestRefusalsInProcess:
           "link count must be finite and non-negative, got None"),
          ({"dataset": {"path": "blobs.csv"}, "link_counts": [[1]], "runs": 1},
           "link count must be finite and non-negative, got [1]"),
+         ({"dataset": {"path": "blobs.csv"}, "link_counts": [0], "runs": 1, "theta": {"t": 3},
+           "jobs": 0}, "jobs must be >= 1, got 0"),
+         ({"dataset": {"path": "blobs.csv"}, "link_counts": [0], "runs": 1, "theta": {"t": 3},
+           "method": {"a": [1, None]}}, "config field 'method' must be a JSON string, got dict"),
          *(({"dataset": {"generator": "blobs", "n_per_class": 5, "classes": 2,
                          "separation": separation}, "link_counts": [0], "runs": 1},
             f"separation must be finite and non-negative, got {separation!r}")
@@ -1048,7 +1068,8 @@ class TestRefusalsInProcess:
         ids=["no-dataset", "unknown-generator", "classes-disagree", "no-runs", "no-link-counts",
              "list", "lsmi-list", "theta-number", "theta-without-t", "blobs-without-n-per-class",
              "link-counts-number", "grid-number", "grids-list", "path-number", "link-count-null",
-             "link-count-list", "separation-list", "separation-null", "separation-string"],
+             "link-count-list", "jobs-0", "method-object", "separation-list", "separation-null",
+             "separation-string"],
     )
     def test_bench_config(self, workdir, blobs_csv, capsys, config, message):
         (workdir / "config.json").write_text(json.dumps(config))

@@ -280,6 +280,15 @@ class TestGridSearch:
         with pytest.raises(ValueError, match="^kappa and delta grids must be nonempty$"):
             LsmiConfig(kappa_grid=())
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_worker_count_below_1_is_refused_before_clustering(self, monkeypatch, jobs):
+        from smiclust import solver
+
+        monkeypatch.setattr(solver, "cluster", lambda *a, **kw: pytest.fail("clustered"))
+        ds = make_blobs(10, 2, 2, 5.0, seed=6)
+        with pytest.raises(ValueError, match=f"^jobs must be >= 1, got {jobs}$"):
+            grid_search(ds, empty_constraints(20), 2, t_grid=(3,), jobs=jobs)
+
     def test_lsmi_config_counts_are_whole_numbers(self):
         """folds = 3.9 is refused, not truncated or carried into the fold split; 3.0 reads as 3."""
         with pytest.raises(ValueError, match=r"^folds must be a whole number, got 3\.9$"):
