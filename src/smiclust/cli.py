@@ -56,6 +56,13 @@ class UserInputError(ValueError):
     """A bad user-supplied value."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a command line by raising :class:`UserInputError`, for :func:`main` to report."""
+
+    def error(self, message):
+        raise UserInputError(message)
+
+
 # Appended to a FeatureScaleError's message, which ends "; rescale the features".
 _SCALE_HINTS = {
     "cluster": " (cluster and select take --normalize minmax-symmetric)",
@@ -211,7 +218,7 @@ def cmd_bench(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="smiclust",
         description="Information-maximization clustering with pairwise link constraints",
     )

@@ -7,7 +7,7 @@ Must-links overwrite entries with 1, cannot-links with 0.
 
 The kernel is built sparse and held as canonical CSR (sorted indices, no
 duplicates, no explicit zeros); no n x n array is formed.  One neighbour rule
-(:func:`_tree_nearest`) and one entry rule (:func:`_kernel_csr`) serve both
+(:func:`_tree_nearest`) and one entry rule (:func:`_kernel_entries`) serve both
 the training kernel built here and the query kernel that labels new points in
 :mod:`smiclust.solver`: a training point's t neighbours are its t + 1 nearest
 points with itself dropped.  The neighbour rule queries a ``cKDTree`` for one
@@ -21,10 +21,11 @@ distance, then index.  Tied rows with equal coordinates and radius share one
 ball, so d copies of a point cost one d-point ball, not d of them.  The entry
 rule evaluates the exponential only on kept pairs.
 
-Entries are addressed by int64 keys ``row * columns + column``, whose sorted
-order is CSR order.  Key sets (neighbour pairs, the diagonal, the query radius
-pairs, links) are merged by :func:`_union_keys`, one sort that drops adjacent
-repeats, and each value is written at its key's ``searchsorted`` position.
+scipy places every entry: a boolean COO to CSR conversion (:func:`_pattern`)
+marks the pairs a matrix holds, a repeated pair once, and the entry rule fills
+them.  K is the maximum of its diagonal and neighbour entries and their
+transpose; the link edit is ``K - K o (M + C) + M``.  Sparse ``maximum``,
+``multiply``, ``-`` and ``+`` pass each value on bit for bit.
 """
 
 from __future__ import annotations
@@ -203,58 +204,34 @@ def _tree_nearest(points: np.ndarray, queries: np.ndarray, t: int):
     return neighbors, kth
 
 
-def _kernel_csr(keys: np.ndarray, a: np.ndarray, a_sigma, b: np.ndarray, b_sigma):
-    """Canonical CSR of the kernel between ``a`` (rows) and ``b`` at keys ``row * len(b) + col``.
+def _pattern(rows: np.ndarray, cols: np.ndarray, shape) -> sparse.csr_matrix:
+    """Boolean canonical CSR marking every ``(rows[k], cols[k])``; a repeat marks one entry."""
+    return sparse.csr_matrix((np.ones(rows.size, dtype=bool), (rows, cols)), shape=shape)
+
+
+def _kernel_entries(pattern: sparse.csr_matrix, a: np.ndarray, a_sigma, b: np.ndarray, b_sigma):
+    """Canonical CSR of the kernel between ``a`` (rows) and ``b`` at the entries ``pattern`` marks.
 
     Each entry is ``exp(-d^2 / (2 a_sigma[row] b_sigma[col]))``, or 1 where the
     distance ``d`` is 0; a zero scale at a positive distance divides to
-    ``-inf`` and so gives 0, which is left out.
+    ``-inf`` and so gives 0, which is left out.  The result takes over, and
+    prunes, ``pattern``'s index arrays.
     """
-    rows, cols = np.divmod(keys, b.shape[0])
-    dist = _pair_distances(a, rows, b, cols)
+    rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
+    dist = _pair_distances(a, rows, b, pattern.indices)
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.exp(-(dist**2) / (2.0 * (a_sigma[rows] * b_sigma[cols])))
+        values = np.exp(-(dist**2) / (2.0 * (a_sigma[rows] * b_sigma[pattern.indices])))
     values[dist == 0] = 1.0
-    return _pairs_csr(keys, values, (a.shape[0], b.shape[0]))
-
-
-def _pairs_csr(keys: np.ndarray, values: np.ndarray, shape) -> sparse.csr_matrix:
-    """Canonical CSR holding ``values`` at the sorted unique ``row * shape[1] + col`` keys.
-
-    Zero values are left out.
-    """
-    keep = values != 0
-    rows, cols = np.divmod(keys[keep], shape[1])
-    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    return sparse.csr_matrix((values[keep], cols, indptr), shape=shape)
-
-
-def _union_keys(*parts: np.ndarray) -> np.ndarray:
-    """Sorted unique keys of all ``parts``, as ``np.union1d`` gives them.
-
-    One sort and a drop of adjacent repeats; ``np.union1d``, a hash table in
-    numpy 2, is several times slower on these int64 keys.
-    """
-    keys = np.sort(np.concatenate(parts))
-    new = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    return keys[new]
-
-
-def _pair_keys(pairs: np.ndarray, n: int) -> np.ndarray:
-    """Keys ``i * n + j`` of both orientations of every row ``(i, j)`` of an int64 array."""
-    i, j = pairs.T
-    return np.concatenate([i * n + j, j * n + i])
+    kernel = sparse.csr_matrix((values, pattern.indices, pattern.indptr), shape=pattern.shape)
+    kernel.eliminate_zeros()
+    return kernel
 
 
 def _link_matrix(pairs: np.ndarray, n: int, diagonal: float) -> sparse.csr_matrix:
-    """Symmetric sparse 0/1 matrix marking ``pairs``, plus ``diagonal`` on the diagonal."""
-    diag = np.arange(n, dtype=np.int64) * (n + 1)
-    keys = _union_keys(_pair_keys(pairs, n), diag)
-    values = np.ones(keys.size)
-    values[np.searchsorted(keys, diag)] = diagonal
-    return _pairs_csr(keys, values, (n, n))
+    """Symmetric float 0/1 CSR marking ``pairs``, and the diagonal if ``diagonal`` is 1."""
+    i, j = pairs.T
+    diag = np.arange(n if diagonal else 0)
+    return _pattern(np.r_[i, j, diag], np.r_[j, i, diag], (n, n)).astype(float)
 
 
 def nearest_neighbors(features, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -293,9 +270,11 @@ def local_scaling_kernel(features, t: int) -> KernelMatrix:
     x = np.asarray(features, dtype=float)
     neighbors, sigma = nearest_neighbors(x, t)
     n = x.shape[0]
-    pairs = np.column_stack([np.repeat(np.arange(n), t), neighbors.ravel()])
-    keys = _union_keys(_pair_keys(pairs, n), np.arange(n) * (n + 1))
-    return KernelMatrix(_kernel_csr(keys, x, sigma, x, sigma), t=t, sigma=sigma)
+    # Row i holds i itself and its t neighbours.  An entry and its mirror are the
+    # same bits, so the maximum with the transpose adds each missing mirror exactly.
+    half = _pattern(np.repeat(np.arange(n), t + 1), np.c_[np.arange(n), neighbors].ravel(), (n, n))
+    half = _kernel_entries(half, x, sigma, x, sigma)
+    return KernelMatrix(half.maximum(half.T), t=t, sigma=sigma)
 
 
 def query_kernel(features, sigma, t: int, queries) -> sparse.csr_matrix:
@@ -311,10 +290,11 @@ def query_kernel(features, sigma, t: int, queries) -> sparse.csr_matrix:
     nearest, query_sigma = _tree_nearest(features, queries, t)
     cols, rows = _ball_pairs(cKDTree(queries), features, _widened(sigma))
     inside = _pair_distances(queries, rows, features, cols) <= sigma[cols]
-    near = np.repeat(np.arange(m, dtype=np.int64), t) * n + nearest.ravel()
-    keys = _union_keys(near, rows[inside].astype(np.int64) * n + cols[inside])
-    del rows, cols  # the ball pairs would otherwise stay alive while the entries are built
-    return _kernel_csr(keys, queries, query_sigma, features, sigma)
+    rows = np.concatenate([np.repeat(np.arange(m), t), rows[inside]])
+    cols = np.concatenate([nearest.ravel(), cols[inside]])
+    pattern = _pattern(rows, cols, (m, n))
+    del rows, cols  # the pairs would otherwise stay alive while the entries are built
+    return _kernel_entries(pattern, queries, query_sigma, features, sigma)
 
 
 def apply_constraints(kernel: KernelMatrix, cs: ConstraintSet) -> KernelMatrix:
@@ -322,14 +302,7 @@ def apply_constraints(kernel: KernelMatrix, cs: ConstraintSet) -> KernelMatrix:
     if cs.n != kernel.n:
         raise ValueError(f"constraint set is over n={cs.n} samples, kernel over n={kernel.n}")
     n, csr = kernel.n, kernel.csr
-    present = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr)) * n + csr.indices
-    must, cannot = _pair_keys(cs.must_links, n), _pair_keys(cs.cannot_links, n)
-    # Every key sits in the union, so each write finds its place by a search;
-    # the cannot-links' zeros are then left out of the CSR.
-    keys = _union_keys(present, must, cannot)
-    values = np.empty(keys.shape[0])
-    values[np.searchsorted(keys, present)] = csr.data
-    values[np.searchsorted(keys, must)] = 1.0
-    values[np.searchsorted(keys, cannot)] = 0.0
-    edited = _pairs_csr(keys, values, (n, n))
+    must, cannot = _link_matrix(cs.must_links, n, 0.0), _link_matrix(cs.cannot_links, n, 0.0)
+    # K - K o (M + C) is exactly 0 on every link and K elsewhere; + M then sets the must-links.
+    edited = csr - csr.multiply(must + cannot) + must
     return KernelMatrix(edited, kernel.t, sigma=kernel.sigma)

@@ -138,6 +138,12 @@ def cannot_link_matrix(cs) -> np.ndarray:
     return m
 
 
+def inner_matrix(cs, gamma: float, eta: float) -> np.ndarray:
+    """The dense ``B = 2I + 2g M + g^2 M^2 - 2e C + e^2 C^2`` of the objective matrix."""
+    m, c = must_link_matrix(cs), cannot_link_matrix(cs)
+    return 2 * np.eye(cs.n) + 2 * gamma * m + gamma**2 * (m @ m) - 2 * eta * c + eta**2 * (c @ c)
+
+
 def constraint_pairs(must_links, cannot_links, n: int):
     """Link lists checked and ordered one pair at a time, as ``(must, cannot)`` tuples.
 

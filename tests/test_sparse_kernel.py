@@ -21,7 +21,7 @@ from scipy.spatial.distance import cdist
 import oracles
 import smiclust
 from smiclust import kernel, solver
-from smiclust.data import ConstraintSet, make_blobs
+from smiclust.data import ConstraintSet, load_constraints, make_blobs
 from smiclust.kernel import apply_constraints, local_scaling_kernel, nearest_neighbors
 from smiclust.solver import ClusterModel, _query_kernel
 
@@ -182,28 +182,60 @@ def test_identical_rows_share_one_ball(monkeypatch):
     assert distances_computed(monkeypatch, x, 5) <= 50 * x.shape[0]
 
 
-class TestSortedKeys:
-    """The sort-and-search key path against the hash-based set calls it replaced."""
+def assert_canonical(matrix):
+    """Sorted indices, no repeated entry and no stored zero, read from the arrays themselves."""
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    assert np.all(np.diff(matrix.indices)[rows[1:] == rows[:-1]] > 0)
+    assert np.all(matrix.data != 0)
 
-    @settings(deadline=None, max_examples=200)
+
+class TestScipyAssembly:
+    """The invariants the sparse algebra that assembles K, K', B and the query kernel relies on."""
+
+    @settings(deadline=None, max_examples=150)
     @given(
-        parts=st.lists(
-            st.lists(st.integers(0, 60), max_size=30).map(lambda v: np.array(v, dtype=np.int64)),
-            min_size=1, max_size=4,
-        )
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 40),
+        d=st.sampled_from([1, 2, 3]),
+        decimals=st.sampled_from([0, 1]),
+        t=st.integers(1, 6),
     )
-    def test_union_and_membership_equal_union1d_and_isin(self, parts):
-        keys = kernel._union_keys(*parts)
-        want = np.array([], dtype=np.int64)
-        for part in parts:
-            want = np.union1d(want, part)
-        assert keys.dtype == want.dtype and keys.tobytes() == want.tobytes()
-        for part in parts:
-            at = np.searchsorted(keys, part)
-            member = np.zeros(keys.size, dtype=bool)
-            member[at] = True
-            assert np.array_equal(keys[at], part)
-            assert np.array_equal(member, np.isin(keys, part))
+    @example(seed=0, n=12, d=1, decimals=0, t=6)
+    def test_kernel_is_its_own_transpose_and_every_matrix_canonical(self, seed, n, d, decimals, t):
+        # Rounded points with repeated rows: ties at the cut and zero scales.
+        rng = np.random.default_rng(seed)
+        x = tie_heavy(rng, n, d, decimals)
+        t = min(t, n - 1)
+        k = local_scaling_kernel(x, t)
+        mirror = k.csr.T.tocsr()
+        for name in ("data", "indices", "indptr"):
+            assert getattr(k.csr, name).tobytes() == getattr(mirror, name).tobytes(), name
+        edited = apply_constraints(k, random_links(rng, n))
+        queries = np.vstack([x[rng.integers(0, n, 3)], tie_heavy(rng, 8, d, decimals)])
+        for matrix in (k.csr, edited.csr, kernel.query_kernel(x, k.sigma, t, queries)):
+            assert_canonical(matrix)
+
+    def test_a_repeated_link_line_gives_the_bytes_of_one(self, tmp_path):
+        x = make_blobs(15, 2, 2, 3.0, seed=0).features
+        once, twice = tmp_path / "once.txt", tmp_path / "twice.txt"
+        once.write_text("1 2 +1\n3 20 -1\n4 25 +1\n")
+        twice.write_text("1 2 +1\n3 20 -1\n1 2 +1\n4 25 +1\n3 20 -1\n")
+        k = local_scaling_kernel(x, 4)
+        built = []
+        for path in (once, twice):
+            cs = load_constraints(path, 30)
+            edited = apply_constraints(k, cs)
+            built.append((edited.csr, solver.objective_matrix(edited, cs, 1.0, 1.0, 2).inner))
+        for got, want in zip(built[1], built[0]):
+            for name in ("data", "indices", "indptr"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_two_cannot_links_on_one_vertex_count_twice_in_c_squared(self):
+        # Vertex 0 is cannot-linked to 2 and 3, so (C @ C)[0, 0] is 2.
+        cs = ConstraintSet([(0, 1), (3, 4)], [(0, 2), (0, 3)], 6)
+        inner = solver.objective_matrix(kernel.KernelMatrix(np.eye(6), t=1), cs, 0.5, 1.5, 2).inner
+        assert inner.dtype == np.float64
+        assert np.array_equal(inner.toarray(), oracles.inner_matrix(cs, 0.5, 1.5))
 
     @settings(deadline=None, max_examples=200)
     @given(
