@@ -153,14 +153,14 @@ def _ball_pairs(tree: cKDTree, centers: np.ndarray, radii: np.ndarray):
     return np.repeat(np.arange(len(balls)), counts), points
 
 
-def _tree_nearest(points: np.ndarray, queries: np.ndarray, t: int):
+def _tree_nearest(points: np.ndarray, queries: np.ndarray, t: int, tree: cKDTree | None = None):
     """The t nearest points of every query by (distance, index) and the t-th distance.
 
-    ``t`` is at most the number of points.
+    ``t`` is at most the number of points; ``tree``, if given, is ``cKDTree(points)``.
     """
     n, m = points.shape[0], queries.shape[0]
     k = min(t + 1, n)
-    tree = cKDTree(points)
+    tree = cKDTree(points) if tree is None else tree
     cand = tree.query(queries, k=k)[1].reshape(m, k)
     if (cand == n).any():  # the tree reports no point where a squared distance overflows
         raise FeatureScaleError(_OVERFLOW)
@@ -277,18 +277,30 @@ def local_scaling_kernel(features, t: int) -> KernelMatrix:
     return KernelMatrix(half.maximum(half.T), t=t, sigma=sigma)
 
 
-def query_kernel(features, sigma, t: int, queries) -> sparse.csr_matrix:
+def query_kernel(features, sigma, t: int, queries, tree: cKDTree | None = None):
     """The unmodified kernel between ``queries`` (rows) and training ``features``, as CSR.
 
     A query's scale is the distance to its t-th nearest training point; a
     training point j participates when it is among the query's t nearest or
     the query lies within ``sigma[j]``, that point's own neighborhood radius.
     The points within each radius come from a ball query on a tree over the
-    queries, kept only where the exact distance is within the radius.
+    queries, kept only where the exact distance is within the radius.  Only
+    the training points whose widened radius reaches the queries' bounding
+    box ``[lo, hi]`` are ball-queried: ``max(lo - x_j, x_j - hi) <= r_j`` in
+    every coordinate.  No query within the radius lies farther along any
+    coordinate, and each gap is rounded once, relative to itself, so no pair
+    is lost, however far the points lie from the origin.  Callers that score
+    queries in blocks keep each block compact (:func:`smiclust.solver.predict`
+    sorts them) so that a training point reaches few blocks.  ``tree``, if
+    given, is ``cKDTree(features)`` and is not built again.
     """
     m, n = queries.shape[0], features.shape[0]
-    nearest, query_sigma = _tree_nearest(features, queries, t)
-    cols, rows = _ball_pairs(cKDTree(queries), features, _widened(sigma))
+    nearest, query_sigma = _tree_nearest(features, queries, t, tree)
+    radii = _widened(sigma)
+    lo, hi = queries.min(axis=0, initial=np.inf), queries.max(axis=0, initial=-np.inf)
+    reach = np.flatnonzero((np.maximum(lo - features, features - hi) <= radii[:, None]).all(axis=1))
+    cols, rows = _ball_pairs(cKDTree(queries), features[reach], radii[reach])
+    cols = reach[cols]
     inside = _pair_distances(queries, rows, features, cols) <= sigma[cols]
     rows = np.concatenate([np.repeat(np.arange(m), t), rows[inside]])
     cols = np.concatenate([nearest.ravel(), cols[inside]])

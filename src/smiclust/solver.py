@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.spatial import cKDTree
 
 from .data import ConstraintSet, Dataset, checked_json, empty_constraints, load_json, save_json
 from .kernel import KernelMatrix, apply_constraints, local_scaling_kernel, query_kernel
@@ -436,12 +437,13 @@ def cluster(
     return labels, model
 
 
-def _query_kernel(model: ClusterModel, x: np.ndarray) -> sparse.csr_matrix:
+def _query_kernel(model: ClusterModel, x: np.ndarray, tree: cKDTree | None = None):
     """The unmodified kernel rows of queries ``x`` against the model's training set, as CSR.
 
-    See :func:`smiclust.kernel.query_kernel` for the rule.
+    See :func:`smiclust.kernel.query_kernel` for the rule; ``tree``, if given,
+    is the k-d tree over the training features.
     """
-    return query_kernel(model.train_features, model.train_sigma, model.t, x)
+    return query_kernel(model.train_features, model.train_sigma, model.t, x, tree)
 
 
 def predict(model: ClusterModel, x) -> int | np.ndarray:
@@ -452,18 +454,22 @@ def predict(model: ClusterModel, x) -> int | np.ndarray:
     label).  Refuses to predict when any retained eigenvalue is non-positive
     up to the tie tolerance, since the score normalization is then meaningless.
 
-    The queries are scored in consecutive blocks of ``max(_QUERY_BLOCK, n)``
-    rows, so the query kernel of a large batch is never held whole: peak
-    memory follows the model, not the batch.  The floor of n amortizes each
-    block's work on the training side (one k-d tree over the n points and n
-    ball queries), so a batch no larger than the training set is one block.
-    A query's kernel row depends only on that query and the training set, so
-    the labels do not depend on the blocks.  Neither do the refusals, with one
-    exception: the k-d tree refuses a ball query when the bounding box of the
-    queries lies about 1.3e154 from a training point, even when every real
-    distance is finite.  A block's box lies inside the batch's, so blocks add
-    no refusal, and far queries that land in different blocks may pass where
-    one batch holding them all would be refused.
+    The queries are sorted once (stably) along the coordinate they spread
+    widest, scored in consecutive runs of that order of ``max(_QUERY_BLOCK, n)``
+    rows, and their labels put back in input order.  So the query kernel of a
+    large batch is never held whole (peak memory follows the model, not the
+    batch), and each block covers a narrow slab: a training point is
+    ball-queried only by the blocks its radius reaches, about one.  The floor
+    of n amortizes each block's remaining training-side work; the k-d tree
+    over the training points is built once per call.  A query's kernel row
+    depends only on that query and the training set, so the labels depend
+    neither on the blocks nor on the order of the batch.  Neither do the
+    refusals, with one exception: the k-d tree refuses a ball query when a
+    block's bounding box lies about 1.3e154 from a training point whose radius
+    reaches that box, even when every real distance is finite.  A block's box
+    lies inside the batch's, so blocks add no refusal, and far queries that
+    sort into different blocks may pass where one block holding them all
+    would be refused.
     """
     if np.any(model.lam <= _tie_tolerance(model.lam)):
         raise PredictionError(
@@ -473,6 +479,7 @@ def predict(model: ClusterModel, x) -> int | np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2):
         raise ValueError(f"queries must be one point or a 2-d array of points, got shape {x.shape}")
+    _check_entries("queries", x, np.isfinite(x), "finite")
     single = x.ndim == 1
     if single:
         x = x[None, :]
@@ -485,9 +492,12 @@ def predict(model: ClusterModel, x) -> int | np.ndarray:
     positive = denom > 0
     labels = np.empty(x.shape[0], dtype=np.intp)
     step = max(_QUERY_BLOCK, model.phi.shape[0])
+    widest = np.argmax(np.ptp(x, axis=0)) if len(x) else 0
+    order = np.argsort(x[:, widest], kind="stable")
+    tree = cKDTree(model.train_features)
     for start in range(0, x.shape[0], step):
-        block = slice(start, start + step)
-        numer = np.maximum(_query_kernel(model, x[block]) @ model.phi, 0.0)
+        block = order[start:start + step]
+        numer = np.maximum(_query_kernel(model, x[block], tree) @ model.phi, 0.0)
         scores = np.where(positive, numer / np.where(positive, denom, 1.0), -np.inf)
         labels[block] = np.argmax(scores, axis=1) + 1
     return int(labels[0]) if single else labels

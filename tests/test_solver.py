@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from oracles import (
     Dense,
@@ -828,6 +829,37 @@ class TestQueryKernel:
         assert np.array_equal(got != 0, want != 0)
         assert np.allclose(got, want, rtol=1e-13, atol=0)
 
+    @settings(deadline=None, max_examples=100)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 16),
+        d=st.sampled_from([1, 2, 3]),
+        t_frac=st.floats(0, 1),
+        offset=st.sampled_from([1e6, 1e12]),
+        scale=st.sampled_from([1e-3, 1e-2, 1.0]),
+        copies=st.integers(0, 8),
+        fresh=st.integers(0, 8),
+    )
+    def test_matches_oracle_far_from_the_origin(self, seed, n, d, t_frac, offset, scale, copies,
+                                                fresh):
+        """Points within ``scale`` of a large offset: coordinates sit on the offset's coarse
+        float grid, so distances tie and radii end exactly on queries at the edge of a
+        block's bounding box.  Scored in blocks of 1, 2, 3 or all queries, the box test
+        that picks the training points to ball-query must keep every pair the oracle keeps."""
+        rng = np.random.default_rng(seed)
+        train = offset + scale * rng.standard_normal((n, d))
+        queries = np.vstack([train[rng.integers(0, n, copies)],
+                             offset + scale * rng.standard_normal((fresh, d))])
+        t = 1 + int(t_frac * (n - 2))
+        model = self._model(train, t, seed=seed)
+        want = query_kernel_oracle(train, model.train_sigma, t, queries)
+        for block in (1, 2, 3, max(len(queries), 1)):
+            got = np.vstack([np.zeros((0, n)), *(
+                _query_kernel(model, queries[i:i + block]).toarray()
+                for i in range(0, len(queries), block))])
+            assert np.array_equal(got != 0, want != 0)
+            assert np.allclose(got, want, rtol=1e-13, atol=0)
+
 
 class TestPredict:
     def _model(self, seed=1):
@@ -859,6 +891,17 @@ class TestPredict:
         monkeypatch.setattr(solver, "_query_kernel", None)  # refused before any kernel work
         with pytest.raises(ValueError, match=rf"^queries must be .*{re.escape(str(shape))}$"):
             predict(model, np.zeros(shape))
+
+    @pytest.mark.parametrize("bad, message", [
+        ([[np.nan, 0.0]], "got nan at index (0, 0)"),
+        ([[0.0, 1.0], [2.0, -np.inf]], "got -inf at index (1, 1)"),
+        ([1.0, np.inf], "got inf at index 1"),
+    ])
+    def test_non_finite_query_refused(self, monkeypatch, bad, message):
+        _, _, model = self._model()
+        monkeypatch.setattr(solver, "_query_kernel", None)  # refused before any kernel work
+        with pytest.raises(ValueError, match=rf"^queries must be finite, {re.escape(message)}$"):
+            predict(model, bad)
 
     def test_non_positive_eigenvalue_refused(self):
         rng = np.random.default_rng(10)
@@ -932,6 +975,33 @@ class TestPredictBlocks:
         assert got.dtype == whole.dtype == np.intp
         assert got.tobytes() == whole.tobytes()
 
+    @settings(deadline=None, max_examples=100)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_per_class=st.integers(1, 8),
+        d=st.sampled_from([1, 2, 3]),
+        t_frac=st.floats(0, 1),
+        copies=st.integers(0, 30),
+        fresh=st.integers(0, 30),
+        block=st.sampled_from([1, 2, 7, None]),
+    )
+    def test_labels_follow_a_permutation_of_the_batch(self, seed, n_per_class, d, t_frac, copies,
+                                                      fresh, block):
+        """Queries rounded to 0.1, so coordinates and distances tie, many of them copies of
+        training points: permuting the batch permutes the labels, bytes and dtype, whatever
+        the sorted order puts in each block."""
+        rng = np.random.default_rng(seed)
+        train = np.round(make_blobs(n_per_class, 2, d, 3.0, seed=seed % 2**31).features, 1)
+        queries = np.round(np.vstack([train[rng.integers(0, len(train), copies)],
+                                      rng.normal(0.0, 2.0, (fresh, d))]), 1)
+        model = self._model(train, 1 + int(t_frac * (len(train) - 2)), seed=seed)
+        block = len(queries) + 1 if block is None else block
+        perm = rng.permutation(len(queries))
+        want = self._predict(model, queries, block)[perm]
+        got = self._predict(model, queries[perm], block)
+        assert got.dtype == want.dtype == np.intp
+        assert got.tobytes() == want.tobytes()
+
     def test_single_query_is_an_int(self):
         ds = make_blobs(20, 2, 2, 8.0, seed=1)
         labels, model = cluster(ds, None, 4, 0.0, 0.0, 2)
@@ -950,21 +1020,30 @@ class TestPredictBlocks:
          (7, 10, 45, 3), (7, 10, 20, 1), (2, 2, 9, 3), (1, 1, 5, 3)],
     )
     def test_query_kernel_runs_once_per_block(self, block, n_per_class, m, calls):
-        """ceil(m / max(floor, n)) blocks: the floor n keeps a batch up to n in one block."""
+        """ceil(m / max(floor, n)) blocks: the floor n keeps a batch up to n in one block.
+        Every block reuses the one training tree that ``predict`` builds per call."""
         ds = make_blobs(n_per_class, 2, 2, 8.0, seed=1)
         model = self._model(ds.features, 1)
         queries = np.random.default_rng(2).normal(0.0, 4.0, (m, 2))
         block = solver._QUERY_BLOCK if block is None else block
         assert calls == -(-m // max(block, 2 * n_per_class))
-        sizes = []
+        sizes, passed, built = [], [], []
 
-        def counted(model, x):
+        def counted(model, x, tree):
             sizes.append(len(x))
-            return _query_kernel(model, x)
+            passed.append(tree)
+            return _query_kernel(model, x, tree)
 
-        with mock.patch.object(solver, "_query_kernel", counted):
+        def training_tree(points):
+            built.append((points, cKDTree(points)))
+            return built[-1][1]
+
+        with mock.patch.object(solver, "_query_kernel", counted), \
+                mock.patch.object(solver, "cKDTree", training_tree):
             got = self._predict(model, queries, block)
         assert len(sizes) == calls and sum(sizes) == m
+        assert len(built) == 1 and built[0][0] is model.train_features
+        assert all(tree is built[0][1] for tree in passed)
         assert got.tobytes() == self._predict(model, queries, m + 1).tobytes()
 
     def test_ball_query_overflow_still_refuses(self):
