@@ -24,8 +24,10 @@ rule evaluates the exponential only on kept pairs.
 scipy places every entry: a boolean COO to CSR conversion (:func:`_pattern`)
 marks the pairs a matrix holds, a repeated pair once, and the entry rule fills
 them.  K is the maximum of its diagonal and neighbour entries and their
-transpose; the link edit is ``K - K o (M + C) + M``.  Sparse ``maximum``,
-``multiply``, ``-`` and ``+`` pass each value on bit for bit.
+transpose.  :func:`apply_constraints` builds the link matrices M and C, the
+only place that does, edits K to ``K - K o (M + C) + M`` and hands M and C on
+with it.  Sparse ``maximum``, ``multiply``, ``-`` and ``+`` pass each value on
+bit for bit.
 """
 
 from __future__ import annotations
@@ -91,22 +93,29 @@ def check_hyperparameters(n: int, c, ts=(), gammas=(), etas=()) -> tuple[int | N
 class KernelMatrix:
     """Symmetric similarity matrix with entries in [0, 1] and unit diagonal, held as CSR.
 
-    ``csr`` may be passed as a dense array or any sparse matrix; it is stored
-    as a canonical CSR copy, the form ``sparse.csr_matrix`` gives a dense
-    array.  ``sigma`` holds the local scales the entries were built with,
-    when known.  It is data, not an eigensolver operator: the solver reaches
-    it only through :func:`smiclust.solver.objective_matrix`.
+    A canonical float CSR ``csr`` (sorted, no duplicates, no stored zero) is
+    kept, not copied; a dense array or any other matrix is stored as such a
+    copy.  ``sigma`` holds the local scales the entries were built with, when
+    known; ``must`` and ``cannot`` the link matrices M and C that
+    :func:`apply_constraints` edited them with, or None.  It is data, not an
+    eigensolver operator: the solver reaches it only through
+    :func:`smiclust.solver.objective_matrix`.
     """
 
     csr: sparse.csr_matrix
     t: int
     sigma: np.ndarray | None = None
+    must: sparse.csr_matrix | None = None
+    cannot: sparse.csr_matrix | None = None
 
     def __post_init__(self):
-        matrix = sparse.csr_matrix(self.csr, dtype=float, copy=True)
-        matrix.sum_duplicates()
-        matrix.eliminate_zeros()
-        object.__setattr__(self, "csr", matrix)
+        matrix = self.csr
+        if not (isinstance(matrix, sparse.csr_matrix) and matrix.dtype == float
+                and matrix.has_canonical_format and matrix.data.all()):
+            matrix = sparse.csr_matrix(matrix, dtype=float, copy=True)
+            matrix.sum_duplicates()
+            matrix.eliminate_zeros()
+            object.__setattr__(self, "csr", matrix)
 
     @property
     def n(self) -> int:
@@ -227,11 +236,10 @@ def _kernel_entries(pattern: sparse.csr_matrix, a: np.ndarray, a_sigma, b: np.nd
     return kernel
 
 
-def _link_matrix(pairs: np.ndarray, n: int, diagonal: float) -> sparse.csr_matrix:
-    """Symmetric float 0/1 CSR marking ``pairs``, and the diagonal if ``diagonal`` is 1."""
+def _link_matrix(pairs: np.ndarray, n: int) -> sparse.csr_matrix:
+    """Symmetric float 0/1 CSR marking ``pairs`` and their mirrors; the diagonal is 0."""
     i, j = pairs.T
-    diag = np.arange(n if diagonal else 0)
-    return _pattern(np.r_[i, j, diag], np.r_[j, i, diag], (n, n)).astype(float)
+    return _pattern(np.r_[i, j], np.r_[j, i], (n, n)).astype(float)
 
 
 def nearest_neighbors(features, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -310,11 +318,11 @@ def query_kernel(features, sigma, t: int, queries, tree: cKDTree | None = None):
 
 
 def apply_constraints(kernel: KernelMatrix, cs: ConstraintSet) -> KernelMatrix:
-    """Overwrite similarities for linked pairs: must-links to 1, cannot-links to 0."""
+    """Overwrite similarities for linked pairs (must-links to 1, cannot-links to 0); keep M, C."""
     if cs.n != kernel.n:
         raise ValueError(f"constraint set is over n={cs.n} samples, kernel over n={kernel.n}")
     n, csr = kernel.n, kernel.csr
-    must, cannot = _link_matrix(cs.must_links, n, 0.0), _link_matrix(cs.cannot_links, n, 0.0)
+    must, cannot = _link_matrix(cs.must_links, n), _link_matrix(cs.cannot_links, n)
     # K - K o (M + C) is exactly 0 on every link and K elsewhere; + M then sets the must-links.
     edited = csr - csr.multiply(must + cannot) + must
-    return KernelMatrix(edited, kernel.t, sigma=kernel.sigma)
+    return KernelMatrix(edited, kernel.t, kernel.sigma, must, cannot)

@@ -21,13 +21,15 @@ point's t nearest plus one, their distances are recomputed exactly as
 to within a relative 1e-9 is settled on a ball query of the same tree at
 that distance, keeping the lower-index neighbours.  U is never formed
 either: :class:`ObjectiveMatrix` keeps K' and the fused inner matrix
-``B = 2I + 2g M + g^2 M^2 - 2e C + e^2 C^2`` as CSR and applies ``U v`` as
-three sparse products, and :func:`top_eigenpairs` takes the top c + 1 pairs
-(at most n - 1) from one ARPACK Lanczos call on that operator, deflating for
-more only on a tie, a graph in parts or c >= n - 1; the n-th pair is the
-orthogonal complement of the other n - 1.  ``B = (I + g M)^2 + (I - e C)^2``,
-so U is positive semi-definite; a c-th eigenvalue that is not above the
-rounding-noise floor means rank(U) < c and is refused.
+``B = 2I + 2g M + g^2 M^2 - 2e C + e^2 C^2`` as CSR, B formed from the M and
+C that :func:`smiclust.kernel.apply_constraints` built once and K' carries,
+and applies ``U v`` as three sparse products, and :func:`top_eigenpairs`
+takes the top c + 1 pairs (at most n - 1) from one ARPACK Lanczos call on
+that operator, deflating for more only on a tie, a graph in parts or
+c >= n - 1; the n-th pair is the orthogonal complement of the other n - 1.
+``B = (I + g M)^2 + (I - e C)^2``, so U is positive semi-definite; a c-th
+eigenvalue that is not above the rounding-noise floor means rank(U) < c and
+is refused.
 
 That solve runs to machine precision, but the labels need less.  On a
 connected graph with c + 1 <= n - 1, :func:`cluster` first stops ARPACK at a
@@ -49,8 +51,8 @@ from scipy import sparse
 from scipy.spatial import cKDTree
 
 from .data import ConstraintSet, Dataset, checked_json, empty_constraints, load_json, save_json
-from .kernel import KernelMatrix, apply_constraints, local_scaling_kernel, query_kernel
-from .kernel import _link_matrix, check_hyperparameters
+from .kernel import KernelMatrix, apply_constraints, check_hyperparameters, local_scaling_kernel
+from .kernel import query_kernel
 from .kernel import nearest_neighbors  # noqa: F401  re-exported; perfbench/tracer.py wraps it
 
 MODEL_SCHEMA = "smiclust-model-v1"
@@ -120,9 +122,10 @@ class ClusterModel:
             raise ValueError(f"lam (the eigenvalues) must have length {c}, got shape {lam.shape}")
         if not np.isfinite(lam).all():
             raise ValueError(f"lam (the eigenvalues) must be finite, got {lam.tolist()}")
-        if features.ndim != 2 or features.shape[0] != n:
+        if features.ndim != 2 or features.shape[0] != n or not features.shape[1]:
             raise ValueError(
-                f"train_features must be a matrix of {n} rows, got shape {features.shape}"
+                f"train_features must be a matrix of {n} rows and at least one column, "
+                f"got shape {features.shape}"
             )
         _check_entries("train_features", features, np.isfinite(features), "finite")
         if sigma.shape != (n,):
@@ -133,12 +136,9 @@ class ClusterModel:
             raise ValueError("phi columns must be orthonormal")
         descending = np.r_[True, np.diff(lam) <= 1e-10]
         _check_entries("lam (the eigenvalues)", lam, descending, "sorted in descending order")
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "train_features", features)
-        object.__setattr__(self, "train_sigma", sigma)
+        checked = dict(phi=phi, lam=lam, c=c, t=t, train_features=features, train_sigma=sigma)
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
 
 def _check_entries(name: str, values: np.ndarray, ok: np.ndarray, rule: str) -> None:
@@ -149,23 +149,20 @@ def _check_entries(name: str, values: np.ndarray, ok: np.ndarray, rule: str) -> 
         raise ValueError(f"{name} must be {rule}, got {float(values[k])!r} at index {at}")
 
 
-def objective_matrix(
-    kernel: KernelMatrix, cs: ConstraintSet, gamma: float, eta: float, c: int
-) -> ObjectiveMatrix:
+def objective_matrix(kernel: KernelMatrix, gamma: float, eta: float, c: int) -> ObjectiveMatrix:
     """U = K' B K' with ``B = 2I + 2g M + g^2 M^2 - 2e C + e^2 C^2``, as a matrix-free operator.
 
-    B is built once as canonical CSR; the cannot-link terms are left out when
-    ``eta`` is 0.  The arguments are held to :func:`check_hyperparameters`.
+    M is ``kernel.must + I`` and C is ``kernel.cannot``, as :func:`apply_constraints`
+    built them; a kernel it did not edit has M = I and no C.  B is built once as
+    canonical CSR; the cannot-link terms are left out when ``eta`` is 0.  The
+    arguments are held to :func:`check_hyperparameters`.
     """
     check_hyperparameters(kernel.n, c, (), [gamma], [eta])
-    if cs.n != kernel.n:
-        raise ValueError(f"constraint set n={cs.n} does not match kernel n={kernel.n}")
-    must = _link_matrix(cs.must_links, cs.n, 1.0)
-    inner = 2.0 * sparse.identity(cs.n, format="csr") + 2.0 * gamma * must
-    inner = inner + gamma**2 * (must @ must)
-    if eta != 0:
-        cannot = _link_matrix(cs.cannot_links, cs.n, 0.0)
-        inner = inner - 2.0 * eta * cannot + eta**2 * (cannot @ cannot)
+    eye = sparse.identity(kernel.n, format="csr")
+    must = eye if kernel.must is None else kernel.must + eye
+    inner = 2.0 * eye + 2.0 * gamma * must + gamma**2 * (must @ must)
+    if eta != 0 and kernel.cannot is not None:
+        inner = inner - 2.0 * eta * kernel.cannot + eta**2 * (kernel.cannot @ kernel.cannot)
     inner.sort_indices()
     return ObjectiveMatrix(kernel=kernel.csr, inner=inner)
 
@@ -416,7 +413,7 @@ def cluster(
     if cs is None:
         cs = empty_constraints(ds.n)
     edited = apply_constraints(local_scaling_kernel(ds.features, t), cs)
-    matrix = objective_matrix(edited, cs, gamma, eta, c)
+    matrix = objective_matrix(edited, gamma, eta, c)
     certified = _certified_labels(matrix, c)
     if certified is None:
         lam, phi = top_eigenpairs(matrix, c)
@@ -425,14 +422,8 @@ def cluster(
     else:
         labels, lam, phi_tilde = certified
     model = ClusterModel(
-        phi=phi_tilde,
-        lam=lam,
-        c=c,
-        t=edited.t,
-        gamma=float(gamma),
-        eta=float(eta),
-        train_features=ds.features,
-        train_sigma=edited.sigma,
+        phi=phi_tilde, lam=lam, c=c, t=edited.t, gamma=float(gamma), eta=float(eta),
+        train_features=ds.features, train_sigma=edited.sigma,
     )
     return labels, model
 

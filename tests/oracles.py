@@ -138,6 +138,16 @@ def cannot_link_matrix(cs) -> np.ndarray:
     return m
 
 
+def dense_constraints(entries, cs) -> np.ndarray:
+    """Dense kernel ``entries`` with must-linked pairs set to 1 and cannot-linked ones to 0."""
+    entries = entries.copy()
+    for i, j in cs.must_links:
+        entries[i, j] = entries[j, i] = 1.0
+    for i, j in cs.cannot_links:
+        entries[i, j] = entries[j, i] = 0.0
+    return entries
+
+
 def inner_matrix(cs, gamma: float, eta: float) -> np.ndarray:
     """The dense ``B = 2I + 2g M + g^2 M^2 - 2e C + e^2 C^2`` of the objective matrix."""
     m, c = must_link_matrix(cs), cannot_link_matrix(cs)

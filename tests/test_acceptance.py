@@ -19,6 +19,7 @@ import smiclust
 from oracles import (
     Dense,
     cannot_link_matrix,
+    dense_constraints,
     evaluate_ratio,
     hold_error,
     must_link_matrix,
@@ -29,7 +30,7 @@ from oracles import (
 )
 from smiclust.data import ConstraintSet, empty_constraints, make_blobs, sample_constraints
 from smiclust.evaluation import BenchmarkConfig, adjusted_rand_index, run_benchmark
-from smiclust.kernel import KernelMatrix, local_scaling_kernel
+from smiclust.kernel import KernelMatrix, apply_constraints, local_scaling_kernel
 from smiclust.lsmi import _class_systems, cross_validate, fit_ratio_model, lsmi_value
 from smiclust.model_select import LsmiConfig, grid_search
 from smiclust.solver import cluster, objective_matrix, top_eigenpairs
@@ -205,7 +206,8 @@ def test_criterion_7_objective_matrix_oracle():
             cs = sample_constraints(labels, int(rng.integers(0, n)), seed=int(rng.integers(1000)))
             gamma = float(rng.uniform(0, 4))
             eta = float(rng.uniform(0, 4))
-            u = objective_matrix(KernelMatrix(k, t=1), cs, gamma, eta, 2)
+            u = objective_matrix(apply_constraints(KernelMatrix(k, t=1), cs), gamma, eta, 2)
+            edited = dense_constraints(k, cs)
             m = must_link_matrix(cs)
             c_mat = cannot_link_matrix(cs)
             eye = np.eye(n)
@@ -216,11 +218,9 @@ def test_criterion_7_objective_matrix_oracle():
                 - 2 * eta * c_mat
                 + eta**2 * (c_mat @ c_mat)
             )
-            assert np.allclose(objective_entries(u), k @ inner @ k, atol=1e-10)
+            assert np.allclose(objective_entries(u), edited @ inner @ edited, atol=1e-10)
         with pytest.raises(ValueError):
-            objective_matrix(
-                KernelMatrix(np.eye(4), t=1), empty_constraints(4), 0.0, 1.0, 3
-            )
+            objective_matrix(KernelMatrix(np.eye(4), t=1), 0.0, 1.0, 3)
 
 
 def test_criterion_8_model_selection_sanity():

@@ -199,13 +199,17 @@ class TestPredictCommand:
             (lambda doc: with_entry(doc, "train_features", (2, 1), float("nan")),
              "train_features must be finite, got nan at index (2, 1)"),
             (lambda doc: {**doc, "train_features": doc["train_features"][:-1]},
-             "train_features must be a matrix of 40 rows, got shape (39, 2)"),
+             "train_features must be a matrix of 40 rows and at least one column, "
+             "got shape (39, 2)"),
+            (lambda doc: {**doc, "train_features": [[] for _ in doc["train_features"]]},
+             "train_features must be a matrix of 40 rows and at least one column, "
+             "got shape (40, 0)"),
         ],
         ids=["missing-phi", "list", "nan-eigenvalues", "inf-eigenvalue", "fractional-t",
              "fractional-c", "list-gamma", "text-eta", "ragged-phi", "text-eigenvalues",
              "ragged-train-features", "null-train-sigma", "reversed-eigenvalues",
              "short-eigenvalues", "narrow-phi", "scaled-phi", "negative-sigma", "inf-sigma",
-             "short-sigma", "nan-feature", "short-features"],
+             "short-sigma", "nan-feature", "short-features", "featureless"],
     )
     def test_bad_model_document_exits_2_naming_the_field(
         self, workdir, blobs_csv, capsys, bad, message

@@ -449,8 +449,8 @@ class TestSampleConstraints:
         assert np.array_equal(np.diag(c), np.zeros(5))
         off = ~np.eye(5, dtype=bool)
         assert np.all((m * c)[off] == 0)
-        assert np.array_equal(_link_matrix(cs.must_links, 5, 1.0).toarray(), m)
-        assert np.array_equal(_link_matrix(cs.cannot_links, 5, 0.0).toarray(), c)
+        assert np.array_equal(_link_matrix(cs.must_links, 5).toarray() + np.eye(5), m)
+        assert np.array_equal(_link_matrix(cs.cannot_links, 5).toarray(), c)
 
 
 class TestConstraintSet:

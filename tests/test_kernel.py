@@ -194,7 +194,8 @@ class TestApplyConstraints:
     def test_dimension_mismatch(self):
         x = np.zeros((4, 1))
         k = local_scaling_kernel(np.random.default_rng(0).standard_normal((4, 1)), 1)
-        with pytest.raises(ValueError):
+        message = "^constraint set is over n=5 samples, kernel over n=4$"
+        with pytest.raises(ValueError, match=message):
             apply_constraints(k, empty_constraints(5))
 
     def test_result_invariants_hold(self):

@@ -13,6 +13,7 @@ from scipy.spatial import cKDTree
 from oracles import (
     Dense,
     cannot_link_matrix,
+    dense_constraints,
     eigh_top_eigenpairs,
     must_link_matrix,
     objective_entries,
@@ -102,21 +103,22 @@ class TestObjectiveMatrix:
     def test_reduces_to_twice_squared_kernel(self):
         x = np.random.default_rng(0).standard_normal((8, 2))
         k = local_scaling_kernel(x, 3)
-        u = objective_matrix(k, empty_constraints(8), 0.0, 0.0, 2)
+        u = objective_matrix(k, 0.0, 0.0, 2)
         assert np.allclose(objective_entries(u), 2 * k.entries @ k.entries, atol=1e-12)
 
     def test_gamma_without_links_scales(self):
         x = np.random.default_rng(1).standard_normal((6, 2))
         k = local_scaling_kernel(x, 2)
-        u = objective_matrix(k, empty_constraints(6), 1.0, 0.0, 2)
+        u = objective_matrix(k, 1.0, 0.0, 2)
         assert np.allclose(objective_entries(u), 5 * k.entries @ k.entries, atol=1e-12)
 
     def test_single_must_link_against_oracle(self):
         x = np.random.default_rng(2).standard_normal((7, 2))
         k = local_scaling_kernel(x, 2)
         cs = ConstraintSet(((1, 4),), (), 7)
-        u = objective_matrix(k, cs, 1.0, 0.0, 2)
-        expected = u_oracle(k.entries, must_link_matrix(cs), cannot_link_matrix(cs), 1.0, 0.0)
+        u = objective_matrix(apply_constraints(k, cs), 1.0, 0.0, 2)
+        edited = dense_constraints(k.entries, cs)
+        expected = u_oracle(edited, must_link_matrix(cs), cannot_link_matrix(cs), 1.0, 0.0)
         assert np.allclose(objective_entries(u), expected, atol=1e-10)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -128,10 +130,9 @@ class TestObjectiveMatrix:
         cs = sample_constraints(labels, int(rng.integers(0, n)), seed=seed)
         gamma = float(rng.uniform(0, 3))
         eta = float(rng.uniform(0, 3))
-        from smiclust.kernel import KernelMatrix
-
-        u = objective_matrix(KernelMatrix(k, t=1), cs, gamma, eta, 2)
-        expected = u_oracle(k, must_link_matrix(cs), cannot_link_matrix(cs), gamma, eta)
+        u = objective_matrix(apply_constraints(KernelMatrix(k, t=1), cs), gamma, eta, 2)
+        edited = dense_constraints(k, cs)
+        expected = u_oracle(edited, must_link_matrix(cs), cannot_link_matrix(cs), gamma, eta)
         dense = objective_entries(u)
         assert np.allclose(dense, expected, atol=1e-10)
         assert np.allclose(dense, dense.T, atol=1e-10)
@@ -139,17 +140,12 @@ class TestObjectiveMatrix:
     def test_eta_rejected_for_many_clusters(self):
         k = local_scaling_kernel(np.random.default_rng(3).standard_normal((6, 2)), 2)
         with pytest.raises(ValueError, match="eta"):
-            objective_matrix(k, empty_constraints(6), 0.0, 0.5, 3)
+            objective_matrix(k, 0.0, 0.5, 3)
 
     def test_negative_strengths_rejected(self):
         k = local_scaling_kernel(np.random.default_rng(3).standard_normal((6, 2)), 2)
         with pytest.raises(ValueError):
-            objective_matrix(k, empty_constraints(6), -1.0, 0.0, 2)
-
-    def test_constraint_set_of_another_n_rejected(self):
-        k = local_scaling_kernel(np.random.default_rng(3).standard_normal((6, 2)), 2)
-        with pytest.raises(ValueError, match="^constraint set n=7 does not match kernel n=6$"):
-            objective_matrix(k, empty_constraints(7), 1.0, 0.0, 2)
+            objective_matrix(k, -1.0, 0.0, 2)
 
 
 class TestFusedInnerMatrix:
@@ -165,7 +161,8 @@ class TestFusedInnerMatrix:
     )
     def test_equals_dense_definition(self, seed, n, links, gamma, eta):
         cs = random_links(np.random.default_rng(seed), n, links)
-        inner = objective_matrix(KernelMatrix(np.eye(n), t=1), cs, gamma, eta, 2).inner
+        edited = apply_constraints(KernelMatrix(np.eye(n), t=1), cs)
+        inner = objective_matrix(edited, gamma, eta, 2).inner
         m, c_mat = must_link_matrix(cs), cannot_link_matrix(cs)
         eye = np.eye(n)
         want = 2 * eye + 2 * gamma * m + gamma**2 * (m @ m)
@@ -194,7 +191,7 @@ class TestArpackCalls:
         ds = make_blobs(200, 2, 2, 3.0, seed=1)
         cs = sample_constraints(ds.labels, 200, seed=2)
         edited = apply_constraints(local_scaling_kernel(ds.features, 5), cs)
-        matrix = objective_matrix(edited, cs, 1.0, 1.0, 2)
+        matrix = objective_matrix(edited, 1.0, 1.0, 2)
         calls, (lam, _) = self._calls(monkeypatch, matrix, 2)
         assert calls == [3]
         lam_ref, _ = eigh_top_eigenpairs(objective_entries(matrix), 2)
@@ -461,7 +458,7 @@ class TestLanczosAgainstDenseOracle:
             dense = edited.entries
             matrix = Dense(dense)
         else:
-            matrix = objective_matrix(edited, cs, gamma, eta if c == 2 else 0.0, c)
+            matrix = objective_matrix(edited, gamma, eta if c == 2 else 0.0, c)
             dense = objective_entries(matrix)
         lam_ref, phi_ref = eigh_top_eigenpairs(dense, c)
         norm = max(1.0, float(np.abs(np.linalg.eigvalsh(dense)).max()))
@@ -487,7 +484,7 @@ class TestLanczosAgainstDenseOracle:
 def tol0_labels(ds, cs, t, gamma, eta, c):
     """Labels from the machine-precision eigensolve, as ``cluster`` once took them."""
     edited = apply_constraints(local_scaling_kernel(ds.features, t), cs)
-    _, phi = top_eigenpairs(objective_matrix(edited, cs, gamma, eta, c), c)
+    _, phi = top_eigenpairs(objective_matrix(edited, gamma, eta, c), c)
     return assign_clusters(fix_signs(phi))
 
 
@@ -504,7 +501,7 @@ def midway_point_problem():
     def point_margin(s):
         ds = Dataset(features=np.vstack([base, (1 - s) * ends[0] + s * ends[1]]))
         edited = local_scaling_kernel(ds.features, 5)
-        _, phi = top_eigenpairs(objective_matrix(edited, empty_constraints(ds.n), 0.0, 0.0, 2), 2)
+        _, phi = top_eigenpairs(objective_matrix(edited, 0.0, 0.0, 2), 2)
         clipped = np.maximum(fix_signs(phi), 0.0)
         scores = clipped[-1] / clipped.sum(axis=0)
         return ds, scores[0] - scores[1]
@@ -599,7 +596,7 @@ class TestCertifiedEigensolve:
         ds = make_blobs(200, 2, 2, 3.0, seed=1)
         cs = sample_constraints(ds.labels, 400, seed=2)
         edited = apply_constraints(local_scaling_kernel(ds.features, 5), cs)
-        lam, phi = top_eigenpairs(objective_matrix(edited, cs, 1.0, 1.0, 2), 2)
+        lam, phi = top_eigenpairs(objective_matrix(edited, 1.0, 1.0, 2), 2)
         tols, fallbacks = self._spy(monkeypatch)
         labels, model = cluster(ds, cs, 5, 1.0, 1.0, 2)
         assert tols == [solver._LOOSE_TOL] and fallbacks == []
@@ -760,7 +757,7 @@ def test_array_dataclasses_compare_by_identity():
     for make in (
         lambda: KernelMatrix(np.eye(3), 1),
         lambda: ConstraintSet(((0, 1),), (), 3),
-        lambda: objective_matrix(kernel, empty_constraints(ds.n), 1.0, 0.0, 2),
+        lambda: objective_matrix(kernel, 1.0, 0.0, 2),
         lambda: replace(model),
         lambda: fit_ratio_model(ds.features, ds.labels, 1.0, 0.1, seed=0),
     ):
@@ -1085,13 +1082,14 @@ class TestModelValidation:
             ("train_features", lambda f: f[:-1]),
             ("train_features", lambda f: f[:, 0]),
             ("train_features", lambda f: np.where(np.arange(10)[:, None] == 2, np.nan, f)),
+            ("train_features", lambda f: f[:, :0]),
             ("train_sigma", lambda s: s[:-1]),
             ("train_sigma", lambda s: s[:, None]),
             ("train_sigma", lambda s: np.where(np.arange(10) == 5, np.inf, s)),
             ("train_sigma", lambda s: np.where(np.arange(10) == 5, -1.0, s)),
         ],
-        ids=["features-short", "features-1d", "features-nan", "sigma-short", "sigma-2d",
-             "sigma-inf", "sigma-negative"],
+        ids=["features-short", "features-1d", "features-nan", "features-no-columns",
+             "sigma-short", "sigma-2d", "sigma-inf", "sigma-negative"],
     )
     def test_bad_training_arrays_rejected(self, field, value):
         fields = self._fields()
@@ -1182,7 +1180,7 @@ def test_every_entry_refuses_a_bad_hyperparameter(monkeypatch, caller, name, val
         blobs = {**blobs, "n_per_class": 10, "classes": 3}
     calls = {
         "cluster": lambda: cluster(ds, links, t, gamma, eta, c),
-        "objective_matrix": lambda: objective_matrix(kernel, links, gamma, eta, c),
+        "objective_matrix": lambda: objective_matrix(kernel, gamma, eta, c),
         "ClusterModel": lambda: ClusterModel(
             phi=basis, lam=np.array([2.0, 1.0]), c=c, t=t, gamma=gamma, eta=eta,
             train_features=ds.features, train_sigma=kernel.sigma,

@@ -57,15 +57,6 @@ def dense_kernel(x, t):
     return entries, sigma
 
 
-def dense_constraints(entries, cs):
-    entries = entries.copy()
-    for i, j in cs.must_links:
-        entries[i, j] = entries[j, i] = 1.0
-    for i, j in cs.cannot_links:
-        entries[i, j] = entries[j, i] = 0.0
-    return entries
-
-
 def dense_query_kernel(train, train_sigma, t, x):
     dist = cdist(x, train)
     nearest, sigma = dense_nearest(dist, t)
@@ -124,7 +115,7 @@ class TestAgainstDenseOracle:
             assert scales.tobytes() == sigma.tobytes()
 
             cs = random_links(rng, n)
-            assert_same_csr(apply_constraints(k, cs).csr, dense_constraints(entries, cs))
+            assert_same_csr(apply_constraints(k, cs).csr, oracles.dense_constraints(entries, cs))
 
             queries = np.vstack([x[rng.integers(0, n, int(rng.integers(0, 5)))],
                                  tie_heavy(rng, int(rng.integers(1, 20)), d, decimals)])
@@ -212,7 +203,12 @@ class TestScipyAssembly:
             assert getattr(k.csr, name).tobytes() == getattr(mirror, name).tobytes(), name
         edited = apply_constraints(k, random_links(rng, n))
         queries = np.vstack([x[rng.integers(0, n, 3)], tie_heavy(rng, 8, d, decimals)])
-        for matrix in (k.csr, edited.csr, kernel.query_kernel(x, k.sigma, t, queries)):
+        # KernelMatrix keeps a canonical CSR uncopied, so only these checks keep a
+        # non-canonical matrix out of U.
+        thetas = [(0.0, 0.0), (1.0, 1.0), (0.5, 2.0)]
+        inners = [solver.objective_matrix(edited, g, e, 2).inner for g, e in thetas]
+        for matrix in (k.csr, edited.csr, edited.must, edited.cannot, *inners,
+                       kernel.query_kernel(x, k.sigma, t, queries)):
             assert_canonical(matrix)
 
     def test_a_repeated_link_line_gives_the_bytes_of_one(self, tmp_path):
@@ -225,15 +221,42 @@ class TestScipyAssembly:
         for path in (once, twice):
             cs = load_constraints(path, 30)
             edited = apply_constraints(k, cs)
-            built.append((edited.csr, solver.objective_matrix(edited, cs, 1.0, 1.0, 2).inner))
+            built.append((edited.csr, solver.objective_matrix(edited, 1.0, 1.0, 2).inner))
         for got, want in zip(built[1], built[0]):
             for name in ("data", "indices", "indptr"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
+    def test_an_unedited_kernel_gives_the_bytes_of_no_links(self):
+        k = local_scaling_kernel(make_blobs(15, 2, 2, 3.0, seed=0).features, 4)
+        unlinked = apply_constraints(k, ConstraintSet((), (), 30))
+        for gamma, eta in [(0.0, 0.0), (1.0, 0.0), (0.5, 2.0)]:
+            got, want = (solver.objective_matrix(m, gamma, eta, 2).inner for m in (k, unlinked))
+            for name in ("data", "indices", "indptr"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    def test_a_linked_cluster_call_builds_two_link_patterns(self, monkeypatch, eta):
+        """``apply_constraints`` builds M and C once and ``objective_matrix`` takes them over."""
+        ds = make_blobs(30, 2, 2, 3.0, seed=0)
+        cs = ConstraintSet([(0, 1), (2, 3)], [(0, 40), (5, 50)], 60)
+        real, built = kernel._link_matrix, []
+
+        def counted(pairs, *args):
+            built.append(len(pairs))
+            return real(pairs, *args)
+
+        # Every binding of the builder in the package is counted, wherever it is called from.
+        for name, module in list(sys.modules.items()):
+            if name.startswith("smiclust") and getattr(module, "_link_matrix", None) is real:
+                monkeypatch.setattr(module, "_link_matrix", counted)
+        solver.cluster(ds, cs, 5, 1.0, eta, 2)
+        assert built == [2, 2]
+
     def test_two_cannot_links_on_one_vertex_count_twice_in_c_squared(self):
         # Vertex 0 is cannot-linked to 2 and 3, so (C @ C)[0, 0] is 2.
         cs = ConstraintSet([(0, 1), (3, 4)], [(0, 2), (0, 3)], 6)
-        inner = solver.objective_matrix(kernel.KernelMatrix(np.eye(6), t=1), cs, 0.5, 1.5, 2).inner
+        edited = apply_constraints(kernel.KernelMatrix(np.eye(6), t=1), cs)
+        inner = solver.objective_matrix(edited, 0.5, 1.5, 2).inner
         assert inner.dtype == np.float64
         assert np.array_equal(inner.toarray(), oracles.inner_matrix(cs, 0.5, 1.5))
 
@@ -241,16 +264,18 @@ class TestScipyAssembly:
     @given(
         n=st.integers(2, 12),
         raw=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=20),
-        diagonal=st.sampled_from([0.0, 1.0]),
     )
-    @example(n=2, raw=[], diagonal=0.0)
-    @example(n=2, raw=[(0, 1), (1, 0), (0, 1)], diagonal=1.0)
-    def test_link_matrix_equals_coo_build(self, n, raw, diagonal):
+    @example(n=2, raw=[])
+    @example(n=2, raw=[(0, 1), (1, 0), (0, 1)])
+    def test_link_matrix_equals_coo_build(self, n, raw):
         # Pairs as a ConstraintSet holds them: i < j, repeats kept.
         pairs = tuple((i % n, j % n) for i, j in raw if i % n != j % n)
         pairs = ConstraintSet(pairs, (), n).must_links
-        want = oracles.link_matrix(pairs, n, diagonal)
-        assert_same_csr(kernel._link_matrix(pairs, n, diagonal), want)
+        links = kernel._link_matrix(pairs, n)
+        assert_same_csr(links, oracles.link_matrix(pairs, n, 0.0))
+        # B's must term, M + I, is the diagonal-marked link matrix.
+        eye = sparse.identity(n, format="csr")
+        assert_same_csr(links + eye, oracles.link_matrix(pairs, n, 1.0))
 
 
 def test_kernel_matrix_keeps_canonical_csr():
@@ -258,10 +283,27 @@ def test_kernel_matrix_keeps_canonical_csr():
     # Unsorted, with duplicates to sum and an explicit zero.
     rows, cols = [2, 0, 1, 0, 1, 2, 2, 0], [0, 2, 0, 0, 1, 2, 0, 2]
     messy = sparse.coo_matrix(([0.25, 0.25, 0.0, 1.0, 1.0, 1.0, 0.25, 0.25], (rows, cols)))
-    for given_matrix in (dense, sparse.csr_matrix(dense), messy):
+    # Row 0 lists column 2 before column 0.
+    unsorted = sparse.csr_matrix(([0.5, 1.0, 1.0, 0.5, 1.0], [2, 0, 1, 0, 2], [0, 2, 3, 5]))
+    # Sorted and free of duplicates, so scipy calls it canonical, but the 0.0 is stored.
+    stored_zero = messy.tocsr()
+    assert stored_zero.has_canonical_format and not stored_zero.data.all()
+    canonical = sparse.csr_matrix(dense)
+    given = (dense, canonical, messy, unsorted, stored_zero, sparse.csr_matrix(dense > 0))
+    for given_matrix in given:
+        names = [name for name in ("data", "row", "col", "indices", "indptr")
+                 if sparse.issparse(given_matrix) and hasattr(given_matrix, name)]
+        before = [given_matrix.copy()] if not names else [
+            getattr(given_matrix, name).copy() for name in names
+        ]
         k = kernel.KernelMatrix(given_matrix, t=1)
-        assert_same_csr(k.csr, dense)
-        assert np.array_equal(k.entries, dense)
+        assert_same_csr(k.csr, 1.0 * (dense > 0) if given_matrix.dtype == bool else dense)
+        assert (k.csr is given_matrix) == (given_matrix is canonical)
+        # Anything else is converted without touching the caller's matrix.
+        after = [given_matrix] if not names else [getattr(given_matrix, name) for name in names]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
+    # A canonical float CSR is kept as it is: no copy of its data.
+    assert kernel.KernelMatrix(canonical, t=1).csr.data is canonical.data
 
 
 class TestEigensolverRefusals:
